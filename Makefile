@@ -1,6 +1,6 @@
 # Developer entry points.  `make ci` is what the CI job runs: simlint, the
 # tier-1 test suite (once plain, once under the runtime determinism
-# sanitizer, once on the batched scheduler backend), a scenario-spec
+# sanitizer), the end-to-end benchmark's self-tests, a scenario-spec
 # schema check + dry-build, the observability self-check (spans/metrics/
 # exporters cross-verified), plus a quick-mode perf smoke that fails on
 # regressions beyond the tolerance against the committed BENCH_PERF.json
@@ -21,7 +21,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: lint lint-stats test test-sanitize test-backend test-fleet test-control scenarios obs-check bench perf-check perf-write profile ci
+.PHONY: lint lint-stats test test-sanitize bench-selftest test-fleet test-control scenarios obs-check bench perf-check perf-write profile ci
 
 # Whole-program determinism & architecture analysis (rules SL001-SL015)
 # over src/ (strict profile) and tests/ + benchmarks/ (relaxed profile:
@@ -44,10 +44,11 @@ test:
 test-sanitize:
 	REPRO_SANITIZE=1 $(PYTHON) -m pytest -x -q
 
-# The same tier-1 suite on the optimized batched scheduler backend;
-# results must be identical (backend choice never changes simulation).
-test-backend:
-	REPRO_KERNEL_BACKEND=batched $(PYTHON) -m pytest -x -q
+# Self-tests of the end-to-end benchmark under perfbench/.  They pin the
+# benchmark's contract with src/ (entry points, keywords, the sweep and
+# fleet checks), so a rename there fails here rather than in a bench run.
+bench-selftest:
+	$(PYTHON) -m pytest perfbench/tests -q
 
 # The fleet tier lane: sharded-vs-serial determinism, fluid-vs-exact
 # cross-validation within the documented tolerances, epoch protocol.
@@ -56,8 +57,8 @@ test-fleet:
 
 # The control-plane lane: detector hysteresis/grid semantics, planner
 # edge cases (partial plans, never exceptions), executor audit, and the
-# closed loop's cross-backend determinism pin, plus the aging policies
-# that delegate to the same detector core.
+# closed loop's plain == sanitized determinism pin, plus the aging
+# policies that delegate to the same detector core.
 test-control:
 	$(PYTHON) -m pytest -x -q tests/control tests/aging
 
@@ -90,14 +91,15 @@ bench:
 # Kernel micro-benchmarks + fleet matrix + sub-second experiments,
 # guarded against the committed baseline.  Seconds, not a full sweep.
 # Kernel throughputs are recorded per scheduler backend and fleet wall
-# clocks per hosts x mode cell (BENCH_PERF.json schema 5); most gates
+# clocks per hosts x mode cell (BENCH_PERF.json schema 5; the
+# "reference" kernel cell is the binary-heap test oracle); most gates
 # compare against the committed
 # baseline and are therefore hardware-relative: on a machine slower
 # than the baseline's, widen the gate for one run with
 # `REPRO_PERF_TOLERANCE=1.6 make perf-check` (or --tolerance); if the
 # drift is real and permanent, rebaseline instead — run `make perf-write`
 # on quiet hardware and commit the rewritten BENCH_PERF.json.  The
-# batched-vs-reference events/sec speedup gate and the disabled-telemetry
+# batched-vs-oracle events/sec speedup gate and the disabled-telemetry
 # overhead gate are the exceptions: both compare cells measured seconds
 # apart in the same run on the same machine, so no tolerance applies and
 # rebaselining cannot paper over a batched-backend slowdown or a
@@ -118,4 +120,4 @@ profile:
 	pr = cProfile.Profile(); pr.enable(); run_experiment('FIG9'); \
 	pr.disable(); pstats.Stats(pr).sort_stats('cumulative').print_stats(40)"
 
-ci: lint test test-sanitize test-backend test-fleet test-control scenarios obs-check perf-check
+ci: lint test test-sanitize bench-selftest test-fleet test-control scenarios obs-check perf-check

@@ -9,11 +9,13 @@ The numbers deliberately exercise the kernel's hottest paths:
 * **events/sec per backend** — a fleet of timeout-yielding processes
   (~10k pending entries, the shape the paper's consolidation
   experiments drive), measuring scheduling, event-state and
-  process-resumption machinery end to end on each scheduler backend;
+  process-resumption machinery end to end, on the batched scheduler
+  (``batched``, the inlined run loop) and on the binary-heap test oracle
+  (``reference``, ``tests/simkernel/heap_oracle.py`` on the hooked loop);
 * **timer churn ops/sec per backend** — the fluid-sharing pattern:
   every near-term completion cancels and re-arms a far-horizon
   watchdog timer via ``Simulator.rearm_timer``, exercising lazy
-  deletion, compaction and (on the batched backend) far-tier bulk
+  deletion, compaction and (on the batched scheduler) far-tier bulk
   absorption;
 * **records/sec** — ``Tracer.record`` with no subscribers, the
   always-on instrumentation cost every simulated action pays;
@@ -25,22 +27,42 @@ The numbers deliberately exercise the kernel's hottest paths:
 All are also what ``benchmarks/perf_report.py`` records in
 ``BENCH_PERF.json`` (per-backend matrix under ``kernel.backends``) and
 what the CI perf smoke guards against regressions — including the
-same-run requirement that the batched backend beat the reference on
+same-run requirement that the batched scheduler beat the oracle on
 events/sec by the advertised factor.
 """
 
 from __future__ import annotations
 
 import json
+import pathlib
+import sys
 import time
+
+# The oracle lives in tests/; make the repo root importable when this
+# file runs as a script (benchmarks/ is sys.path[0] then).
+_REPO_ROOT = str(pathlib.Path(__file__).resolve().parent.parent)
+if _REPO_ROOT not in sys.path:
+    sys.path.insert(0, _REPO_ROOT)
 
 #: Backends measured by the per-backend benchmarks, reference first so
 #: relative numbers read naturally in the report.
 BACKEND_NAMES = ("reference", "batched")
 
 
+def _simulator(backend: str):
+    """A simulator on the named cell's backend: ``"reference"`` injects
+    the heap oracle, ``"batched"`` is the default scheduler."""
+    from repro.simkernel import Simulator
+
+    if backend == "reference":
+        from tests.simkernel.heap_oracle import ReferenceBackend
+
+        return Simulator(backend=ReferenceBackend())
+    return Simulator()
+
+
 def bench_event_throughput(
-    n: int = 300_000, procs: int = 10_000, backend: str = "reference"
+    n: int = 300_000, procs: int = 10_000, backend: str = "batched"
 ) -> float:
     """Events processed per second by a fleet of timeout-yielding processes.
 
@@ -50,9 +72,7 @@ def bench_event_throughput(
     dominates.  Single-digit pending sets are interpreter-bound and
     barely distinguish backends.
     """
-    from repro.simkernel import Simulator
-
-    sim = Simulator(backend=backend)
+    sim = _simulator(backend)
 
     def ticker(sim, ticks):
         timeout = sim.timeout
@@ -74,7 +94,7 @@ def _noop() -> None:
 
 
 def bench_timer_churn(
-    pools: int = 1_000, per: int = 200, backend: str = "reference"
+    pools: int = 1_000, per: int = 200, backend: str = "batched"
 ) -> float:
     """Timer cancel/re-arm operations per second, fluid-sharing shaped.
 
@@ -86,9 +106,7 @@ def bench_timer_churn(
     lazily dead, which is what makes compaction and far-tier handling
     the measured cost.
     """
-    from repro.simkernel import Simulator
-
-    sim = Simulator(backend=backend)
+    sim = _simulator(backend)
 
     def pool(slot):
         handle = None

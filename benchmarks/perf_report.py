@@ -13,7 +13,8 @@ or kernel throughputs lower, by more than the allowed ratio (default
 (the ``kernel.backends`` matrix) and fleet wall clocks per hosts × mode
 cell (the ``fleet.matrix``, schema 5).  Three gates are *relative within
 the fresh run* and therefore hardware-independent and tolerance-free:
-the batched backend must beat the reference on events/sec by at least
+the batched scheduler must beat the reference (the binary-heap test
+oracle, ``tests/simkernel/heap_oracle.py``) on events/sec by at least
 ``BATCHED_MIN_SPEEDUP``, the fluid workload mode must beat exact
 mode's wall clock by at least ``FLUID_MIN_SPEEDUP`` on the largest
 fleet size both modes run, and the disabled-telemetry event-loop tax
@@ -58,7 +59,7 @@ before --check fails.  Overridable per run (--tolerance /
 REPRO_PERF_TOLERANCE) because wall clocks are hardware-relative."""
 
 BATCHED_MIN_SPEEDUP = 1.5
-"""The batched backend must beat the reference on events/sec by at least
+"""The batched scheduler must beat the heap oracle on events/sec by at least
 this factor *within one measurement run*.  Same-run relative, so no
 hardware tolerance applies — both backends saw the same machine."""
 

@@ -11,12 +11,12 @@ Run:  python examples/aging_and_scheduling.py
 """
 
 from repro.aging import (
-    AgingFaults,
     AgingMonitor,
     RejuvenationPlan,
     TimeBasedRejuvenator,
     format_availability,
 )
+from repro.config import AgingFaults
 from repro.core import RootHammer, VMSpec
 from repro.units import DAY, HOUR, fmt_bytes, fmt_duration, gib
 

@@ -1,13 +1,15 @@
-"""Software aging and rejuvenation: faults, detectors, policies, availability.
+"""Software aging and rejuvenation: detectors, policies, availability.
 
-§2 motivates rejuvenation with concrete Xen defects; this package injects
-them (:class:`AgingFaults`), watches their effect (:class:`AgingMonitor`),
-schedules rejuvenation (time- and threshold-based policies, §3.2), and
-computes service availability from measured downtimes (§5.3).
+§2 motivates rejuvenation with concrete Xen defects.  The fault knobs
+that inject them are :class:`repro.config.AgingFaults` (the VMM and
+xenstore below this package consult them); this package watches their
+effect (:class:`AgingMonitor`), schedules rejuvenation (time- and
+threshold-based policies, §3.2), and computes service availability from
+measured downtimes (§5.3).
 
 The policy/detector classes depend on :mod:`repro.core` (they drive a
-host), while the VMM depends on :class:`AgingFaults` from here — so those
-heavier exports are loaded lazily to keep the import graph acyclic.
+host), so those heavier exports are loaded lazily: importing the
+availability model does not pull in the whole host stack.
 """
 
 from repro.aging.availability import (
@@ -15,10 +17,8 @@ from repro.aging.availability import (
     format_availability,
     paper_plans,
 )
-from repro.aging.faults import AgingFaults
 
 __all__ = [
-    "AgingFaults",
     "AgingMonitor",
     "CrashWatchdog",
     "HeapExhaustionCrasher",

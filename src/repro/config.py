@@ -356,7 +356,6 @@ class AgingFaults:
     (a healthy hypervisor).  It lives here with the other spec dataclasses
     because the VMM and xenstore (platform layer) consult it — the aging
     package layers *above* them and could not be imported from there.
-    :mod:`repro.aging.faults` re-exports it as the aging-facing name.
     """
 
     leak_on_domain_destroy_bytes: int = 0

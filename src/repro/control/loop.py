@@ -12,8 +12,7 @@ underload, heap aging — snapshots the fleet into an inert
 Determinism: the cycle grid is absolute (action durations never shift
 later cycles), detectors and strategies are pure over their inputs, and
 the only state consulted is the simulation's own — so the loop produces
-identical decisions under ``REPRO_SANITIZE=1`` on every scheduler
-backend.
+identical decisions plain and under ``REPRO_SANITIZE=1``.
 """
 
 from __future__ import annotations

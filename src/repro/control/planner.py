@@ -6,7 +6,7 @@ snapshotted from live hosts by :func:`view_of_hosts`) and SLA
 :class:`Constraints` to a :class:`~repro.control.actions.Plan`.  No
 strategy touches simulation state, draws randomness, or iterates a set —
 given the same view they emit the same plan, which is what makes the
-closed loop deterministic across seeds, backends and shardings.
+closed loop deterministic across seeds, run loops and shardings.
 
 Four strategies ship:
 

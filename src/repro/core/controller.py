@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import typing
 
-from repro.aging.faults import AgingFaults
 from repro.analysis.downtime import (
     DowntimeInterval,
     DowntimeSummary,
     extract_downtimes,
     reboot_downtime_summary,
 )
-from repro.config import TimingProfile, paper_testbed
+from repro.config import AgingFaults, TimingProfile, paper_testbed
 from repro.core.host import Host, VMSpec
 from repro.core.roothammer import RootHammerHypervisor
 from repro.core.strategies import RebootReport, RebootStrategy

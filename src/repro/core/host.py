@@ -11,15 +11,14 @@ from __future__ import annotations
 import dataclasses
 import typing
 
-from repro.aging.faults import AgingFaults
-from repro.config import TimingProfile, paper_testbed
+from repro.config import AgingFaults, TimingProfile, paper_testbed
 from repro.core.roothammer import RootHammerHypervisor
 from repro.errors import RejuvenationError
 from repro.guest.filesystem import Filesystem
 from repro.guest.kernel import GuestKernel
 from repro.guest.services import make_service
 from repro.hardware.machine import PhysicalMachine
-from repro.simkernel import RandomStreams, Simulator
+from repro.simkernel import Event, RandomStreams, Simulator
 from repro.units import GiB
 from repro.vmm.domain import Domain, DomainState
 from repro.vmm.hypervisor import DOM0_NAME, Hypervisor
@@ -79,6 +78,9 @@ class Host:
         self.vmm: Hypervisor | None = None
         self.generation = 0
         self.started = False
+        self.rebooting = False
+        """True while a :meth:`reboot` is in flight on this host."""
+        self._reboot_waiters: list[Event] = []
 
     # -- configuration ------------------------------------------------------------
 
@@ -370,11 +372,35 @@ class Host:
         ``options`` are forwarded to the strategy (e.g. ``variant=`` to
         pick a §7 save acceleration for the saved-VM reboot).  Returns the
         strategy's :class:`~repro.core.strategies.RebootReport`.
+
+        Reboots of one host are mutually exclusive: starting one while
+        another is in flight raises :class:`RejuvenationError` before
+        anything happens.  A caller that must reboot next waits on
+        :meth:`reboot_finished` first.
         """
         from repro.core import strategies  # local import: cycle guard
 
-        report = yield from strategies.execute(self, strategy, **options)
+        if self.rebooting:
+            raise RejuvenationError(f"host {self.name!r} is already rebooting")
+        self.rebooting = True
+        try:
+            report = yield from strategies.execute(self, strategy, **options)
+        finally:
+            self.rebooting = False
+            waiters, self._reboot_waiters = self._reboot_waiters, []
+            for waiter in waiters:
+                waiter.succeed()
         return report
+
+    def reboot_finished(self) -> Event:
+        """An event that fires when the reboot in flight ends, however it
+        ends.  Only an asked-for event is ever scheduled, so a reboot
+        nobody waits on adds nothing to the simulation's schedule."""
+        if not self.rebooting:
+            raise RejuvenationError(f"host {self.name!r} is not rebooting")
+        waiter = self.sim.event(name=f"reboot-finished:{self.name}")
+        self._reboot_waiters.append(waiter)
+        return waiter
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<Host {self.name} gen={self.generation} vms={self.vm_count}>"

@@ -22,7 +22,8 @@ SL003   iteration over a ``set`` or an ``id()``-keyed dict
         (nondeterministic order under hash randomization)
 SL004   direct ``heapq``/list operation on scheduler-backend storage
         (``_heap``/``_run``/``_far``) outside ``simkernel/kernel.py``,
-        ``events.py`` or ``backends.py`` (bypasses the sequence
+        ``events.py``, ``backends.py`` or the scheduler's test oracle
+        ``tests/simkernel/heap_oracle.py`` (bypasses the sequence
         tiebreaker that pins same-instant ordering)
 SL005   bare ``assert`` in library code (vanishes under ``python -O``)
 SL006   ``record()`` payload keys that do not match the typed columns

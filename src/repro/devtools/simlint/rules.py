@@ -156,8 +156,8 @@ def privacy_message(owner_package: str, attr: str) -> str:
     if owner_package == "simkernel":
         return (
             f"backend-private attribute {attr!r} accessed outside "
-            "repro/simkernel; go through the SchedulerBackend "
-            "interface (pending()/storage_size()/peek()/compact())"
+            "repro/simkernel; go through the scheduler's public "
+            "methods (pending()/storage_size()/peek()/compact())"
         )
     if owner_package == "fleet":
         return (
@@ -223,7 +223,7 @@ class ModulePolicy:
     """
 
     is_rng_module: bool = False  # simkernel/rng.py: SL002 exempt
-    is_heap_owner: bool = False  # simkernel kernel/events/backends: SL004 exempt
+    is_heap_owner: bool = False  # kernel/events/backends, heap oracle: SL004 exempt
     is_driver: bool = False  # CLI/sweep drivers: monotonic clocks allowed
     is_devtools: bool = False  # not simulation code: SL001-SL003 exempt
     is_experiment: bool = False  # repro/experiments/: SL007 applies
@@ -245,7 +245,8 @@ class ModulePolicy:
             is_rng_module=norm.endswith("simkernel/rng.py"),
             is_heap_owner=norm.endswith("simkernel/kernel.py")
             or norm.endswith("simkernel/events.py")
-            or norm.endswith("simkernel/backends.py"),
+            or norm.endswith("simkernel/backends.py")
+            or norm.endswith("tests/simkernel/heap_oracle.py"),
             is_driver=norm.endswith("experiments/cli.py")
             or norm.endswith("experiments/parallel.py")
             or norm.endswith("fleet/cli.py")

@@ -101,11 +101,8 @@ def main(argv: typing.Sequence[str] | None = None) -> int:
             print(f"{key:6s} {describe(key)}")
         return 0
 
-    from repro.experiments.parallel import (
-        SweepStats,
-        clear_cache,
-        run_all_parallel,
-    )
+    from repro.experiments.parallel import run_all_parallel
+    from repro.jobs import SweepStats, clear_cache
 
     if args.clear_cache:
         print(f"removed {clear_cache()} cached payload(s)")

@@ -19,10 +19,6 @@ Equivalence with the serial path is by construction: the serial runner
 cell functions and the *same* ``assemble``; the tests in
 ``tests/experiments/test_parallel.py`` assert bit-identical rows across
 serial, parallel and cached runs.
-
-The moved machinery is re-exported here under its historical names, so
-existing imports (``from repro.experiments.parallel import Cell``) keep
-working.
 """
 
 from __future__ import annotations
@@ -32,21 +28,7 @@ import typing
 from repro.errors import ReproError
 from repro.experiments import experiment_ids, runner_module
 from repro.experiments.common import ExperimentResult
-from repro.jobs import (  # noqa: F401 - re-exported for back-compat
-    Cell,
-    SweepStats,
-    _cache_load,
-    _cache_store,
-    _env_fingerprint,
-    _execute_cell,
-    _profile_fingerprint,
-    _resolve_jobs,
-    _run_cells,
-    cache_dir,
-    clear_cache,
-    code_version,
-    run_cells,
-)
+from repro.jobs import Cell, SweepStats, run_cells
 
 _WHOLE = "__whole_run__"
 """Cell key marking a non-decomposed experiment run as a single unit."""
@@ -105,7 +87,7 @@ def run_experiment_parallel(
     """Run one experiment by fanning its cells across worker processes."""
     key = experiment_id.upper()
     plan = cells_for(key, full)
-    payloads = _run_cells(plan, full, jobs, use_cache, stats)
+    payloads = run_cells(plan, jobs, use_cache, stats, full=full)
     return _assemble(key, full, {c.key: payloads[(key, c.key)] for c in plan})
 
 
@@ -147,7 +129,7 @@ def run_scenarios_parallel(
     """Fan a set of :class:`~repro.scenario.spec.ScenarioSpec` runs across
     worker processes; returns each scenario's report dict keyed by name."""
     plan = scenario_cells(specs)
-    payloads = _run_cells(plan, False, jobs, use_cache, stats)
+    payloads = run_cells(plan, jobs, use_cache, stats)
     return {
         cell.key[0]: payloads[(cell.experiment_id, cell.key)] for cell in plan
     }
@@ -174,7 +156,7 @@ def run_all_parallel(
     plan: list[Cell] = []
     for key in keys:
         plan.extend(cells_for(key, full))
-    payloads = _run_cells(plan, full, jobs, use_cache, stats)
+    payloads = run_cells(plan, jobs, use_cache, stats, full=full)
     results: dict[str, ExperimentResult] = {}
     for key in keys:
         per_key = {

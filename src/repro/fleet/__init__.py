@@ -3,7 +3,7 @@
 Scales the cluster layer from "a cluster" to "a datacenter": a
 :class:`~repro.fleet.spec.FleetSpec` partitions its hosts into shards,
 each shard is one :class:`~repro.scenario.builder.ScenarioBuilder` stack
-in its own worker process on the batched scheduler backend, and an
+in its own worker process, and an
 absolute-time epoch schedule keeps rolling rejuvenation deterministic
 across shards with no cross-process messaging.  Pair with fluid
 workloads (``WorkloadSpec.mode = "fluid"``) to carry millions of

@@ -213,8 +213,9 @@ def run_fleet(
 
     Caching is off by default — fleet runs are usually one-shot and their
     payloads large-ish; pass ``use_cache=True`` to content-address them
-    like experiment cells (mode, backend and horizon are key material,
-    so a cached fleet row can never alias a different configuration).
+    like experiment cells (the shard plan, workload mode included, is key
+    material, so a cached fleet row can never alias a different
+    configuration).
     """
     started = time.perf_counter()
     plan = fleet_cells(spec)

@@ -3,13 +3,13 @@
 :func:`run_fleet_shard` is a parallel-sweep cell function: plain dict
 plan in (see :meth:`~repro.fleet.spec.FleetSpec.shard_plans`), plain
 dict payload out.  It materializes the shard's hosts through
-:class:`~repro.scenario.builder.ScenarioBuilder` on the batched
-scheduler backend, enforces the epoch barrier (bring-up must finish
-inside ``warmup_s``; reboots start at absolute epoch times), and
-measures every workload over the fleet-wide observation window
-``[warmup_s, warmup_s + observe_s]`` — the same wall-aligned window in
-every shard, which is what makes merged shard payloads identical to a
-serial single-simulation run for fluid workloads.
+:class:`~repro.scenario.builder.ScenarioBuilder`, enforces the epoch
+barrier (bring-up must finish inside ``warmup_s``; reboots start at
+absolute epoch times), and measures every workload over the fleet-wide
+observation window ``[warmup_s, warmup_s + observe_s]`` — the same
+wall-aligned window in every shard, which is what makes merged shard
+payloads identical to a serial single-simulation run for fluid
+workloads.
 """
 
 from __future__ import annotations
@@ -76,9 +76,16 @@ def _rejuvenate(
     durations: dict[str, float],
     overruns: list[str],
 ) -> typing.Generator:
-    """One host's epoch-scheduled VMM reboot (a process)."""
+    """One host's epoch-scheduled VMM reboot (a process).
+
+    A policy reboot may hold the host when the slot opens; the epoch
+    reboot then starts as soon as that one ends, and the wait counts
+    toward the epoch (a late finish is an overrun).
+    """
     sim = built.sim
     yield sim.timeout(start - sim.now)
+    while host.rebooting:
+        yield host.reboot_finished()
     with sim.spans.span("fleet.host", actor=host.name, detail=strategy.value):
         yield from host.reboot(strategy)
     durations[host.name] = sim.now - start
@@ -98,7 +105,6 @@ def run_fleet_shard(shard: dict) -> dict:
 
     built = ScenarioBuilder(
         spec,
-        backend=shard.get("backend", "batched"),
         # Telemetry collection needs the metric series even without a
         # policy; None keeps the spec-driven default.
         metrics=True if telemetry else None,

@@ -219,7 +219,6 @@ class FleetSpec:
                     "epoch_s": self.epoch_s,
                     "warmup_s": self.warmup_s,
                     "observe_s": self.observe_s,
-                    "backend": "batched",
                     "telemetry": self.telemetry_enabled,
                 }
             )

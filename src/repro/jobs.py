@@ -11,9 +11,8 @@ order.  This module is the tier-independent machinery that exploits that:
   cells from another;
 * **memoisation** — each payload is stored in a content-addressed cache
   keyed on the cell's function, its parameters, the timing-profile
-  fingerprint, the ambient kernel configuration and a hash of the package
-  source, so re-running a sweep recomputes only cells whose inputs
-  actually changed.
+  fingerprint and a hash of the package source, so re-running a sweep
+  recomputes only cells whose inputs actually changed.
 
 It lives at the foundation layer because every execution tier rides on
 it: experiment sweeps (:mod:`repro.experiments.parallel`), scenario
@@ -68,13 +67,10 @@ class Cell:
         """Content address of this cell's payload.
 
         Two cells share a digest only if they would compute the same
-        payload: same function, same parameters, same timing profile,
-        same package source and the same ambient kernel configuration
-        (scheduler backend + horizon — environment knobs a cell's worker
-        inherits, so flipping them must never replay a stale payload).
-        ``repr`` of the sorted parameter items is stable because cell
-        parameters are ints/floats/strs/bools (and, for spec cells,
-        canonically ordered dicts of those).
+        payload: same function, same parameters, same timing profile and
+        same package source.  ``repr`` of the sorted parameter items is
+        stable because cell parameters are ints/floats/strs/bools (and,
+        for spec cells, canonically ordered dicts of those).
         """
         material = repr(
             (
@@ -83,7 +79,6 @@ class Cell:
                 sorted(self.params.items()),
                 bool(full),
                 _profile_fingerprint(),
-                _env_fingerprint(),
                 code_version(),
             )
         )
@@ -97,23 +92,6 @@ def _profile_fingerprint() -> str:
     captures every calibrated constant an experiment can observe.
     """
     return repr(paper_testbed())
-
-
-def _env_fingerprint() -> str:
-    """Ambient kernel knobs worker processes inherit, as cache-key material.
-
-    The scheduler backend contract says results never depend on the
-    backend — but the cache must not *assume* the contract holds: a
-    payload computed under one backend/horizon must never satisfy a
-    lookup made under another, or a contract violation would be masked
-    by replay instead of caught by the differential tests.
-    """
-    return repr(
-        (
-            os.environ.get("REPRO_KERNEL_BACKEND") or "reference",
-            os.environ.get("REPRO_KERNEL_HORIZON") or "",
-        )
-    )
 
 
 _code_version: str | None = None
@@ -222,15 +200,22 @@ def _resolve_jobs(jobs: int | None) -> int:
     return jobs
 
 
-def _run_cells(
-    cells: list[Cell],
-    full: bool,
-    jobs: int | None,
-    use_cache: bool,
+def run_cells(
+    cells: typing.Sequence[Cell],
+    jobs: int | None = None,
+    use_cache: bool = True,
     stats: SweepStats | None = None,
+    full: bool = False,
 ) -> dict[tuple[str, tuple], typing.Any]:
     """Execute a pooled cell list; returns payloads keyed by
-    (experiment id, cell key)."""
+    ``(experiment id, cell key)``.
+
+    Every tier fans its cells through here — experiment and scenario
+    sweeps (:mod:`repro.experiments.parallel`) and fleet shards
+    (:mod:`repro.fleet.runner`) — so they all pool, parallelise and
+    content-address cache alike.  ``full`` joins the cache key: a
+    full-workload experiment run never replays a quick one's payload.
+    """
     jobs = _resolve_jobs(jobs)
     if stats is None:
         stats = SweepStats()
@@ -276,18 +261,3 @@ def _run_cells(
                 _cache_store(digest, payload)
     return payloads
 
-
-def run_cells(
-    cells: typing.Sequence[Cell],
-    jobs: int | None = None,
-    use_cache: bool = True,
-    stats: SweepStats | None = None,
-) -> dict[tuple[str, tuple], typing.Any]:
-    """Public pooled-cell entry point.
-
-    The fleet runner (``repro.fleet``) fans its shard cells through this,
-    so shards pool, parallelise and content-address cache exactly like
-    experiment and scenario cells; payloads come back keyed by
-    ``(experiment id, cell key)``.
-    """
-    return _run_cells(list(cells), False, jobs, use_cache, stats)

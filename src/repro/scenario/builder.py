@@ -123,11 +123,11 @@ class ScenarioBuilder:
     ``profile`` overrides the spec's named profile with an explicit
     :class:`TimingProfile` instance (the experiment helpers use this to
     forward caller-supplied profiles without widening the spec schema).
-    ``backend`` selects the scheduler backend for the built simulator
-    (name, class, or instance — see
-    :func:`repro.simkernel.backends.resolve_backend`); ``None`` defers to
-    ``REPRO_KERNEL_BACKEND``, so whole experiment sweeps switch backends
-    via the environment without touching specs.
+    ``backend`` is the simulator's test seam: ``None`` (every production
+    caller) builds on the batched scheduler, and a fresh backend instance
+    (the heap oracle, in tests) is handed to the built
+    :class:`~repro.simkernel.kernel.Simulator` for one build.  A string
+    raises :class:`~repro.errors.SimulationError`.
     ``metrics`` forces the built simulator's metrics registry on (or off)
     regardless of what the spec implies — fleet shards use it when
     telemetry collection is requested without a policy; ``None`` keeps

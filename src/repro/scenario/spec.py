@@ -21,6 +21,7 @@ import dataclasses
 import tomllib
 import typing
 
+from repro.config import AgingFaults
 from repro.errors import ScenarioError
 from repro.obs.slo import SLOSpec
 from repro.units import GiB, KiB
@@ -299,7 +300,7 @@ class WorkloadSpec:
 class FaultSpec:
     """Injected software aging: the §2 leak defects plus a heap-leak rate.
 
-    ``preset`` selects a named :class:`~repro.aging.faults.AgingFaults`
+    ``preset`` selects a named :class:`~repro.config.AgingFaults`
     catalogue entry; the explicit ``*_kib`` knobs override individual
     magnitudes.  ``heap_leak_kib_per_hour`` additionally runs a
     :class:`~repro.aging.watchdog.HeapExhaustionCrasher` (plus a crash
@@ -329,8 +330,7 @@ class FaultSpec:
             _require(value >= 0, f"faults.{field}", f"must be >= 0, got {value}")
 
     def to_aging_faults(self):
-        """The :class:`~repro.aging.faults.AgingFaults` this spec asks for."""
-        from repro.aging.faults import AgingFaults
+        """The :class:`~repro.config.AgingFaults` this spec asks for."""
 
         base = (
             AgingFaults.paper_bugs()

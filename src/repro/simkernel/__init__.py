@@ -5,9 +5,10 @@ This subpackage is self-contained (no dependencies on the rest of
 
 * :class:`~repro.simkernel.kernel.Simulator` — clock, run loop, primitive
   factories;
-* :class:`~repro.simkernel.backends.SchedulerBackend` — pluggable event
-  storage (``reference`` heap or the optimized ``batched`` backend, picked
-  via ``Simulator(backend=...)`` / ``REPRO_KERNEL_BACKEND``);
+* :class:`~repro.simkernel.backends.BatchedBackend` — the scheduler: a
+  monotone run plus near/far timer heaps, the only production backend
+  (``tests/simkernel/heap_oracle.py`` keeps the binary-heap oracle it is
+  diffed against);
 * :class:`~repro.simkernel.events.Event`, timeouts, all-of/any-of conditions;
 * :class:`~repro.simkernel.process.Process` — generator-based activities
   with interrupts;
@@ -26,12 +27,7 @@ This subpackage is self-contained (no dependencies on the rest of
   ``REPRO_METRICS=1``, no-op otherwise).
 """
 
-from repro.simkernel.backends import (
-    BACKENDS,
-    BatchedBackend,
-    ReferenceBackend,
-    SchedulerBackend,
-)
+from repro.simkernel.backends import BatchedBackend
 from repro.simkernel.events import AllOf, AnyOf, Event, Interrupt, Timeout
 from repro.simkernel.kernel import Simulator, TimerHandle
 from repro.simkernel.metrics import (
@@ -56,7 +52,6 @@ from repro.simkernel.tracing import TraceRecord, Tracer
 __all__ = [
     "AllOf",
     "AnyOf",
-    "BACKENDS",
     "BatchedBackend",
     "Counter",
     "DeterminismSanitizer",
@@ -69,11 +64,9 @@ __all__ = [
     "MetricsRegistry",
     "Process",
     "RandomStreams",
-    "ReferenceBackend",
     "Request",
     "Resource",
     "SPAN_NAMES",
-    "SchedulerBackend",
     "SanitizerReport",
     "SharedPool",
     "Simulator",

@@ -1,46 +1,38 @@
-"""Pluggable scheduler backends for the simulation kernel.
+"""The simulation kernel's scheduler: where pending entries live.
 
 The :class:`~repro.simkernel.kernel.Simulator` owns the clock and the
 dispatch semantics; *where pending entries live and how the next one is
-found* is delegated to a :class:`SchedulerBackend`.  Two implementations
-ship:
+found* is delegated to a :class:`BatchedBackend`, the one scheduler every
+simulator builds.  Three structures replace a single binary heap:
 
-:class:`ReferenceBackend`
-    The pure-python binary heap the kernel has always used, extracted
-    verbatim.  It is the semantic reference: every other backend must
-    reproduce its execution order bit-for-bit.
+* a **monotone run** — a sorted list consumed by index.  Discrete-event
+  workloads schedule overwhelmingly forward in time, so most entries
+  append to the tail in already-sorted order (same-instant bursts at one
+  ``(time, priority)`` frontier are the extreme case: they arrive in
+  sequence order and cost one ``list.append`` each, with no per-event
+  sift);
+* a **near heap** for the rare out-of-order arrival inside the horizon
+  (urgent same-instant wakeups, a timer armed behind the run tail);
+* a **far heap** for timers beyond the horizon (watchdog periods,
+  rejuvenation schedules).  Far entries migrate into the run in bulk —
+  one filter + sort — when the near tier drains, so cancelled far timers
+  are dropped wholesale without ever touching a heap.
 
-:class:`BatchedBackend`
-    An optimized backend for fleet-scale runs.  Three structures replace
-    the single heap:
-
-    * a **monotone run** — a sorted list consumed by index.  Discrete-event
-      workloads schedule overwhelmingly forward in time, so most entries
-      append to the tail in already-sorted order (same-instant bursts at
-      one ``(time, priority)`` frontier are the extreme case: they arrive
-      in sequence order and cost one ``list.append`` each, with no
-      per-event sift);
-    * a **near heap** for the rare out-of-order arrival inside the
-      horizon (urgent same-instant wakeups, a timer armed behind the run
-      tail);
-    * a **far heap** for timers beyond the horizon (watchdog periods,
-      rejuvenation schedules).  Far entries migrate into the run in bulk
-      — one filter + sort — when the near tier drains, so cancelled far
-      timers are dropped wholesale without ever touching a heap.
-
-    Cancellation is lazy everywhere: :meth:`note_cancel` only counts, and
-    dead entries are skipped on pop or removed in bulk by
-    :meth:`compact` when they dominate their tier.
+Cancellation is lazy everywhere: :meth:`BatchedBackend.note_cancel` only
+counts, and dead entries are skipped on pop or removed in bulk by
+:meth:`BatchedBackend.compact` when they dominate their tier.
 
 Determinism contract
 --------------------
-Backends order entries strictly by ``(time, priority, sequence)`` with the
-sequence number assigned in :meth:`SchedulerBackend.schedule` call order.
-Because every backend assigns sequences identically and pops the global
-minimum, a simulation produces the same execution order — and therefore
-bit-identical results — on any backend; only wall-clock time may differ.
-``tests/simkernel/test_backends.py`` fuzzes this equivalence and the
-golden experiment rows pin it end to end.
+Entries are ordered strictly by ``(time, priority, sequence)`` with the
+sequence number assigned in :meth:`BatchedBackend.schedule` call order,
+and every pop returns the global minimum — exactly what a single binary
+heap does.  ``tests/simkernel/heap_oracle.py`` keeps that heap as the
+oracle: the differential fuzz in ``tests/simkernel/test_backends.py``
+diffs execution order against it, ``benchmarks/bench_kernel.py`` gates
+this backend's events/sec against it, and the golden experiment rows pin
+the contract end to end.  A simulator accepts an injected backend
+instance (``Simulator(backend=...)``) only as that test seam.
 
 Entries are ``(time, priority, sequence, item)`` tuples, where ``item``
 is an :class:`~repro.simkernel.events.Event` (or subclass) or a
@@ -51,7 +43,6 @@ keys unique, so tuple comparison never reaches the item.
 from __future__ import annotations
 
 import heapq
-import os
 import typing
 
 from repro.errors import SimulationError
@@ -72,125 +63,7 @@ def _is_dead(item: typing.Any) -> bool:
     return getattr(item, "_cancelled", False) is True
 
 
-class SchedulerBackend:
-    """The narrow interface between the kernel and its pending-entry store.
-
-    Implementations must order entries by ``(time, priority, sequence)``
-    and assign the sequence themselves, monotonically, one per
-    :meth:`schedule` call — the tiebreaker every determinism guarantee in
-    this codebase rests on.
-    """
-
-    __slots__ = ()
-
-    #: Registry name (``Simulator(backend="...")`` / ``REPRO_KERNEL_BACKEND``).
-    name = "abstract"
-
-    def schedule(self, time: float, priority: int, item: typing.Any) -> None:
-        """Enqueue ``item`` at ``(time, priority)``, assigning a sequence."""
-        raise NotImplementedError
-
-    def schedule_timer(self, handle: "TimerHandle") -> None:
-        """Enqueue a timer handle at ``handle.time``, normal priority."""
-        raise NotImplementedError
-
-    def pop_next(self, deadline: float = _INF) -> tuple | None:
-        """Remove and return the earliest live entry, or ``None``.
-
-        Entries after ``deadline`` are left queued; lazily-cancelled
-        timers encountered on the way are discarded and accounted.
-        """
-        raise NotImplementedError
-
-    def peek(self) -> float:
-        """Time of the earliest live entry, or ``inf`` when empty."""
-        raise NotImplementedError
-
-    def note_cancel(self, handle: "TimerHandle") -> None:
-        """Account one lazily-cancelled handle still queued here."""
-        raise NotImplementedError
-
-    def compact(self) -> None:
-        """Physically remove every lazily-cancelled entry."""
-        raise NotImplementedError
-
-    def pending(self) -> int:
-        """Number of live (non-cancelled) queued entries."""
-        raise NotImplementedError
-
-    def storage_size(self) -> int:
-        """Entries physically retained, including lazily-cancelled ones."""
-        raise NotImplementedError
-
-
-class ReferenceBackend(SchedulerBackend):
-    """The classic single binary heap — the semantic reference.
-
-    Extracted from the pre-backend ``Simulator`` unchanged: one
-    ``heapq``-managed list, lazy deletion of cancelled timers, and a
-    whole-heap compaction once cancelled entries dominate.
-    """
-
-    __slots__ = ("_cancelled", "_heap", "_seq")
-
-    name = "reference"
-
-    def __init__(self) -> None:
-        self._heap: list[tuple] = []
-        self._seq = 0
-        self._cancelled = 0
-
-    def schedule(self, time: float, priority: int, item: typing.Any) -> None:
-        self._seq += 1
-        heapq.heappush(self._heap, (time, priority, self._seq, item))
-
-    def schedule_timer(self, handle: "TimerHandle") -> None:
-        self._seq += 1
-        heapq.heappush(
-            self._heap, (handle.time, PRIORITY_NORMAL, self._seq, handle)
-        )
-
-    def pop_next(self, deadline: float = _INF) -> tuple | None:
-        heap = self._heap
-        while heap:
-            if heap[0][0] > deadline:
-                return None
-            entry = heapq.heappop(heap)
-            if _is_dead(entry[3]):
-                self._cancelled -= 1
-                continue
-            return entry
-        return None
-
-    def peek(self) -> float:
-        heap = self._heap
-        while heap:
-            if _is_dead(heap[0][3]):
-                heapq.heappop(heap)
-                self._cancelled -= 1
-                continue
-            return heap[0][0]
-        return _INF
-
-    def note_cancel(self, handle: "TimerHandle") -> None:
-        self._cancelled += 1
-        if self._cancelled > COMPACT_MIN and self._cancelled * 2 > len(self._heap):
-            self.compact()
-
-    def compact(self) -> None:
-        # In-place: the kernel's run loops hold a local reference to the list.
-        self._heap[:] = [e for e in self._heap if not _is_dead(e[3])]
-        heapq.heapify(self._heap)
-        self._cancelled = 0
-
-    def pending(self) -> int:
-        return len(self._heap) - self._cancelled
-
-    def storage_size(self) -> int:
-        return len(self._heap)
-
-
-class BatchedBackend(SchedulerBackend):
+class BatchedBackend:
     """Monotone-run + two-level-timer backend; see the module docstring.
 
     Structure invariants (all keys are ``(time, priority, sequence)``):
@@ -211,6 +84,9 @@ class BatchedBackend(SchedulerBackend):
 
     The three lists are mutated in place (never rebound) so the kernel's
     inlined run loop can hold local references across compactions.
+
+    The methods below are everything the kernel calls; a test oracle
+    injected through ``Simulator(backend=...)`` implements the same ones.
     """
 
     __slots__ = (
@@ -226,31 +102,15 @@ class BatchedBackend(SchedulerBackend):
         "_tail",
     )
 
-    name = "batched"
-
     #: Width of the near-time window, in simulated seconds.  Timers due
-    #: beyond ``now + span`` land in the far heap.  Purely a performance
-    #: knob: any positive value yields identical execution order.  The
-    #: default suits per-request cadences (sub-second event spacing);
-    #: fleet-scale runs whose dominant cadence is coarse aggregation
-    #: ticks may prefer a wider horizon — pass ``horizon=`` or set
-    #: ``REPRO_KERNEL_HORIZON`` (see :func:`resolve_backend` and the
-    #: horizon-sweep note in DESIGN.md).
+    #: beyond ``now + span`` land in the far heap.  Any positive value
+    #: yields identical execution order, so this is a constant, not an
+    #: option: 64 s sat at the minimum of the horizon sweep recorded in
+    #: DESIGN.md (minute-scale epochs and reboots).  ``span=`` exists for
+    #: the tests that prove order never depends on it.
     DEFAULT_SPAN = 64.0
 
-    def __init__(
-        self,
-        start_time: float = 0.0,
-        span: float | None = None,
-        horizon: float | None = None,
-    ) -> None:
-        if span is not None and horizon is not None and span != horizon:
-            raise SimulationError(
-                f"span={span} and horizon={horizon} are the same knob "
-                "spelled two ways; pass only one"
-            )
-        if span is None:
-            span = horizon if horizon is not None else self.DEFAULT_SPAN
+    def __init__(self, start_time: float = 0.0, span: float = DEFAULT_SPAN) -> None:
         if span <= 0:
             raise SimulationError(f"horizon span must be positive, got {span}")
         self._run: list[tuple] = []
@@ -267,6 +127,7 @@ class BatchedBackend(SchedulerBackend):
     # -- write side --------------------------------------------------------
 
     def schedule(self, time: float, priority: int, item: typing.Any) -> None:
+        """Enqueue ``item`` at ``(time, priority)``, assigning a sequence."""
         self._seq += 1
         entry = (time, priority, self._seq, item)
         if time >= self._far_horizon:
@@ -286,6 +147,7 @@ class BatchedBackend(SchedulerBackend):
             heapq.heappush(self._heap, entry)
 
     def schedule_timer(self, handle: "TimerHandle") -> None:
+        """Enqueue a timer handle at ``handle.time``, normal priority."""
         # schedule() with time=handle.time, priority=PRIORITY_NORMAL
         # inlined: fluid-sharing churn arms hundreds of thousands of
         # timers per experiment and the extra frame is measurable.
@@ -305,6 +167,11 @@ class BatchedBackend(SchedulerBackend):
     # -- read side ---------------------------------------------------------
 
     def pop_next(self, deadline: float = _INF) -> tuple | None:
+        """Remove and return the earliest live entry, or ``None``.
+
+        Entries after ``deadline`` are left queued; lazily-cancelled
+        timers encountered on the way are discarded and accounted.
+        """
         run, heap = self._run, self._heap
         while True:
             idx = self._idx
@@ -338,6 +205,7 @@ class BatchedBackend(SchedulerBackend):
             return entry
 
     def peek(self) -> float:
+        """Time of the earliest live entry, or ``inf`` when empty."""
         while True:
             run, heap = self._run, self._heap
             idx = self._idx
@@ -363,6 +231,7 @@ class BatchedBackend(SchedulerBackend):
     # -- cancellation ------------------------------------------------------
 
     def note_cancel(self, handle: "TimerHandle") -> None:
+        """Account one lazily-cancelled handle still queued here."""
         # The horizon only advances, so time >= horizon <=> still in _far.
         if handle.time >= self._far_horizon:
             self._far_cancelled += 1
@@ -382,12 +251,14 @@ class BatchedBackend(SchedulerBackend):
                 self._compact_near()
 
     def compact(self) -> None:
+        """Physically remove every lazily-cancelled entry."""
         self._compact_near()
         self._compact_far()
 
     # -- sizes -------------------------------------------------------------
 
     def pending(self) -> int:
+        """Number of live (non-cancelled) queued entries."""
         return (
             (len(self._run) - self._idx)
             + len(self._heap)
@@ -397,6 +268,7 @@ class BatchedBackend(SchedulerBackend):
         )
 
     def storage_size(self) -> int:
+        """Entries physically retained, including lazily-cancelled ones."""
         return (len(self._run) - self._idx) + len(self._heap) + len(self._far)
 
     # -- internals ---------------------------------------------------------
@@ -448,79 +320,3 @@ class BatchedBackend(SchedulerBackend):
         self._tail = live[-1] if live else None
         self._far_horizon = horizon
 
-
-#: Name -> backend class, for ``Simulator(backend=...)`` and the
-#: ``REPRO_KERNEL_BACKEND`` environment variable.
-BACKENDS: dict[str, type[SchedulerBackend]] = {
-    ReferenceBackend.name: ReferenceBackend,
-    BatchedBackend.name: BatchedBackend,
-}
-
-DEFAULT_BACKEND = ReferenceBackend.name
-
-
-def resolve_horizon(env_value: str | None = None) -> float | None:
-    """The far-horizon override from ``REPRO_KERNEL_HORIZON``, if any.
-
-    ``env_value`` defaults to the live environment variable.  Returns
-    ``None`` when unset (the backend then uses its built-in default);
-    raises :class:`SimulationError` for unparsable or non-positive
-    values rather than silently running on a garbage horizon.
-    """
-    if env_value is None:
-        env_value = os.environ.get("REPRO_KERNEL_HORIZON")
-    if not env_value:
-        return None
-    try:
-        horizon = float(env_value)
-    except ValueError:
-        raise SimulationError(
-            f"REPRO_KERNEL_HORIZON={env_value!r} is not a number"
-        ) from None
-    if horizon <= 0:
-        raise SimulationError(
-            f"REPRO_KERNEL_HORIZON={env_value} must be positive"
-        )
-    return horizon
-
-
-def resolve_backend(
-    spec: "str | SchedulerBackend | type[SchedulerBackend] | None",
-    start_time: float = 0.0,
-    env: str | None = None,
-) -> SchedulerBackend:
-    """Turn a backend spec into a fresh backend instance.
-
-    ``spec`` may be a registry name, a backend class, an already-built
-    instance (which must be fresh — backends are stateful and owned by
-    exactly one simulator), or ``None`` to consult ``env`` (the
-    ``REPRO_KERNEL_BACKEND`` value) and fall back to the reference.
-
-    When a :class:`BatchedBackend` is constructed here (by name or
-    class), its far horizon honours ``REPRO_KERNEL_HORIZON``; an
-    explicitly pre-built instance keeps whatever horizon it was built
-    with.
-    """
-    if spec is None:
-        spec = env if env else DEFAULT_BACKEND
-    if isinstance(spec, str):
-        try:
-            cls = BACKENDS[spec]
-        except KeyError:
-            known = ", ".join(sorted(BACKENDS))
-            raise SimulationError(
-                f"unknown scheduler backend {spec!r} (known: {known})"
-            ) from None
-        if cls is BatchedBackend:
-            return BatchedBackend(start_time=start_time, horizon=resolve_horizon())
-        return cls()
-    if isinstance(spec, type) and issubclass(spec, SchedulerBackend):
-        if spec is BatchedBackend:
-            return BatchedBackend(start_time=start_time, horizon=resolve_horizon())
-        return spec()
-    if isinstance(spec, SchedulerBackend):
-        return spec
-    raise SimulationError(
-        f"backend must be a name, SchedulerBackend class or instance, "
-        f"got {spec!r}"
-    )

@@ -2,11 +2,10 @@
 
 :class:`Simulator` owns the virtual clock and the dispatch semantics, and
 is the factory for all kernel primitives (events, timeouts, processes).
-Where pending entries live — heap layout, timer tiers, lazy deletion — is
-delegated to a pluggable :class:`~repro.simkernel.backends.SchedulerBackend`
-(``Simulator(backend="batched")`` or ``REPRO_KERNEL_BACKEND=batched``);
-the API deliberately mirrors well-known DES libraries so the higher
-layers read naturally::
+Where pending entries live — timer tiers, lazy deletion — is delegated to
+the :class:`~repro.simkernel.backends.BatchedBackend` scheduler.  The API
+deliberately mirrors well-known DES libraries so the higher layers read
+naturally::
 
     sim = Simulator()
 
@@ -21,9 +20,11 @@ layers read naturally::
 Determinism: at equal timestamps events are processed in (priority,
 insertion) order, so a simulation with fixed seeds is exactly repeatable —
 a property the test suite and the paper-reproduction experiments rely on.
-Backend choice never changes results, only wall-clock time: every backend
-pops the global ``(time, priority, sequence)`` minimum (see
-:mod:`repro.simkernel.backends` for the contract and the fuzzed proof).
+Two run loops execute that order: :meth:`Simulator._run_batched`, the
+scheduler's pop inlined for speed, and :meth:`Simulator._run_generic`,
+which pops through ``pop_next`` so sanitized runs can hook every entry
+and tests can inject the heap oracle (see :mod:`repro.simkernel.backends`
+for the contract and the fuzzed proof).
 """
 
 from __future__ import annotations
@@ -34,11 +35,7 @@ import sys
 import typing
 
 from repro.errors import SimulationError
-from repro.simkernel.backends import (
-    BatchedBackend,
-    ReferenceBackend,
-    resolve_backend,
-)
+from repro.simkernel.backends import BatchedBackend
 from repro.simkernel.events import (
     AllOf,
     AnyOf,
@@ -144,12 +141,11 @@ class Simulator:
         no-op mode.  ``None`` (the default) consults ``REPRO_METRICS``.
         Enabled or not, metrics never perturb the simulation.
     backend:
-        Scheduler backend: a registry name (``"reference"`` or
-        ``"batched"``), a :class:`~repro.simkernel.backends
-        .SchedulerBackend` class, or a fresh instance.  ``None`` (the
-        default) consults ``REPRO_KERNEL_BACKEND`` and falls back to the
-        reference heap.  Backend choice never changes simulated results,
-        only wall-clock speed.
+        ``None`` (the default) builds a
+        :class:`~repro.simkernel.backends.BatchedBackend`.  A fresh
+        backend instance is the test seam: the heap oracle is injected
+        here, and runs over anything but a ``BatchedBackend`` take the
+        hooked loop.  Anything else raises :class:`SimulationError`.
     """
 
     def __init__(
@@ -165,11 +161,13 @@ class Simulator:
         from repro.simkernel.tracing import Tracer  # local import: cycle guard
 
         self._now = float(start_time)
-        self._backend = resolve_backend(
-            backend,
-            start_time=self._now,
-            env=os.environ.get("REPRO_KERNEL_BACKEND"),
-        )
+        if backend is None:
+            backend = BatchedBackend(start_time=self._now)
+        elif isinstance(backend, type) or not hasattr(backend, "pop_next"):
+            raise SimulationError(
+                f"backend must be None or a backend instance, got {backend!r}"
+            )
+        self._backend = backend
         self._schedule = self._backend.schedule
         self._active_process: Process | None = None
         self._timeout_pool: list[Timeout] = []
@@ -212,7 +210,9 @@ class Simulator:
 
     @property
     def backend(self) -> typing.Any:
-        """The :class:`~repro.simkernel.backends.SchedulerBackend` in use."""
+        """The scheduler in use: a
+        :class:`~repro.simkernel.backends.BatchedBackend` unless a test
+        injected another."""
         return self._backend
 
     # -- primitive factories -------------------------------------------------
@@ -380,94 +380,25 @@ class Simulator:
         * an :class:`Event` — run until that event has been processed, and
           return its value (re-raising its exception on failure).
         """
-        # Dispatch is specialized per backend: the two fast paths below
-        # inline the backend's pop logic — one dynamic dispatch per event
-        # is measurable at millions of events per experiment.  Sanitized
-        # runs (any backend) share the generic loop so the fast paths
-        # carry no per-event hook branch.
-        backend = self._backend
-        if self.sanitizer is not None or type(backend) not in (
-            ReferenceBackend,
-            BatchedBackend,
-        ):
+        # Sanitized runs and injected oracles take the hooked loop, so the
+        # inlined one carries no per-event hook branch.
+        if self.sanitizer is not None or type(self._backend) is not BatchedBackend:
             return self._run_generic(until)
-        if type(backend) is BatchedBackend:
-            return self._run_batched(until)
-        return self._run_reference(until)
-
-    def _run_reference(self, until: float | Event | None) -> typing.Any:
-        """The :meth:`run` semantics inlined over the reference heap."""
-        backend = self._backend
-        heap = backend._heap
-        heappop = heapq.heappop
-
-        if isinstance(until, Event):
-            stop = until
-            while stop._state != PROCESSED:
-                if not heap:
-                    raise SimulationError(
-                        f"event queue exhausted before {stop!r} fired"
-                    )
-                time, _, _, item = heappop(heap)
-                if type(item) is TimerHandle:
-                    if item._cancelled:
-                        backend._cancelled -= 1
-                        continue
-                    item._popped = True
-                    self._now = time
-                    item.callback()
-                else:
-                    self._now = time
-                    item._process()
-            if not stop._ok:
-                stop.defuse()
-                raise stop.value
-            return stop._value
-
-        if until is None:
-            while heap:
-                time, _, _, item = heappop(heap)
-                if type(item) is TimerHandle:
-                    if item._cancelled:
-                        backend._cancelled -= 1
-                        continue
-                    item._popped = True
-                    self._now = time
-                    item.callback()
-                else:
-                    self._now = time
-                    item._process()
-            return None
-
-        deadline = float(until)
-        if deadline < self._now:
-            raise SimulationError(f"run(until={deadline}) is in the past")
-        while heap and heap[0][0] <= deadline:
-            time, _, _, item = heappop(heap)
-            if type(item) is TimerHandle:
-                if item._cancelled:
-                    backend._cancelled -= 1
-                    continue
-                item._popped = True
-                self._now = time
-                item.callback()
-            else:
-                self._now = time
-                item._process()
-        self._now = deadline
-        return None
+        return self._run_batched(until)
 
     def _run_batched(self, until: float | Event | None) -> typing.Any:
-        """The :meth:`run` semantics inlined over the batched backend.
+        """The :meth:`run` semantics inlined over the batched scheduler.
 
-        The batched structures (monotone run list, near/far heaps) are
-        mutated in place by the backend, never rebound, so the local
-        references below stay valid across compactions and migrations.
-        Beyond the cheaper pop/schedule, this loop recycles dead
-        timeouts and fired timer handles into per-simulator freelists —
-        an object is reused only when ``sys.getrefcount`` proves the
-        event loop holds the sole references, so anything a process or
-        caller still observes is left alone.
+        One dynamic dispatch per event is measurable at millions of events
+        per experiment, so this loop inlines the backend's pop.  The
+        batched structures (monotone run list, near/far heaps) are mutated
+        in place by the backend, never rebound, so the local references
+        below stay valid across compactions and migrations.  Beyond the
+        cheaper pop/schedule, this loop recycles dead timeouts and fired
+        timer handles into per-simulator freelists — an object is reused
+        only when ``sys.getrefcount`` proves the event loop holds the sole
+        references, so anything a process or caller still observes is
+        left alone.
         """
         backend = self._backend
         run = backend._run
@@ -484,56 +415,6 @@ class Simulator:
             if deadline < self._now:
                 raise SimulationError(f"run(until={deadline}) is in the past")
 
-        if until is None:
-            # Run-to-exhaustion — the overwhelmingly common mode — gets a
-            # loop with no stop-event or deadline test per event.
-            while True:
-                idx = backend._idx
-                if idx < len(run):
-                    entry = run[idx]
-                    if heap and heap[0] < entry:
-                        entry = heappop(heap)
-                    else:
-                        run[idx] = None  # free the tuple for the freelists
-                        idx += 1
-                        backend._idx = idx
-                        if idx > 4096 and idx * 2 > len(run):
-                            backend._trim_run()
-                elif heap:
-                    entry = heappop(heap)
-                elif far:
-                    backend._migrate()
-                    continue
-                else:
-                    break
-
-                item = entry[3]
-                if type(item) is TimerHandle:
-                    if item._cancelled:
-                        backend._cancelled -= 1
-                        if _getrefcount(item) == _UNREFERENCED:
-                            self._recycle_timer(item)
-                        continue
-                    item._popped = True
-                    self._now = entry[0]
-                    item.callback()
-                    if (
-                        not item._cancelled
-                        and _getrefcount(item) == _UNREFERENCED
-                    ):
-                        self._recycle_timer(item)
-                else:
-                    self._now = entry[0]
-                    item._process()
-                    if (
-                        type(item) is Timeout
-                        and not item.callbacks
-                        and _getrefcount(item) == _UNREFERENCED
-                        and len(timeout_pool) < _POOL_CAP
-                    ):
-                        timeout_pool.append(item)
-            return None
-
         while True:
             if until_event is not None and until_event._state == PROCESSED:
                 break
@@ -548,8 +429,9 @@ class Simulator:
                     break
                 else:
                     run[idx] = None  # free the tuple for the freelists
-                    backend._idx = idx + 1
-                    if backend._idx > 4096 and backend._idx * 2 > len(run):
+                    idx += 1
+                    backend._idx = idx
+                    if idx > 4096 and idx * 2 > len(run):
                         backend._trim_run()
             elif heap:
                 if heap[0][0] > deadline:
@@ -603,13 +485,12 @@ class Simulator:
         return None
 
     def _run_generic(self, until: float | Event | None) -> typing.Any:
-        """The :meth:`run` semantics over the abstract backend interface.
+        """The :meth:`run` semantics over the backend's ``pop_next``.
 
-        Used for sanitized runs (any backend) and for third-party
-        backends; the observable simulation — pop order, clock advances,
-        callback execution — is identical to the fast paths.  Sanitizer
-        hooks fire just before each entry executes, exactly as the old
-        inlined sanitized loops did.
+        Used for sanitized runs and for an injected test oracle; the
+        observable simulation — pop order, clock advances, callback
+        execution — is identical to :meth:`_run_batched`.  Sanitizer hooks
+        fire just before each entry executes.
         """
         backend = self._backend
         pop_next = backend.pop_next
@@ -660,8 +541,4 @@ class Simulator:
                 san.on_run_exit()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"<Simulator t={self._now:.6g} "
-            f"pending={self._backend.pending()} "
-            f"backend={self._backend.name}>"
-        )
+        return f"<Simulator t={self._now:.6g} pending={self._backend.pending()}>"

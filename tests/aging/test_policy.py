@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.aging import AgingFaults, AgingMonitor, ThresholdRejuvenator, TimeBasedRejuvenator
+from repro.aging import AgingMonitor, ThresholdRejuvenator, TimeBasedRejuvenator
+from repro.config import AgingFaults
 from repro.errors import ConfigError
 from repro.units import DAY, HOUR
 

@@ -229,11 +229,11 @@ def _mini_spec() -> ScenarioSpec:
     )
 
 
-def test_closed_loop_is_deterministic_across_backends(monkeypatch):
+def test_closed_loop_is_identical_plain_and_sanitized(monkeypatch):
     """The acceptance pin: identical decisions — cycle count, audit
-    times, targets, outcomes — from the reference heap, the batched
-    backend, and the batched backend under the determinism sanitizer."""
-    for key in ("REPRO_KERNEL_BACKEND", "REPRO_SANITIZE", "REPRO_METRICS"):
+    times, targets, outcomes — from the inlined run loop and from the
+    hooked loop the determinism sanitizer runs on."""
+    for key in ("REPRO_SANITIZE", "REPRO_METRICS"):
         monkeypatch.delenv(key, raising=False)
     baseline = run_scenario(_mini_spec()).policy
     assert baseline["migrations"] == 1
@@ -246,7 +246,5 @@ def test_closed_loop_is_deterministic_across_backends(monkeypatch):
     ]
     assert rebooted == ["idle"]
 
-    monkeypatch.setenv("REPRO_KERNEL_BACKEND", "batched")
-    assert run_scenario(_mini_spec()).policy == baseline
     monkeypatch.setenv("REPRO_SANITIZE", "1")
     assert run_scenario(_mini_spec()).policy == baseline

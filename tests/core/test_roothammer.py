@@ -31,7 +31,7 @@ class TestXexec:
             vmm.hypercall("xexec", domu)
 
     def test_xexec_denied_is_an_error_path(self, sim):
-        from repro.aging import AgingFaults
+        from repro.config import AgingFaults
 
         host = build_started_host(
             sim, n_vms=1, faults=AgingFaults(leak_on_error_path_bytes=512)

@@ -60,7 +60,7 @@ class TestWarmReboot:
         assert rh.vmm().generation == old.generation + 1
 
     def test_heap_rejuvenated(self):
-        from repro.aging import AgingFaults
+        from repro.config import AgingFaults
 
         rh = controller_with(1, faults=AgingFaults(leak_on_error_path_bytes=1024))
         vmm = rh.vmm()
@@ -243,7 +243,7 @@ class TestDom0OnlyReboot:
         assert 40 <= summary.mean <= 50
 
     def test_xenstore_rejuvenated(self):
-        from repro.aging import AgingFaults
+        from repro.config import AgingFaults
 
         rh = controller_with(1, faults=AgingFaults(xenstore_leak_per_txn_bytes=64))
         assert rh.vmm().xenstore.leaked_bytes > 0  # domain creation leaked

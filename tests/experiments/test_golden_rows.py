@@ -64,23 +64,14 @@ def test_instrumented_rows_match_golden(experiment_id, monkeypatch):
     assert _rows(run_experiment(experiment_id)) == GOLDEN[experiment_id]
 
 
-# Scheduler-backend equivalence: the batched backend may change wall-clock
-# speed, never results.  Quick experiments run here under the batched
-# backend plain, sanitized, and with metrics on; `make test-backend` runs
-# the *whole* tier-1 suite (including every serial golden match above)
-# under REPRO_KERNEL_BACKEND=batched for full coverage.
-@pytest.mark.parametrize("experiment_id", ["FIG2", "FIG4", "FIG6", "SEC53"])
-def test_batched_backend_rows_match_golden(experiment_id, monkeypatch):
-    monkeypatch.setenv("REPRO_KERNEL_BACKEND", "batched")
-    assert _rows(run_experiment(experiment_id)) == GOLDEN[experiment_id]
-
-
+# The batched scheduler runs every experiment above; sanitized runs take
+# its hooked loop instead of the inlined one, and must match too (as must
+# runs with metrics on).  `make test-sanitize` runs the whole suite so.
 @pytest.mark.parametrize("experiment_id", ["FIG2", "SEC53"])
 @pytest.mark.parametrize("observer", ["REPRO_SANITIZE", "REPRO_METRICS"])
 def test_batched_backend_observed_rows_match_golden(
     experiment_id, observer, monkeypatch
 ):
-    monkeypatch.setenv("REPRO_KERNEL_BACKEND", "batched")
     monkeypatch.setenv(observer, "1")
     assert _rows(run_experiment(experiment_id)) == GOLDEN[experiment_id]
 

@@ -13,13 +13,11 @@ import pytest
 from repro.errors import ReproError
 from repro.experiments import run_experiment
 from repro.experiments.parallel import (
-    Cell,
-    SweepStats,
     cells_for,
-    clear_cache,
     run_all_parallel,
     run_experiment_parallel,
 )
+from repro.jobs import Cell, SweepStats, clear_cache
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -105,26 +103,6 @@ def test_cell_digest_is_content_addressed():
     assert a.digest(False) == same.digest(False)  # param order is irrelevant
     assert a.digest(False) != other.digest(False)
     assert a.digest(False) != a.digest(True)  # quick and full never collide
-
-
-def test_kernel_env_is_cache_key_material(monkeypatch):
-    # A cached payload computed on one scheduler backend (or horizon)
-    # must never be replayed for another: the env knobs join the digest.
-    cell = Cell("FIG5", ("on-memory", 3),
-                "repro.experiments.fig5_numvms:measure_cell",
-                {"n": 3, "method": "on-memory"})
-    monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
-    monkeypatch.delenv("REPRO_KERNEL_HORIZON", raising=False)
-    default = cell.digest(False)
-    monkeypatch.setenv("REPRO_KERNEL_BACKEND", "batched")
-    batched = cell.digest(False)
-    assert batched != default
-    monkeypatch.setenv("REPRO_KERNEL_HORIZON", "32.0")
-    assert cell.digest(False) not in (default, batched)
-    # "reference" spelled explicitly is the same config as unset.
-    monkeypatch.delenv("REPRO_KERNEL_HORIZON", raising=False)
-    monkeypatch.setenv("REPRO_KERNEL_BACKEND", "reference")
-    assert cell.digest(False) == default
 
 
 def test_workload_mode_is_cache_key_material():

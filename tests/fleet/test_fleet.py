@@ -24,6 +24,7 @@ from repro.fleet import (
     run_fleet_shard,
 )
 from repro.fleet.cli import main
+from repro.obs.cli import _check_fleet_spec
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -103,7 +104,6 @@ class TestSpec:
         assert hosts == ["host0", "host1", "host2", "host3"]
         for plan in plans:
             assert plan["spec_data"]["force_cluster"] is True
-            assert plan["backend"] == "batched"
 
     def test_more_shards_than_hosts_clamps(self):
         assert len(_fleet(shards=64).shard_plans()) == 4
@@ -193,6 +193,39 @@ class TestEpochProtocol:
         )
         report = run_fleet(spec, jobs=1)
         assert report.overruns == ["host0", "host1"]
+
+    def test_policy_and_epoch_reboots_never_overlap(self):
+        # The obs self-check fleet's policy reboots any host whose heap
+        # sees an allocation, so its rejuvenations collide with epoch
+        # slots in both orders; two shards used to crash on the
+        # interleaved reboot spans.
+        data = _check_fleet_spec().to_dict()
+        data.update(
+            hosts=[{"count": 4, "vms": [{"count": 1, "services": ["apache"]}]}],
+            hosts_per_epoch=2, warmup_s=60.0, observe_s=600.0, shards=2,
+        )
+        spec = FleetSpec.from_dict(data)
+        report = run_fleet(spec, jobs=1)
+        reboots, epoch_starts = {}, {}
+        for shard in report.telemetry["shards"]:
+            for span in shard["spans"]:
+                if span["name"] == "reboot":
+                    end = span["end"] if span["end"] is not None else float("inf")
+                    reboots.setdefault(span["actor"], []).append((span["start"], end))
+                elif span["name"] == "fleet.host":
+                    epoch_starts[span["actor"]] = span["start"]
+        assert sorted(reboots) == ["host0", "host1", "host2", "host3"]
+        for intervals in reboots.values():
+            intervals.sort()
+            for (_, end), (start, _) in zip(intervals, intervals[1:]):
+                assert end <= start
+        # Both orders happened: a policy reboot refused because an epoch
+        # reboot held the host, and an epoch reboot that waited out a
+        # policy reboot (so it started after its slot).
+        outcomes = {e["outcome"] for e in report.policy["audit"]}
+        assert "failed" in outcomes
+        slots = spec.schedule()
+        assert any(epoch_starts[h] > slots[h] for h in epoch_starts)
 
     def test_exact_mode_fleet_rows(self):
         spec = _fleet(

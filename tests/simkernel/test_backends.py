@@ -1,60 +1,52 @@
-"""Scheduler-backend equivalence and accounting tests.
+"""Scheduler equivalence and accounting tests.
 
-The backend contract (see :mod:`repro.simkernel.backends`): backend choice
-may change wall-clock speed, never simulated results.  The differential
-fuzz here replays seeded random schedules — timers, cancels, urgent
-priorities, same-instant bursts, nested spawns, far-horizon timers — on
-the reference and batched backends and asserts identical execution order,
-final clock, and process values.
+The scheduler contract (see :mod:`repro.simkernel.backends`): the batched
+scheduler pops entries in exactly the order a single binary heap would.
+The differential fuzz here replays seeded random schedules — timers,
+cancels, urgent priorities, same-instant bursts, nested spawns,
+far-horizon timers — on the batched scheduler and on the heap oracle
+(``tests/simkernel/heap_oracle.py``), under every ``run(until=...)``
+mode, and asserts identical execution order, final clock, and process
+values.
 """
 
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.core import RootHammer
 from repro.errors import SimulationError
-from repro.simkernel import (
-    BACKENDS,
-    BatchedBackend,
-    ReferenceBackend,
-    SchedulerBackend,
-    Simulator,
-)
-from repro.simkernel.backends import resolve_horizon
+from repro.simkernel import BatchedBackend, Simulator
+
+from tests.simkernel.heap_oracle import ReferenceBackend
+
+
+def _backend(name):
+    """The oracle for ``"reference"``; ``None`` (the default) otherwise."""
+    return ReferenceBackend() if name == "reference" else None
 
 
 class TestSelection:
-    def test_default_is_reference(self, monkeypatch):
-        # Neutralize the env so this passes in the `make test-backend`
-        # lane, which exports REPRO_KERNEL_BACKEND=batched suite-wide.
-        monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
-        assert Simulator().backend.name == "reference"
-
-    def test_name_selects_backend(self):
-        assert Simulator(backend="batched").backend.name == "batched"
-        assert Simulator(backend="reference").backend.name == "reference"
-
-    def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "batched")
-        assert Simulator().backend.name == "batched"
-
-    def test_explicit_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "batched")
-        assert Simulator(backend="reference").backend.name == "reference"
+    def test_default_is_batched(self):
+        assert type(Simulator().backend) is BatchedBackend
 
     def test_class_and_instance_specs(self):
-        assert Simulator(backend=BatchedBackend).backend.name == "batched"
         inst = BatchedBackend(start_time=5.0, span=2.0)
         assert Simulator(start_time=5.0, backend=inst).backend is inst
+        oracle = ReferenceBackend()
+        assert Simulator(backend=oracle).backend is oracle
+        with pytest.raises(SimulationError, match="backend instance"):
+            Simulator(backend=BatchedBackend)
 
     def test_unknown_name_raises(self):
-        with pytest.raises(SimulationError, match="unknown scheduler backend"):
-            Simulator(backend="warp-drive")
-
-    def test_registry_contents(self):
-        assert set(BACKENDS) == {"reference", "batched"}
-        for cls in BACKENDS.values():
-            assert issubclass(cls, SchedulerBackend)
+        # No name selects a backend any more, the old ones included.
+        for name in ("batched", "reference", "warp-drive"):
+            with pytest.raises(SimulationError, match="backend instance"):
+                Simulator(backend=name)
+        with pytest.raises(SimulationError, match="backend instance"):
+            RootHammer(backend="batched")
 
 
 class TestCancelledAccounting:
@@ -62,7 +54,7 @@ class TestCancelledAccounting:
 
     @pytest.fixture(params=["reference", "batched"])
     def sim(self, request):
-        return Simulator(backend=request.param)
+        return Simulator(backend=_backend(request.param))
 
     def test_cancel_after_fire_does_not_inflate_counter(self, sim):
         handles = [sim.call_in(0.1 * (i + 1), lambda: None) for i in range(10)]
@@ -181,61 +173,85 @@ def _fuzz_workload(sim, seed, log):
     return roots
 
 
-def _run_fuzz(seed, backend):
-    sim = Simulator(backend=backend)
+#: ``run(until=...)`` modes the fuzz drives: run to exhaustion; run to a
+#: deadline, then resume; run until the first root process's event, then
+#: resume.
+UNTIL_MODES = (None, 3.0, "root")
+
+
+def _run_fuzz(seed, backend=None, until=None, sanitize=False):
+    sim = Simulator(backend=backend, sanitize=sanitize)
     log = []
     roots = _fuzz_workload(sim, seed, log)
+    if until == "root":
+        log.append(("until-root", sim.run(until=roots[0]), sim.now))
+    elif until is not None:
+        sim.run(until=until)
+        log.append(("until-deadline", sim.now))
     sim.run()
     log.append(("final", sim.now, [p.value for p in roots]))
     assert sim.backend.pending() == 0
     return log
 
 
+def _matches_oracle(seed, backend_factory=lambda: None):
+    """Every until mode gives the oracle's execution, entry for entry."""
+    for until in UNTIL_MODES:
+        expected = _run_fuzz(seed, ReferenceBackend(), until)
+        assert _run_fuzz(seed, backend_factory(), until) == expected
+
+
 class TestDifferentialFuzz:
-    """Identical execution on both backends for seeded random schedules."""
+    """Identical execution on the scheduler and the oracle."""
 
     @pytest.mark.parametrize("seed", range(25))
     def test_batched_matches_reference(self, seed):
-        assert _run_fuzz(seed, "reference") == _run_fuzz(seed, "batched")
+        _matches_oracle(seed)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_tiny_horizon_span_matches_reference(self, seed):
         """A pathological 0.5s span forces constant far-tier migration."""
-        reference = _run_fuzz(seed, "reference")
+        reference = _run_fuzz(seed, ReferenceBackend())
         batched = _run_fuzz(seed, BatchedBackend(span=0.5))
         assert reference == batched
 
+    @settings(deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        span=st.floats(min_value=0.01, max_value=1e4),
+    )
+    @example(seed=0, span=BatchedBackend.DEFAULT_SPAN)
+    @example(seed=3, span=1e-3)
+    @example(seed=5, span=float("inf"))
+    def test_property_any_span_matches_oracle(self, seed, span):
+        _matches_oracle(seed, lambda: BatchedBackend(span=span))
+
     @pytest.mark.parametrize("seed", range(8))
     def test_generic_loop_matches_fast_paths(self, seed):
-        """The sanitized/generic run loop executes the same schedule."""
-        reference = _run_fuzz(seed, "reference")
-        for backend in ("reference", "batched"):
-            sim = Simulator(backend=backend, sanitize=True)
-            log = []
-            roots = _fuzz_workload(sim, seed, log)
-            sim.run()
-            log.append(("final", sim.now, [p.value for p in roots]))
-            assert log == reference
+        """The sanitized (hooked) loop executes the inlined loop's schedule."""
+        for until in UNTIL_MODES:
+            assert _run_fuzz(seed, until=until, sanitize=True) == _run_fuzz(
+                seed, until=until
+            )
 
     @pytest.mark.parametrize("backend", ["reference", "batched"])
     def test_run_until_deadline_matches(self, backend):
         log = []
-        sim = Simulator(backend=backend)
+        sim = Simulator(backend=_backend(backend))
         _fuzz_workload(sim, 42, log)
         sim.run(until=3.0)
         assert sim.now == 3.0
         cut = list(log)
         sim.run()
         assert all(t <= 3.0 for t, *_ in cut if isinstance(t, float))
-        if backend == "batched":
-            assert log == _run_fuzz(42, "reference")[:-1]
+        assert log == _run_fuzz(42, ReferenceBackend())[:-1]
 
 
 class TestBatchedInternals:
     """White-box checks for the batched backend's tier machinery."""
 
     def test_far_timers_land_in_far_heap(self):
-        sim = Simulator(backend="batched")
+        sim = Simulator()
         sim.timeout(1.0)
         sim.timeout(500.0)
         backend = sim.backend
@@ -245,7 +261,7 @@ class TestBatchedInternals:
         assert sim.now == 500.0
 
     def test_monotone_appends_avoid_heap(self):
-        sim = Simulator(backend="batched")
+        sim = Simulator()
         for i in range(10):
             sim.timeout(float(i) / 100.0)
         backend = sim.backend
@@ -253,7 +269,7 @@ class TestBatchedInternals:
         assert backend._heap == []
 
     def test_out_of_order_arrival_uses_near_heap(self):
-        sim = Simulator(backend="batched")
+        sim = Simulator()
         sim.timeout(10.0)
         sim.timeout(1.0)  # behind the run tail
         backend = sim.backend
@@ -264,7 +280,7 @@ class TestBatchedInternals:
         assert sim.now == 10.0
 
     def test_infinite_timer_deadline_migrates(self):
-        sim = Simulator(backend="batched")
+        sim = Simulator()
         fired = []
         sim.call_at(float("inf"), lambda: fired.append(True))
         sim.run()
@@ -277,45 +293,11 @@ class TestBatchedInternals:
 
 
 class TestHorizonKnob:
-    """``horizon=`` / REPRO_KERNEL_HORIZON: the public spelling of span."""
-
-    def test_horizon_sets_the_span(self):
-        assert BatchedBackend(horizon=2.5)._span == 2.5
-
-    def test_span_and_horizon_conflict(self):
-        with pytest.raises(SimulationError, match="same knob"):
-            BatchedBackend(span=1.0, horizon=2.0)
-
-    def test_invalid_horizon_rejected(self):
-        with pytest.raises(SimulationError, match="span"):
-            BatchedBackend(horizon=-1.0)
-
-    def test_resolve_horizon_parses_numbers(self, monkeypatch):
-        assert resolve_horizon("3.25") == 3.25
-        monkeypatch.delenv("REPRO_KERNEL_HORIZON", raising=False)
-        assert resolve_horizon() is None
-        monkeypatch.setenv("REPRO_KERNEL_HORIZON", "12.5")
-        assert resolve_horizon() == 12.5
-        assert resolve_horizon("") is None  # empty means unset
-
-    @pytest.mark.parametrize("value", ["banana", "0", "-4.0"])
-    def test_resolve_horizon_rejects_garbage(self, value):
-        with pytest.raises(SimulationError, match="REPRO_KERNEL_HORIZON"):
-            resolve_horizon(value)
-
-    def test_env_horizon_applies_to_named_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_HORIZON", "7.5")
-        assert Simulator(backend="batched").backend._span == 7.5
-        assert Simulator(backend=BatchedBackend).backend._span == 7.5
-
-    def test_env_horizon_never_touches_instances(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_HORIZON", "7.5")
-        inst = BatchedBackend(span=2.0)
-        assert Simulator(backend=inst).backend._span == 2.0
+    """The far-horizon span is a constant (64 s), not an option: any
+    positive value changes speed, never results."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_horizon_choice_matches_reference(self, seed):
-        """Like span: the horizon changes speed, never results."""
-        reference = _run_fuzz(seed, "reference")
-        assert reference == _run_fuzz(seed, BatchedBackend(horizon=0.5))
-        assert reference == _run_fuzz(seed, BatchedBackend(horizon=1000.0))
+        reference = _run_fuzz(seed, ReferenceBackend())
+        assert reference == _run_fuzz(seed, BatchedBackend(span=0.5))
+        assert reference == _run_fuzz(seed, BatchedBackend(span=1000.0))

@@ -3,8 +3,7 @@ save/restore, heap aging."""
 
 import pytest
 
-from repro.aging import AgingFaults
-from repro.config import paper_testbed, small_testbed
+from repro.config import AgingFaults, paper_testbed, small_testbed
 from repro.errors import (
     DomainError,
     HypercallError,

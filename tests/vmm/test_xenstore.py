@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.aging import AgingFaults
+from repro.config import AgingFaults
 from repro.errors import XenstoreError
 from repro.vmm import Xenstore
 
