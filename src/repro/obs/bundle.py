@@ -32,7 +32,7 @@ import json
 import pathlib
 import typing
 
-from repro.analysis.obs import render_prometheus
+from repro.analysis.obs import render_prometheus, write_atomic, write_strict_json
 from repro.errors import AnalysisError
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -69,7 +69,27 @@ class ShardTelemetry:
     triggers: list[dict]
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        """The blob as a plain dict that shares no mutable container
+        with it.
+
+        Copied by shape, not by the generic dataclass deep copy, which
+        runs ``copy.deepcopy`` on every float of every metric series:
+        series lists are ``list()`` copies, span dicts ``dict()`` copies
+        (their values are scalars), and only records, audit and
+        triggers are copied recursively.
+        """
+        return {
+            "shard": self.shard,
+            "hosts": list(self.hosts),
+            "spans": [dict(span) for span in self.spans],
+            "records": _plain_copy(self.records),
+            "metrics": {
+                name: [_copy_series(entry) for entry in entries]
+                for name, entries in self.metrics.items()
+            },
+            "audit": _plain_copy(self.audit),
+            "triggers": _plain_copy(self.triggers),
+        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "ShardTelemetry":
@@ -77,6 +97,28 @@ class ShardTelemetry:
             return cls(**data)
         except TypeError as exc:
             raise AnalysisError(f"malformed shard telemetry: {exc}") from None
+
+
+def _plain_copy(value: typing.Any) -> typing.Any:
+    """Recursive copy of JSON-shaped plain data: every dict and list is
+    new, everything else (scalars) is shared."""
+    if isinstance(value, dict):
+        return {key: _plain_copy(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_plain_copy(item) for item in value]
+    return value
+
+
+def _copy_series(entry: dict) -> dict:
+    """Copy one :meth:`MetricsRegistry.series_snapshot` entry by shape."""
+    out = dict(entry)
+    out["labels"] = dict(entry["labels"])
+    if "times" in entry:
+        out["times"] = list(entry["times"])
+        out["values"] = list(entry["values"])
+    if "buckets" in entry:
+        out["buckets"] = _plain_copy(entry["buckets"])
+    return out
 
 
 def capture_shard(
@@ -191,11 +233,7 @@ class TelemetryBundle:
 
     def write(self, path: "str | pathlib.Path") -> pathlib.Path:
         """Serialize the bundle to strict JSON at ``path``."""
-        path = pathlib.Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w", encoding="utf-8") as handle:
-            json.dump(self.to_dict(), handle, allow_nan=False)
-        return path
+        return write_strict_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path: "str | pathlib.Path") -> "TelemetryBundle":
@@ -304,11 +342,7 @@ class TelemetryBundle:
 
     def write_perfetto(self, path: "str | pathlib.Path") -> pathlib.Path:
         """Serialize :meth:`to_perfetto` to ``path`` (strict JSON)."""
-        path = pathlib.Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w", encoding="utf-8") as handle:
-            json.dump(self.to_perfetto(), handle, allow_nan=False)
-        return path
+        return write_strict_json(path, self.to_perfetto())
 
     # -- merged Prometheus page ---------------------------------------------------
 
@@ -342,10 +376,7 @@ class TelemetryBundle:
 
     def write_prometheus(self, path: "str | pathlib.Path") -> pathlib.Path:
         """Write :meth:`to_prometheus` to ``path``."""
-        path = pathlib.Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.to_prometheus(), encoding="utf-8")
-        return path
+        return write_atomic(path, self.to_prometheus())
 
     # -- SLO inputs ---------------------------------------------------------------
 

@@ -19,6 +19,9 @@ stack promises: the bundle round-trips through JSON bit-identically, the
 merged Prometheus page's per-workload availability/downtime agree with
 the fleet report to zero deviation, every decision reconstructs into a
 timeline, and the SLO verdict is reproducible from the bundle alone.
+With ``--out`` it also checks the writers: writing the loaded bundle
+back reproduces the file byte for byte, and the Perfetto file parses
+back to the bundle's document.
 This backs the ``make obs-check`` fleet-mode gate.
 
 The fleet tier sits *above* this package; the self-check imports it
@@ -232,8 +235,24 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if args.out:
         out = pathlib.Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        print(f"wrote {bundle.write(out / 'fleet.bundle.json')}")
-        print(f"wrote {bundle.write_perfetto(out / 'fleet.perfetto.json')}")
+        # 5. The writers: write -> load -> write is byte-stable, and the
+        # Perfetto file parses back to the document it was written from.
+        bundle_path = bundle.write(out / "fleet.bundle.json")
+        written = bundle_path.read_bytes()
+        TelemetryBundle.load(bundle_path).write(bundle_path)
+        _require(
+            bundle_path.read_bytes() == written,
+            f"{bundle_path}: write -> load -> write changed the bytes",
+        )
+        print(f"wrote {bundle_path}")
+        perfetto_path = bundle.write_perfetto(out / "fleet.perfetto.json")
+        _require(
+            json.loads(perfetto_path.read_text(encoding="utf-8"))
+            == bundle.to_perfetto(),
+            f"{perfetto_path}: does not parse back to the bundle's "
+            "Perfetto document",
+        )
+        print(f"wrote {perfetto_path}")
         print(f"wrote {bundle.write_prometheus(out / 'fleet.prom')}")
         slo_path = out / "fleet.slo.txt"
         slo_path.write_text(render_slo(report.slo) + "\n", encoding="utf-8")

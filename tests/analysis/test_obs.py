@@ -120,6 +120,35 @@ class TestPerfettoExport:
         events = perfetto_trace(sim.trace)["traceEvents"]
         assert not [e for e in events if e["pid"] == 2]
 
+    def test_write_perfetto_matches_the_pure_python_encoding(
+        self, sim, tmp_path
+    ):
+        """The one-shot writer must reproduce ``json.dump``'s bytes for
+        values whose encoding is easy to get wrong, a non-ASCII actor and
+        an open span."""
+        gauge = sim.metrics.gauge("cpu.runnable", cpu="cœur-0")
+        sim.run(until=1e-07)
+        sim.spans.span("reboot", actor="hôte-0", detail="warm").__enter__()
+        for value in (0.1, 1e-07, 1e16, -0.0, 2**53 + 1):
+            gauge.set(value)
+        with sim.spans.span("reboot.phase", actor="hôte-0"):
+            sim.run(until=0.1)
+        path = write_perfetto(tmp_path / "trace.json", sim.trace, sim.metrics)
+        document = perfetto_trace(sim.trace, sim.metrics)
+        assert path.read_text(encoding="utf-8") == "".join(
+            json.JSONEncoder(allow_nan=False).iterencode(document)
+        )
+
+    def test_failed_write_keeps_the_previous_file(self, sim, tmp_path):
+        path = tmp_path / "trace.json"
+        path.write_bytes(b'{"previous": true}')
+        sim.metrics.gauge("cpu.runnable", cpu="c0").set(float("nan"))
+        with pytest.raises(AnalysisError, match="trace.json") as info:
+            write_perfetto(path, sim.trace, sim.metrics)
+        assert isinstance(info.value.__cause__, ValueError)
+        assert path.read_bytes() == b'{"previous": true}'
+        assert [p.name for p in tmp_path.iterdir()] == ["trace.json"]
+
     def test_write_perfetto_creates_parents_and_strict_json(self, sim, tmp_path):
         _small_scenario(sim)
         path = write_perfetto(

@@ -6,12 +6,16 @@ Prometheus round trip, because both are consumed outside this codebase
 invisible until someone loads a broken file.
 """
 
+import copy
+import dataclasses
 import json
+import os
 
 import pytest
 
 from repro.analysis.obs import parse_prometheus
 from repro.errors import AnalysisError
+from repro.fleet import FleetReport
 from repro.obs import ShardTelemetry, TelemetryBundle, capture_shard
 from repro.simkernel import Simulator
 
@@ -120,12 +124,13 @@ class TestMerge:
             TelemetryBundle.from_dict({"fleet": "x"})
 
     def test_write_load_roundtrip_is_bit_identical(self, tmp_path):
-        bundle = TelemetryBundle.merge(
-            "fleet", [_blob(0, ("host0",)), _blob(1, ("host1",))]
-        )
+        bundle = _awkward_bundle()
         path = bundle.write(tmp_path / "bundle.json")
         loaded = TelemetryBundle.load(path)
         assert json.dumps(loaded.to_dict()) == json.dumps(bundle.to_dict())
+        written = path.read_bytes()
+        loaded.write(path)
+        assert path.read_bytes() == written
 
     def test_load_missing_file_is_an_analysis_error(self, tmp_path):
         with pytest.raises(AnalysisError, match="no such"):
@@ -220,3 +225,142 @@ class TestMergedPrometheus:
         records = bundle.all_records()
         assert len(records) == 4
         assert {r["shard"] for r in records} == {0, 1}
+
+
+def _awkward_bundle():
+    """A two-shard bundle holding values whose encoding is easy to get
+    wrong: short and long float reprs, -0.0, an int past double
+    precision, a non-ASCII actor, an open span (``_blob``'s
+    ``fleet.host``), a histogram and a nested audit dict."""
+    blob0 = _blob(0, ("hôte-0",))
+    blob0["spans"].append(
+        {"span": 2**53 + 1, "parent": 1, "name": "reboot.phase",
+         "actor": "hôte-0", "detail": "suspend", "start": 1e-07,
+         "end": 1e16}
+    )
+    series = blob0["metrics"]["fleet.availability"][0]
+    series["times"] = [0.1, 1e-07, 1e16]
+    series["values"] = [-0.0, 2**53 + 1, 0.1]
+    blob0["metrics"]["httperf.request_latency"] = [
+        {"labels": {"vm": "vm0"}, "count": 2, "sum": 0.30000000000000004,
+         "buckets": [[0.1, 1], ["+Inf", 2]]},
+    ]
+    blob0["audit"] = [
+        {"time": 0.1, "cycle": 0, "action": "rejuvenate",
+         "target": "hôte-0", "outcome": "applied", "span": 1,
+         "detail": {"signals": [1e-07, {"heap": -0.0}], "note": "ünï"}},
+    ]
+    blob0["triggers"] = [
+        {"time": 0.1, "detector": "aging", "host": "hôte-0",
+         "value": 1e-07},
+    ]
+    return TelemetryBundle.merge("fleet", [blob0, _blob(1, ("host1",))])
+
+
+def _awkward_report(bundle):
+    """A fleet report around ``bundle`` with nested policy and SLO data."""
+    return FleetReport(
+        name="fleet", hosts=2, vms=2, shards=2, sessions=8,
+        requests=100.0, failures=0.1, downtime_s=-0.0, availability=1e-07,
+        overruns=["host1"], bringup_s=1e16,
+        rows=[{"host": "hôte-0", "vm": "vm0", "availability": 0.875}],
+        wall_s=0.1,
+        policy={"strategy": "fleet-order", "triggers": {"aging": 1},
+                "trigger_log": [{"time": 0.1, "host": "hôte-0"}],
+                "audit": [{"time": 0.1, "detail": {"note": ["x"]}}]},
+        telemetry=bundle.to_dict(),
+        slo={"passed": True,
+             "objectives": [{"kind": "availability", "passed": True,
+                             "windows": [[0.0, 60.0, 0.1]]}]},
+    )
+
+
+def _python_encoding(document):
+    """The pure-Python encoder's bytes (``json.dump`` to a handle), the
+    reference the one-shot writer must reproduce exactly."""
+    return "".join(json.JSONEncoder(allow_nan=False).iterencode(document))
+
+
+def _containers(value):
+    """Every dict and list inside ``value``, outermost first."""
+    if isinstance(value, (dict, list)):
+        yield value
+        items = value.values() if isinstance(value, dict) else value
+        for item in items:
+            yield from _containers(item)
+
+
+def _assert_copy_is_detached(make_dict):
+    """Mutating every nested container of one ``make_dict()`` result
+    must leave the next result unchanged."""
+    before = copy.deepcopy(make_dict())
+    result = make_dict()
+    for container in list(_containers(result)):
+        if isinstance(container, dict):
+            container["mutated"] = True
+        else:
+            container.append("mutated")
+    assert make_dict() == before
+
+
+class TestWriters:
+    def test_bundle_file_matches_the_pure_python_encoding(self, tmp_path):
+        bundle = _awkward_bundle()
+        path = bundle.write(tmp_path / "bundle.json")
+        assert path.read_text(encoding="utf-8") == _python_encoding(
+            bundle.to_dict()
+        )
+
+    def test_perfetto_file_matches_the_pure_python_encoding(self, tmp_path):
+        bundle = _awkward_bundle()
+        path = bundle.write_perfetto(tmp_path / "fleet.perfetto.json")
+        assert path.read_text(encoding="utf-8") == _python_encoding(
+            bundle.to_perfetto()
+        )
+
+    @pytest.mark.parametrize("writer", ["write", "write_perfetto"])
+    def test_failed_write_keeps_the_previous_file(self, tmp_path, writer):
+        """A NaN cannot be strict JSON: the writer must refuse before it
+        touches the target, with a package error naming the path."""
+        path = tmp_path / "artifact.json"
+        path.write_bytes(b'{"previous": true}')
+        blob = _blob(0)
+        blob["metrics"]["fleet.availability"][0]["values"] = [float("nan")]
+        bundle = TelemetryBundle.merge("fleet", [blob])
+        with pytest.raises(AnalysisError, match="artifact.json") as info:
+            getattr(bundle, writer)(path)
+        assert isinstance(info.value.__cause__, ValueError)
+        assert path.read_bytes() == b'{"previous": true}'
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact.json"]
+
+    def test_interrupted_replace_keeps_the_previous_file(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "fleet.prom"
+        path.write_bytes(b"previous")
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk full"):
+            _awkward_bundle().write_prometheus(path)
+        assert path.read_bytes() == b"previous"
+        assert [p.name for p in tmp_path.iterdir()] == ["fleet.prom"]
+
+
+class TestCopySemantics:
+    def test_shard_to_dict_equals_the_dataclass_deep_copy(self):
+        for shard in _awkward_bundle().shards:
+            assert shard.to_dict() == dataclasses.asdict(shard)
+
+    def test_shard_to_dict_shares_no_container(self):
+        shard = _awkward_bundle().shards[0]
+        _assert_copy_is_detached(shard.to_dict)
+
+    def test_bundle_to_dict_shares_no_container(self):
+        _assert_copy_is_detached(_awkward_bundle().to_dict)
+
+    def test_fleet_report_to_dict_shares_no_container(self):
+        report = _awkward_report(_awkward_bundle())
+        _assert_copy_is_detached(report.to_dict)
