@@ -3,7 +3,7 @@ simulation itself, not simulated time).
 
 These keep the simulator honest as the codebase grows: a full warm reboot
 of an 11-VM host is a few thousand events and should stay in the
-milliseconds; P2M replay is numpy-bound.
+milliseconds; P2M replay walks a handful of runs, not one entry per page.
 """
 
 import pytest
@@ -41,7 +41,8 @@ def test_cold_reboot_simulation_cost(benchmark):
 
 def test_p2m_extent_replay_cost(benchmark):
     """The quick-reload hot path: replaying an 11 GiB P2M into a fresh
-    allocator (numpy run-length extraction + reservations)."""
+    allocator (coalescing the table's runs into machine extents, then
+    reserving each)."""
     table = P2MTable("big", pages(gib(11)))
     memory = MachineMemory(pages(gib(12)))
     source = FrameAllocator(memory)

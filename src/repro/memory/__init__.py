@@ -10,7 +10,7 @@ from repro.memory.allocator import FrameAllocator
 from repro.memory.ballooning import Balloon
 from repro.memory.frames import Extent, MachineMemory
 from repro.memory.heap import HeapAllocation, VmmHeap
-from repro.memory.p2m import P2MTable, table_bytes_for
+from repro.memory.p2m import P2MSnapshot, P2MTable, table_bytes_for
 from repro.memory.preserved import PreservedStore, SuspendImage
 
 __all__ = [
@@ -19,6 +19,7 @@ __all__ = [
     "FrameAllocator",
     "HeapAllocation",
     "MachineMemory",
+    "P2MSnapshot",
     "P2MTable",
     "PreservedStore",
     "SuspendImage",

@@ -19,9 +19,8 @@ from __future__ import annotations
 import dataclasses
 import typing
 
-import numpy as np
-
 from repro.errors import MemoryError_
+from repro.memory.p2m import P2MSnapshot
 from repro.units import KiB
 
 
@@ -30,8 +29,8 @@ class SuspendImage:
     """Everything preserved for one suspended domain."""
 
     domain_name: str
-    p2m_snapshot: np.ndarray
-    """Immutable copy of the domain's P2M table at suspend time."""
+    p2m_snapshot: P2MSnapshot
+    """Frozen copy of the domain's P2M table at suspend time."""
 
     execution_state: dict[str, typing.Any]
     """CPU registers, event-channel state, shared-info snapshot (§4.2)."""
@@ -45,7 +44,7 @@ class SuspendImage:
     @property
     def preserved_bytes(self) -> int:
         """Total bytes this image pins in the preserved area."""
-        return self.state_bytes + int(self.p2m_snapshot.nbytes)
+        return self.state_bytes + self.p2m_snapshot.table_bytes
 
 
 class PreservedStore:

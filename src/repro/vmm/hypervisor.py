@@ -451,8 +451,9 @@ class Hypervisor:
         """Snapshot the domain's memory-content sentinels, keyed by PFN.
 
         Content sentinels are sparse, so only the written frames are
-        reverse-translated (vectorized in the P2M table) instead of
-        building a full MFN→PFN map of the whole domain per save.
+        reverse-translated (one search of the P2M runs per frame)
+        instead of building a full MFN→PFN map of the whole domain per
+        save.
         """
         written = self.machine.memory._tokens
         if not written:

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.config import paper_testbed
-from repro.errors import DomainError, HypercallError
+from repro.errors import DomainError, HypercallError, RejuvenationError
 from repro.guest import GuestState
+from repro.memory import P2MSnapshot, P2MTable, SuspendImage
 from repro.units import GiB, gib, pages
 from repro.vmm import DOM0_NAME, DomainState
 
@@ -107,6 +108,25 @@ class TestQuickReloadBootPath:
         assert new_vmm.allocator.pages_of("vm0") == pages(gib(1))
         assert new_vmm.allocator.pages_of("vm1") == pages(gib(1))
         new_vmm.verify_no_preserved_overlap()
+
+    def test_overlapping_preserved_images_rejected(self, sim, host):
+        new_vmm = self._suspend_and_reload(sim, host)
+        vm0 = new_vmm.machine.preserved.load("vm0").p2m_snapshot
+        extent = max(
+            P2MTable.from_snapshot("vm0", vm0).machine_extents(),
+            key=lambda e: e.npages,
+        )
+        assert extent.npages > 5  # so MFNs start+2, +3 and +5 are vm0's
+        ghost = P2MSnapshot(
+            3, ((0, extent.start + 5, 1), (1, extent.start + 2, 2))
+        )
+        new_vmm.machine.preserved.save(
+            SuspendImage("ghost", ghost, execution_state={}, configuration={})
+        )
+        with pytest.raises(
+            RejuvenationError, match=rf"overlap at MFN {extent.start + 2}$"
+        ):
+            new_vmm.verify_no_preserved_overlap()
 
     def test_successor_scrub_skips_preserved_memory(self, sim, host):
         guest = host.guest("vm0")

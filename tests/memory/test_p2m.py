@@ -1,12 +1,17 @@
 """Unit and property tests for P2M mapping tables."""
 
-import numpy as np
+import dataclasses
+import operator
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import P2MError
-from repro.memory import Extent, P2MTable, table_bytes_for
-from repro.units import GiB, MiB, PAGE_SIZE, pages
+from repro.memory import Extent, P2MSnapshot, P2MTable, table_bytes_for
+from repro.units import GiB, KiB, MiB, pages
+
+from tests.memory.p2m_oracle import ReferenceP2MTable
 
 
 class TestMapping:
@@ -66,6 +71,20 @@ class TestUnmap:
         with pytest.raises(P2MError):
             p2m.unmap_range(95, 10)
 
+    def test_negative_npages_rejected(self):
+        p2m = P2MTable("dom1", 10)
+        p2m.map_extent(0, Extent(100, 10))
+        with pytest.raises(P2MError):
+            p2m.unmap_range(0, -1)
+        assert p2m.mapped_pages == 10
+        assert p2m.machine_extents() == [Extent(100, 10)]
+
+    def test_zero_npages_releases_nothing(self):
+        p2m = P2MTable("dom1", 10)
+        p2m.map_extent(0, Extent(100, 10))
+        assert p2m.unmap_range(3, 0) == []
+        assert p2m.mapped_pages == 10
+
 
 class TestMachineExtents:
     def test_coalesces_contiguous(self):
@@ -94,6 +113,25 @@ class TestFootprint:
     def test_footprint_scales(self):
         assert table_bytes_for(11 * GiB) == 22 * MiB
 
+    def test_modelled_footprint_is_not_allocated(self):
+        """An 11 GiB table reports the paper's 22 MiB while the host holds
+        a few runs through map, snapshot, restore and replay."""
+        npages = pages(11 * GiB)
+        half = npages // 2
+        tracemalloc.start()
+        try:
+            p2m = P2MTable("big", npages)
+            p2m.map_extent(0, Extent(4 * npages, half))
+            p2m.map_extent(half, Extent(0, npages - half))
+            restored = P2MTable.from_snapshot("big", p2m.snapshot())
+            extents = restored.machine_extents()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert extents == [Extent(0, npages - half), Extent(4 * npages, half)]
+        assert restored.table_bytes == 22 * MiB
+        assert peak < 64 * KiB
+
 
 class TestSnapshot:
     def test_roundtrip(self):
@@ -109,18 +147,19 @@ class TestSnapshot:
         p2m.map_extent(0, Extent(500, 10))
         snap = p2m.snapshot()
         p2m.unmap_range(0, 10)
-        assert int(snap[0]) == 500  # unaffected by later mutation
-        with pytest.raises((ValueError, RuntimeError)):
-            snap[0] = 0
+        assert snap.runs == ((0, 500, 10),)  # unaffected by later mutation
+        assert P2MTable.from_snapshot("dom1", snap).mfn_of(0) == 500
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            snap.runs = ()
 
     def test_bijectivity_check(self):
         p2m = P2MTable("dom1", 100)
         p2m.map_extent(0, Extent(500, 10))
         p2m.check_bijective()
-        # Corrupt the table directly to simulate a VMM bug.
-        p2m._table[1] = p2m._table[0]
+        # Insert a run aliasing MFN 505 to simulate a VMM bug.
+        corrupted = P2MSnapshot(100, p2m.snapshot().runs + ((20, 505, 1),))
         with pytest.raises(P2MError):
-            p2m.check_bijective()
+            P2MTable.from_snapshot("dom1", corrupted).check_bijective()
 
 
 @settings(max_examples=50, deadline=None)
@@ -150,3 +189,93 @@ def test_p2m_extent_replay_is_lossless(segments):
         replayed.update(range(extent.start, extent.end))
     assert replayed == expected_pages
     p2m.check_bijective()
+
+
+def _outcome(call, table):
+    """``("ok", result)`` or ``("error", message)`` of one call."""
+    try:
+        result = call(table)
+    except P2MError as exc:
+        return "error", str(exc)
+    if isinstance(result, dict):  # the key order is part of the contract
+        result = list(result.items())
+    return "ok", result
+
+
+def _mapping(table):
+    """PFN -> MFN (or None), page by page, through the query API."""
+    return [
+        table.mfn_of(pfn) if table.is_mapped(pfn) else None
+        for pfn in range(table.pseudo_physical_pages)
+    ]
+
+
+def _round_trip(table):
+    restored = type(table).from_snapshot("d", table.snapshot())
+    return restored.mapped_pages, _mapping(restored), restored.machine_extents()
+
+
+_CHECK_BIJECTIVE = operator.methodcaller("check_bijective")
+
+
+@settings(max_examples=200, deadline=None)
+@given(size=st.integers(min_value=1, max_value=40), data=st.data())
+def test_runs_table_matches_per_page_oracle(size, data):
+    """Property: random map/unmap/query sequences give the run-list table
+    and the per-page oracle the same results and the same P2MErrors.
+    While MFNs alias (only a corrupted table does), the oracle splits a
+    duplicated MFN into separate extents, so only errors, the per-PFN
+    mapping and check_bijective are compared then."""
+    table, oracle = P2MTable("d", size), ReferenceP2MTable("d", size)
+    pfns = st.integers(min_value=-2, max_value=size + 2)
+    ops = st.sampled_from(
+        ["map", "map", "map", "unmap", "unmap", "mfn_of", "is_mapped",
+         "mfn_to_pfn", "round_trip"]
+    )
+    pfn_next = mfn_next = mfn_top = 0
+    state, aliased = _mapping(oracle), False
+    for _ in range(data.draw(st.integers(min_value=1, max_value=30))):
+        op = data.draw(ops)
+        mapped = [pfn for pfn, mfn in enumerate(state) if mfn is not None]
+        pfn = data.draw(st.sampled_from(mapped) | pfns if mapped else pfns)
+        if op == "map":
+            start = data.draw(st.just(pfn_next) | pfns)
+            npages = data.draw(st.integers(min_value=1, max_value=8))
+            # Continue the last map, start past every MFN used, or (one
+            # time in four) pick any MFN, which may alias.
+            mfn = data.draw(st.sampled_from([mfn_next, mfn_top, mfn_top + 1, None]))
+            if mfn is None:
+                mfn = data.draw(st.integers(min_value=0, max_value=mfn_top + 1))
+            call = operator.methodcaller("map_extent", start, Extent(mfn, npages))
+        elif op == "unmap":
+            npages = data.draw(
+                st.integers(min_value=0, max_value=4)
+                | st.integers(min_value=0, max_value=size + 2)
+            )
+            call = operator.methodcaller("unmap_range", pfn, npages)
+        elif op == "mfn_to_pfn":
+            mfns = data.draw(
+                st.lists(st.integers(min_value=0, max_value=mfn_top + 2), max_size=8)
+            )
+            call = operator.methodcaller("mfn_to_pfn", mfns)
+        elif op == "round_trip":
+            call = _round_trip
+        else:
+            call = operator.methodcaller(op, pfn)
+        got, want = _outcome(call, table), _outcome(call, oracle)
+        if aliased:
+            assert got[0] == want[0]
+            if got[0] == "error":
+                assert got == want
+        else:
+            assert got == want
+        if op == "map" and got[0] == "ok":
+            pfn_next, mfn_next = start + npages, mfn + npages
+            mfn_top = max(mfn_top, mfn_next)
+        state, bijective = _mapping(oracle), _outcome(_CHECK_BIJECTIVE, oracle)
+        assert _mapping(table) == state
+        assert _outcome(_CHECK_BIJECTIVE, table) == bijective
+        assert table.mapped_pages == oracle.mapped_pages
+        aliased = bijective[0] == "error"
+        if not aliased:
+            assert table.machine_extents() == oracle.machine_extents()

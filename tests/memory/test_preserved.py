@@ -1,19 +1,16 @@
 """Unit tests for the reboot-surviving preserved-image store."""
 
-import numpy as np
 import pytest
 
 from repro.errors import MemoryError_
-from repro.memory import PreservedStore, SuspendImage
+from repro.memory import P2MSnapshot, PreservedStore, SuspendImage
 from repro.units import KiB, MiB
 
 
 def make_image(name="dom1", npages=256):
-    snapshot = np.arange(npages, dtype=np.int64)
-    snapshot.setflags(write=False)
     return SuspendImage(
         domain_name=name,
-        p2m_snapshot=snapshot,
+        p2m_snapshot=P2MSnapshot(npages, ((0, 0, npages),)),
         execution_state={"pc": 0xdeadbeef, "event_channels": {1: "up"}},
         configuration={"memory_bytes": npages * 4096, "devices": ["vbd", "vif"]},
     )
