@@ -71,18 +71,19 @@ scenarios:
 	$(PYTHON) -m repro.scenario build $(filter-out examples/fleet_%,$(wildcard examples/*.toml)) $$($(PYTHON) -m repro.scenario list | awk '{print $$1}')
 	$(PYTHON) -m repro.fleet validate examples/fleet_*.toml
 
-# End-to-end observability self-check, two layers.  Single-run: drive an
-# instrumented rejuvenation run, then cross-verify the span tree against
-# the measured downtime report, the Perfetto export against strict JSON,
-# and the Prometheus text format against its parser.  Fleet-mode: run a
-# two-shard fleet twice (serial vs sharded), assert the merged telemetry
-# bundles are bit-identical, evaluate the attached SLO, and reconstruct
-# every control-plane decision's causal chain (trigger -> cycle ->
-# action -> mechanism -> outage) from the merged bundle alone.  Leaves
-# all artifacts under build/obs/ (CI uploads them; open the traces at
+# End-to-end observability self-check, one command in two stages.
+# Single run: drive an instrumented warm reboot, then cross-verify the
+# reboot's critical path (a query over span records) against the
+# strategy's own report, the Perfetto export against strict JSON, and
+# the Prometheus text format against its parser.  Fleet: run a two-shard
+# fleet with a policy and an SLO, check that the merged telemetry bundle
+# round-trips bit-identically and its Prometheus page matches the fleet
+# report at zero deviation, evaluate the SLO, and reconstruct every
+# control-plane decision's causal chain (trigger -> cycle -> action ->
+# mechanism -> outage) from the merged bundle alone.  Leaves all
+# artifacts under build/obs/ (CI uploads them; open the traces at
 # ui.perfetto.dev).
 obs-check:
-	$(PYTHON) -m repro.analysis --trace-out build/obs/trace.json --prom-out build/obs/metrics.prom
 	$(PYTHON) -m repro.obs check --out build/obs
 
 bench:

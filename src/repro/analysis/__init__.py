@@ -24,16 +24,15 @@ from repro.analysis.fitting import LinearFit, fit_constant, fit_line
 from repro.analysis.obs import (
     CriticalPath,
     CriticalPathEntry,
-    SpanNode,
-    SpanTree,
-    build_span_tree,
     capture_simulators,
     parse_prometheus,
+    perfetto_document,
     perfetto_trace,
     prometheus_snapshot,
     reboot_critical_path,
     reconcile,
     render_prometheus,
+    span_records,
     write_perfetto,
 )
 from repro.analysis.report import (
@@ -61,11 +60,8 @@ __all__ = [
     "DowntimeModel",
     "DowntimeSummary",
     "LinearFit",
-    "SpanNode",
-    "SpanTree",
     "all_within_tolerance",
     "bucketize",
-    "build_span_tree",
     "capture_simulators",
     "downtime_by_domain",
     "extract_downtimes",
@@ -74,6 +70,7 @@ __all__ = [
     "mean_rate",
     "paper_model",
     "parse_prometheus",
+    "perfetto_document",
     "perfetto_trace",
     "prometheus_snapshot",
     "reboot_critical_path",
@@ -85,6 +82,7 @@ __all__ = [
     "result_to_json",
     "rows_to_csv",
     "series_to_csv",
+    "span_records",
     "sum_series",
     "write_perfetto",
     "write_result",

@@ -118,13 +118,11 @@ def main(argv: typing.Sequence[str] | None = None) -> int:
     jobs = args.jobs if args.jobs is not None else os.cpu_count() or 1
     use_cache = not args.no_cache
     capture: typing.Any = contextlib.nullcontext([])
-    previous_metrics = os.environ.get("REPRO_METRICS")
     if args.trace_out:
         from repro.analysis.obs import capture_simulators
 
         jobs = 1  # subprocess cells would escape the capture hook
         use_cache = False  # cached cells build no simulator to capture
-        os.environ["REPRO_METRICS"] = "1"
         capture = capture_simulators()
     stats = SweepStats()
     # perf_counter, not time.time: wall time jumps under NTP (simlint SL001).
@@ -141,16 +139,10 @@ def main(argv: typing.Sequence[str] | None = None) -> int:
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        if args.trace_out:
-            if previous_metrics is None:
-                del os.environ["REPRO_METRICS"]
-            else:
-                os.environ["REPRO_METRICS"] = previous_metrics
     elapsed = time.perf_counter() - started
 
     if args.trace_out:
-        from repro.analysis.obs import write_perfetto
+        from repro.analysis.obs import perfetto_trace, write_perfetto
 
         target = pathlib.Path(args.trace_out)
         for index, sim in enumerate(captured):
@@ -161,7 +153,8 @@ def main(argv: typing.Sequence[str] | None = None) -> int:
                     f"{target.stem}-{index:02d}{target.suffix or '.json'}"
                 )
             )
-            print(f"  wrote {write_perfetto(path, sim.trace, sim.metrics)}")
+            document = perfetto_trace(sim.trace, sim.metrics)
+            print(f"  wrote {write_perfetto(path, document)}")
 
     failures = 0
     for key in targets:

@@ -5,18 +5,18 @@ Exposed as ``python -m repro.fleet ...``::
     fleet validate SPEC...        # schema-check fleet TOML files
     fleet run SPEC [--jobs N]     # run every shard, print the report
 
-``fleet run --trace-out PATH`` mirrors ``scenario run --trace-out``: it
-runs the shards serially in-process with metrics collection on and
-writes one Perfetto trace per shard (``PATH`` gains a ``.shardN``
-suffix), so control-plane decisions (``control.cycle`` /
-``control.action`` spans and the ``control.decision`` records) are
-inspectable per shard.
-
 ``fleet run --obs-out PATH`` writes the *merged* telemetry bundle (all
 shards, with host→shard provenance) as one JSON document — the input
 ``python -m repro.obs explain`` reconstructs decision timelines from.
-It forces telemetry collection on even when the spec states no ``[slo]``
-table and no ``telemetry = true``.
+
+``fleet run --trace-out PATH`` writes one Perfetto trace per shard
+(``PATH`` gains a ``.shardN`` suffix), each rebuilt from that shard's
+blob in the merged bundle, so control-plane decisions (``control.cycle``
+/ ``control.action`` spans and the ``control.decision`` records) are
+inspectable per shard under any ``--jobs`` and with ``--cache``.
+
+Either flag forces telemetry collection on, even when the spec states
+no ``[slo]`` table and no ``telemetry = true``.
 """
 
 from __future__ import annotations
@@ -60,34 +60,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
             else PolicySpec(strategy=args.policy)
         )
         spec = dataclasses.replace(spec, policy=policy)
-    if args.obs_out and not spec.telemetry_enabled:
+    observed = bool(args.obs_out or args.trace_out)
+    if observed and not spec.telemetry_enabled:
         spec = dataclasses.replace(spec, telemetry=True)
-    if args.trace_out:
-        import os
-
-        from repro.analysis.obs import capture_simulators, write_perfetto
-
-        previous = os.environ.get("REPRO_METRICS")
-        os.environ["REPRO_METRICS"] = "1"  # shards own Simulator creation
-        try:
-            with capture_simulators() as sims:
-                # Tracing needs the shard simulators in this process.
-                report = run_fleet(spec, jobs=1, use_cache=False)
-        finally:
-            if previous is None:
-                del os.environ["REPRO_METRICS"]
-            else:
-                os.environ["REPRO_METRICS"] = previous
-        for shard, sim in enumerate(sims):
-            out = _trace_suffixed(args.trace_out, shard)
-            print(f"wrote {write_perfetto(out, sim.trace, sim.metrics)}")
-    else:
-        report = run_fleet(spec, jobs=args.jobs, use_cache=args.cache)
-    if args.obs_out:
+    report = run_fleet(spec, jobs=args.jobs, use_cache=args.cache)
+    if observed:
+        from repro.analysis.obs import write_perfetto
         from repro.obs.bundle import TelemetryBundle
 
         bundle = TelemetryBundle.from_dict(report.telemetry)
-        print(f"wrote {bundle.write(args.obs_out)}")
+        if args.trace_out:
+            for shard in bundle.shards:
+                out = _trace_suffixed(args.trace_out, shard.shard)
+                print(f"wrote {write_perfetto(out, shard.to_perfetto())}")
+        if args.obs_out:
+            print(f"wrote {bundle.write(args.obs_out)}")
     print(report.render())
     return 0
 
@@ -119,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         default=None,
         help="write one Perfetto trace per shard (PATH gains a .shardN "
-        "suffix); implies metrics collection and --jobs 1",
+        "suffix); implies telemetry collection",
     )
     run.add_argument(
         "--obs-out",

@@ -3,17 +3,19 @@
 A fleet run executes its shards in worker processes; the simulators die
 with the workers, so anything observability needs must travel home as
 plain data through the cell protocol.  :func:`capture_shard` snapshots
-one shard simulator into a :class:`ShardTelemetry` blob — resolved span
-intervals, the decision/availability trace records, full metric sample
-series, and the control plane's audit + trigger log —
-and :meth:`TelemetryBundle.merge` folds the ordered blobs into one
+one shard simulator into a :class:`ShardTelemetry` blob — its span
+records, the decision/availability trace records, full metric sample
+series, and the control plane's audit + trigger log — and
+:meth:`TelemetryBundle.merge` folds the ordered blobs into one
 fleet-wide bundle with host→shard provenance.
 
 The bundle is the *single source* for every fleet-scale export:
 
+* :meth:`ShardTelemetry.to_perfetto` — one shard's own trace, the
+  document its live simulator would export (``fleet run --trace-out``);
 * :meth:`TelemetryBundle.to_perfetto` — one merged Chrome trace-event
-  document, one process group per shard (span thread tracks + counter
-  tracks), loadable directly in https://ui.perfetto.dev;
+  document, one process group per shard, loadable directly in
+  https://ui.perfetto.dev;
 * :meth:`TelemetryBundle.to_prometheus` — one text exposition page whose
   samples carry a ``shard`` label on top of the instrument labels;
 * :func:`repro.obs.timeline.decision_timelines` — causal chains per
@@ -32,14 +34,17 @@ import json
 import pathlib
 import typing
 
-from repro.analysis.obs import render_prometheus, write_atomic, write_strict_json
+from repro.analysis.obs import (
+    perfetto_document,
+    render_prometheus,
+    span_records,
+    write_atomic,
+    write_strict_json,
+)
 from repro.errors import AnalysisError
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.simkernel.kernel import Simulator
-
-_US = 1e6
-"""Chrome trace-event timestamps are microseconds; the clock is seconds."""
 
 RECORD_PREFIXES = ("service.", "control.decision")
 """Trace-record kinds a shard blob carries: the availability signal
@@ -50,9 +55,8 @@ RECORD_PREFIXES = ("service.", "control.decision")
 class ShardTelemetry:
     """One shard's observability state, as plain data.
 
-    ``spans`` are resolved intervals (begin/end records joined):
-    ``{"span", "parent", "name", "actor", "detail", "start", "end"}``
-    with ``end: None`` for a span still open at capture.  ``records``
+    ``spans`` are the shard's :func:`~repro.analysis.obs.span_records`
+    (``end: None`` for a span still open at capture).  ``records``
     are flattened trace records ``{"time", "kind", **fields}`` for the
     :data:`RECORD_PREFIXES` kinds.  ``metrics`` is a
     :meth:`~repro.simkernel.metrics.MetricsRegistry.series_snapshot`.
@@ -98,6 +102,12 @@ class ShardTelemetry:
         except TypeError as exc:
             raise AnalysisError(f"malformed shard telemetry: {exc}") from None
 
+    def to_perfetto(self) -> dict:
+        """This shard's own Perfetto document: byte for byte what
+        :func:`~repro.analysis.obs.perfetto_trace` gives on the shard's
+        live simulator, rebuilt from the blob."""
+        return perfetto_document(self.spans, self.metrics)
+
 
 def _plain_copy(value: typing.Any) -> typing.Any:
     """Recursive copy of JSON-shaped plain data: every dict and list is
@@ -129,28 +139,6 @@ def capture_shard(
     triggers: typing.Sequence[dict] = (),
 ) -> ShardTelemetry:
     """Snapshot one shard simulator into a plain-data telemetry blob."""
-    spans: list[dict] = []
-    by_id: dict[int, dict] = {}
-    for record in sim.trace.select("span."):
-        if record.kind == "span.begin":
-            node = {
-                "span": record["span"],
-                "parent": record["parent"],
-                "name": record["name"],
-                "actor": record["actor"],
-                "detail": record["detail"],
-                "start": record.time,
-                "end": None,
-            }
-            by_id[node["span"]] = node
-            spans.append(node)
-        else:  # span.end
-            node = by_id.get(record["span"])
-            if node is None:
-                raise AnalysisError(
-                    f"span.end for unknown span id {record['span']}"
-                )
-            node["end"] = record.time
     flat: list[tuple[int, dict]] = []
     for prefix in RECORD_PREFIXES:
         for record in sim.trace.select(prefix):
@@ -164,7 +152,7 @@ def capture_shard(
     return ShardTelemetry(
         shard=shard,
         hosts=list(hosts),
-        spans=spans,
+        spans=span_records(sim.trace),
         records=[record for _, record in flat],
         metrics=sim.metrics.series_snapshot() if sim.metrics.enabled else {},
         audit=list(audit),
@@ -214,6 +202,8 @@ class TelemetryBundle:
     # -- (de)serialization --------------------------------------------------------
 
     def to_dict(self) -> dict:
+        """The bundle as plain data: fleet name, host→shard provenance
+        and every shard's :meth:`ShardTelemetry.to_dict`."""
         return {
             "fleet": self.fleet,
             "hosts": self.host_shard(),
@@ -222,10 +212,15 @@ class TelemetryBundle:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TelemetryBundle":
+        if not isinstance(data, dict):
+            raise AnalysisError(
+                "malformed telemetry bundle: expected a JSON object, "
+                f"got {type(data).__name__}"
+            )
         try:
             fleet = data["fleet"]
             blobs = data["shards"]
-        except (TypeError, KeyError) as exc:
+        except KeyError as exc:
             raise AnalysisError(
                 f"malformed telemetry bundle: missing {exc}"
             ) from None
@@ -237,15 +232,27 @@ class TelemetryBundle:
 
     @classmethod
     def load(cls, path: "str | pathlib.Path") -> "TelemetryBundle":
-        """Load a bundle previously serialized with :meth:`write`."""
+        """Load a bundle previously serialized with :meth:`write`.
+
+        Every failure — unreadable path, bytes that are not UTF-8 JSON, a
+        document that is not a bundle — raises :class:`AnalysisError`
+        naming ``path``.
+        """
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 data = json.load(handle)
         except FileNotFoundError:
             raise AnalysisError(f"{path}: no such telemetry bundle") from None
-        except json.JSONDecodeError as exc:
-            raise AnalysisError(f"{path}: invalid JSON: {exc}") from None
-        return cls.from_dict(data)
+        except OSError as exc:
+            raise AnalysisError(
+                f"{path}: cannot read telemetry bundle: {exc.strerror or exc}"
+            ) from None
+        except ValueError as exc:  # undecodable bytes or invalid JSON
+            raise AnalysisError(f"{path}: not UTF-8 JSON: {exc}") from None
+        try:
+            return cls.from_dict(data)
+        except AnalysisError as exc:
+            raise AnalysisError(f"{path}: {exc}") from None
 
     # -- merged Perfetto document -------------------------------------------------
 
@@ -255,89 +262,20 @@ class TelemetryBundle:
         Each shard contributes two process groups: ``shardN spans``
         (pid ``2N+1``; one thread track per span actor) and ``shardN
         metrics`` (pid ``2N+2``; one counter track per instrument label
-        set).  Track names already carry host labels, so the per-shard
-        process split is pure provenance — sorting by pid in the Perfetto
-        UI groups every host's activity under its owning shard.
+        set), and every span's args carry its ``shard``.  Track names
+        already carry host labels, so the per-shard process split is
+        pure provenance — sorting by pid in the Perfetto UI groups every
+        host's activity under its owning shard.
         """
         events: list[dict] = []
         for shard in self.shards:
-            span_pid = 2 * shard.shard + 1
-            metric_pid = 2 * shard.shard + 2
-            events.append(
-                {
-                    "ph": "M", "pid": span_pid, "name": "process_name",
-                    "args": {"name": f"shard{shard.shard} spans"},
-                }
-            )
-            actors = sorted({span["actor"] for span in shard.spans})
-            tids = {actor: tid for tid, actor in enumerate(actors, start=1)}
-            for actor, tid in tids.items():
-                events.append(
-                    {
-                        "ph": "M", "pid": span_pid, "tid": tid,
-                        "name": "thread_name", "args": {"name": actor},
-                    }
-                )
-            horizon = max(
-                (
-                    span["end"] if span["end"] is not None else span["start"]
-                    for span in shard.spans
-                ),
-                default=0.0,
-            )
-            for span in shard.spans:
-                end = span["end"] if span["end"] is not None else horizon
-                args: dict[str, typing.Any] = {
-                    "span": span["span"],
-                    "parent": span["parent"],
-                    "detail": span["detail"],
-                    "shard": shard.shard,
-                }
-                if span["end"] is None:
-                    args["open"] = True
-                name = (
-                    f"{span['name']}:{span['detail']}"
-                    if span["detail"]
-                    else span["name"]
-                )
-                events.append(
-                    {
-                        "ph": "X",
-                        "pid": span_pid,
-                        "tid": tids[span["actor"]],
-                        "ts": span["start"] * _US,
-                        "dur": (end - span["start"]) * _US,
-                        "name": name,
-                        "args": args,
-                    }
-                )
-            if not shard.metrics:
-                continue
-            events.append(
-                {
-                    "ph": "M", "pid": metric_pid, "name": "process_name",
-                    "args": {"name": f"shard{shard.shard} metrics"},
-                }
-            )
-            for metric_name in sorted(shard.metrics):
-                for entry in shard.metrics[metric_name]:
-                    if "times" not in entry:
-                        continue  # histograms keep no series
-                    label_text = ",".join(
-                        f"{k}={v}" for k, v in sorted(entry["labels"].items())
-                    )
-                    track = (
-                        f"{metric_name}{{{label_text}}}"
-                        if label_text
-                        else metric_name
-                    )
-                    for t, v in zip(entry["times"], entry["values"]):
-                        events.append(
-                            {
-                                "ph": "C", "pid": metric_pid, "ts": t * _US,
-                                "name": track, "args": {"value": v},
-                            }
-                        )
+            events += perfetto_document(
+                shard.spans,
+                shard.metrics,
+                pid=2 * shard.shard + 1,
+                process=f"shard{shard.shard}",
+                shard=shard.shard,
+            )["traceEvents"]
         return {"displayTimeUnit": "ms", "traceEvents": events}
 
     def write_perfetto(self, path: "str | pathlib.Path") -> pathlib.Path:

@@ -3,30 +3,27 @@
 Exposed as ``python -m repro.obs ...``::
 
     obs explain BUNDLE.json [--json]   # decision timelines from a bundle
-    obs check [--out DIR]              # fleet-mode end-to-end self-check
+    obs check [--out DIR]              # end-to-end self-check
 
 ``explain`` reconstructs every control-plane decision's causal chain
 (detector trigger → plan → action spans → downtime consequence) from a
-merged telemetry bundle alone — the file a fleet run writes via
-``python -m repro.fleet run --obs-out`` or
-:meth:`~repro.obs.bundle.TelemetryBundle.write`.
+merged telemetry bundle alone — the file ``python -m repro.fleet run
+--obs-out`` writes.
 
-``check`` runs a small deterministic 2-shard fleet with telemetry, a
-control policy and an SLO attached, writes the merged artifacts
-(Perfetto document, Prometheus page, bundle JSON, SLO report, decision
-timelines), and asserts the cross-layer invariants the observability
-stack promises: the bundle round-trips through JSON bit-identically, the
-merged Prometheus page's per-workload availability/downtime agree with
-the fleet report to zero deviation, every decision reconstructs into a
-timeline, and the SLO verdict is reproducible from the bundle alone.
-With ``--out`` it also checks the writers: writing the loaded bundle
-back reproduces the file byte for byte, and the Perfetto file parses
-back to the bundle's document.
-This backs the ``make obs-check`` fleet-mode gate.
+``check`` is the ``make obs-check`` gate, in two stages.  The first
+drives one instrumented warm reboot and checks the single-simulation
+exporters against each other: balanced spans, a critical path that
+reconciles with the reboot report, a strict-JSON Perfetto document with
+span and counter tracks, and a Prometheus page that parses back to every
+counter and gauge.  The second runs a small 2-shard fleet with a policy
+and an SLO and checks the merged pipeline: a bit-identical bundle JSON
+round trip, the merged Prometheus page against the fleet report to zero
+deviation, one timeline per decision, and the SLO verdict.  With
+``--out`` both stages write their artifacts under DIR, and the bundle
+and Perfetto writers are checked to reproduce their documents.
 
-The fleet tier sits *above* this package; the self-check imports it
-lazily inside the command handler, keeping the module graph's layering
-clean for everything that only wants the evaluation primitives.
+The scenario and fleet tiers sit *above* this package; the self-check
+imports them lazily inside its stages.
 """
 
 from __future__ import annotations
@@ -37,10 +34,22 @@ import pathlib
 import sys
 import typing
 
+from repro.analysis.obs import (
+    parse_prometheus,
+    perfetto_document,
+    reboot_critical_path,
+    reconcile,
+    render_prometheus,
+    span_records,
+    write_atomic,
+    write_perfetto,
+)
 from repro.errors import AnalysisError, ReproError
 from repro.obs.bundle import TelemetryBundle
 from repro.obs.slo import render_slo
 from repro.obs.timeline import decision_timelines, render_timelines
+from repro.simkernel.metrics import METRIC_SCHEMA
+from repro.units import kib
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
@@ -59,6 +68,98 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     else:
         print(f"{args.bundle}: no control-plane decisions recorded")
     return 0
+
+
+def _require(condition: bool, message: str) -> None:
+    if not condition:
+        raise AnalysisError(f"obs self-check failed: {message}")
+
+
+def _check_single_host(out: pathlib.Path | None) -> None:
+    """Stage 1: one instrumented warm reboot under httperf load, and the
+    single-simulation exporters checked against each other."""
+    from repro.scenario.builder import ScenarioBuilder
+    from repro.scenario.spec import HostSpec, ScenarioSpec, VMSpec
+    from repro.workloads.httperf import Httperf
+
+    spec = ScenarioSpec(
+        name="testbed",
+        hosts=(HostSpec(vms=(VMSpec(count=3, services=("apache",)),)),),
+    )
+    controller = ScenarioBuilder(spec, metrics=True).build().controller
+    sim = controller.sim
+    guest = controller.guest("vm01")
+    paths = guest.filesystem.create_many("/www", 50, kib(512))
+    controller.run_process(guest.warm_file_cache(paths))
+    client = Httperf(
+        sim,
+        lambda: controller.host.guest("vm01").service("apache"),
+        paths,
+        concurrency=2,
+        name="obs-check",
+    ).start()
+    controller.run_for(10.0)
+    report = controller.rejuvenate("warm")
+    controller.run_for(30.0)
+    client.stop()
+
+    # 1. Every span must be closed (balanced begin/end).
+    open_spans = sim.spans.open_spans()
+    _require(not open_spans, f"unbalanced spans left open: {open_spans}")
+
+    # 2. The span critical path must reconcile with the reboot report.
+    spans = span_records(sim.trace)
+    path = reboot_critical_path(spans)
+    worst = reconcile(path, report)
+    print(
+        f"critical path: {len(path.entries)} phases, "
+        f"total {path.total:.3f} s, worst deviation {worst:.2e} s"
+    )
+
+    # 3. The Perfetto export must be strict JSON with both track types.
+    document = perfetto_document(spans, sim.metrics.series_snapshot())
+    try:
+        encoded = json.dumps(document, allow_nan=False)
+    except ValueError as exc:
+        raise AnalysisError(
+            f"obs self-check failed: Perfetto export is not strict JSON: {exc}"
+        ) from exc
+    phases = [event["ph"] for event in document["traceEvents"]]
+    print(
+        f"perfetto: {phases.count('X')} span events, "
+        f"{phases.count('C')} counter events, {len(encoded)} bytes"
+    )
+    _require("X" in phases, "Perfetto export contains no span events")
+    _require("C" in phases, "Perfetto export contains no counter events")
+
+    # 4. The Prometheus text must parse back to the snapshot's values.
+    snapshot = sim.metrics.snapshot()
+    text = render_prometheus(snapshot)
+    parsed = parse_prometheus(text)
+    plain = [
+        (name, entry)
+        for name, entries in snapshot.items()
+        for entry in entries
+        if "value" in entry
+    ]
+    for name, entry in plain:
+        # The exposition's naming contract, stated independently.
+        sample = "repro_" + name.replace(".", "_")
+        if METRIC_SCHEMA[name].kind == "counter":
+            sample += "_total"
+        key = (sample, tuple(sorted(entry["labels"].items())))
+        _require(
+            parsed.get(key) == entry["value"],
+            f"Prometheus round-trip lost {sample}: "
+            f"{parsed.get(key)} != {entry['value']}",
+        )
+    print(
+        f"prometheus: {len(parsed)} samples, "
+        f"{len(plain)} counter/gauge values verified"
+    )
+    if out is not None:
+        print(f"wrote {write_perfetto(out / 'trace.json', document)}")
+        print(f"wrote {write_atomic(out / 'metrics.prom', text)}")
 
 
 def _check_fleet_spec():
@@ -115,17 +216,10 @@ def _check_fleet_spec():
     )
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise AnalysisError(f"obs self-check failed: {message}")
-
-
 def _check_zero_deviation(bundle: TelemetryBundle, report) -> None:
     """The merged Prometheus page must reproduce the fleet report's
     per-workload availability and downtime exactly (repr round-trip,
     not within-tolerance)."""
-    from repro.analysis.obs import parse_prometheus
-
     parsed = parse_prometheus(bundle.to_prometheus())
     host_shard = bundle.host_shard()
     for metric, field in (
@@ -200,7 +294,8 @@ def _check_timelines(bundle: TelemetryBundle, report) -> None:
                 )
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
+def _check_fleet(out: pathlib.Path | None) -> None:
+    """Stage 2: a 2-shard fleet's merged telemetry, SLO and timelines."""
     from repro.fleet.runner import run_fleet
 
     spec = _check_fleet_spec()
@@ -232,44 +327,53 @@ def _cmd_check(args: argparse.Namespace) -> int:
     print(report.render())
     timelines = decision_timelines(bundle)
     print(f"obs check: {len(timelines)} decision timeline(s) reconstructed")
+    if out is None:
+        return
+    # 5. The writers: write -> load -> write is byte-stable, and the
+    # Perfetto file parses back to the document it was written from.
+    bundle_path = bundle.write(out / "fleet.bundle.json")
+    written = bundle_path.read_bytes()
+    TelemetryBundle.load(bundle_path).write(bundle_path)
+    _require(
+        bundle_path.read_bytes() == written,
+        f"{bundle_path}: write -> load -> write changed the bytes",
+    )
+    print(f"wrote {bundle_path}")
+    perfetto_path = bundle.write_perfetto(out / "fleet.perfetto.json")
+    _require(
+        json.loads(perfetto_path.read_text(encoding="utf-8"))
+        == bundle.to_perfetto(),
+        f"{perfetto_path}: does not parse back to the bundle's "
+        "Perfetto document",
+    )
+    print(f"wrote {perfetto_path}")
+    print(f"wrote {bundle.write_prometheus(out / 'fleet.prom')}")
+    slo_path = out / "fleet.slo.txt"
+    slo_path.write_text(render_slo(report.slo) + "\n", encoding="utf-8")
+    print(f"wrote {slo_path}")
+    timelines_path = out / "fleet.timelines.txt"
+    timelines_path.write_text(
+        render_timelines(timelines) + "\n", encoding="utf-8"
+    )
+    print(f"wrote {timelines_path}")
+
+
+def _cmd_check(args: argparse.Namespace) -> int:
+    out = None
     if args.out:
         out = pathlib.Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        # 5. The writers: write -> load -> write is byte-stable, and the
-        # Perfetto file parses back to the document it was written from.
-        bundle_path = bundle.write(out / "fleet.bundle.json")
-        written = bundle_path.read_bytes()
-        TelemetryBundle.load(bundle_path).write(bundle_path)
-        _require(
-            bundle_path.read_bytes() == written,
-            f"{bundle_path}: write -> load -> write changed the bytes",
-        )
-        print(f"wrote {bundle_path}")
-        perfetto_path = bundle.write_perfetto(out / "fleet.perfetto.json")
-        _require(
-            json.loads(perfetto_path.read_text(encoding="utf-8"))
-            == bundle.to_perfetto(),
-            f"{perfetto_path}: does not parse back to the bundle's "
-            "Perfetto document",
-        )
-        print(f"wrote {perfetto_path}")
-        print(f"wrote {bundle.write_prometheus(out / 'fleet.prom')}")
-        slo_path = out / "fleet.slo.txt"
-        slo_path.write_text(render_slo(report.slo) + "\n", encoding="utf-8")
-        print(f"wrote {slo_path}")
-        timelines_path = out / "fleet.timelines.txt"
-        timelines_path.write_text(
-            render_timelines(timelines) + "\n", encoding="utf-8"
-        )
-        print(f"wrote {timelines_path}")
+    _check_single_host(out)
+    _check_fleet(out)
     print("obs check: ok")
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The ``python -m repro.obs`` argument parser (``explain``, ``check``)."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
-        description="Fleet-scale observability: explain decisions, "
+        description="Observability: explain fleet decisions, "
         "self-check the telemetry pipeline.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -288,19 +392,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser(
         "check",
-        help="run a 2-shard fleet and verify merged telemetry, SLO and "
-        "timeline invariants end-to-end",
+        help="run one instrumented reboot, then a 2-shard fleet, and "
+        "verify spans, exporters, merged telemetry, SLO and timeline "
+        "invariants end-to-end",
     )
     check.add_argument(
         "--out", metavar="DIR", default=None,
-        help="also write the merged artifacts (bundle, Perfetto, "
-        "Prometheus, SLO report, timelines) under DIR",
+        help="also write the artifacts under DIR: the single run's "
+        "Perfetto trace and Prometheus page, then the fleet's bundle, "
+        "Perfetto, Prometheus, SLO report and timelines",
     )
     check.set_defaults(fn=_cmd_check)
     return parser
 
 
 def main(argv: typing.Sequence[str] | None = None) -> int:
+    """``python -m repro.obs``; a package error prints one ``error:``
+    line and exits 2."""
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)

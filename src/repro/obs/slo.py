@@ -129,6 +129,8 @@ class SLOSpec:
             raise ScenarioError(f"{where}: {exc}") from None
 
     def to_dict(self) -> dict:
+        """The objectives as plain data, one key per field (the ``[slo]``
+        table's shape)."""
         return {
             field.name: getattr(self, field.name)
             for field in dataclasses.fields(self)

@@ -72,6 +72,7 @@ class DecisionTimeline:
     consequences: list[dict]
 
     def to_dict(self) -> dict:
+        """The timeline as plain data (``explain --json`` emits these)."""
         return dataclasses.asdict(self)
 
     def render(self) -> str:

@@ -60,22 +60,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
         spec = dataclasses.replace(spec, policy=policy)
     if args.trace_out:
-        import os
+        from repro.analysis.obs import (
+            capture_simulators,
+            perfetto_trace,
+            write_perfetto,
+        )
 
-        from repro.analysis.obs import capture_simulators, write_perfetto
-
-        previous = os.environ.get("REPRO_METRICS")
-        os.environ["REPRO_METRICS"] = "1"  # the builder owns Simulator creation
-        try:
-            with capture_simulators() as sims:
-                report = run_scenario(spec)
-        finally:
-            if previous is None:
-                del os.environ["REPRO_METRICS"]
-            else:
-                os.environ["REPRO_METRICS"] = previous
+        with capture_simulators() as sims:
+            report = run_scenario(spec)
         for sim in sims:
-            print(f"wrote {write_perfetto(args.trace_out, sim.trace, sim.metrics)}")
+            document = perfetto_trace(sim.trace, sim.metrics)
+            print(f"wrote {write_perfetto(args.trace_out, document)}")
     else:
         report = run_scenario(spec)
     print(report.render())

@@ -2,11 +2,12 @@
 observability layer (:mod:`repro.analysis.obs`)."""
 
 import json
+import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.obs import (
-    build_span_tree,
     capture_simulators,
     parse_prometheus,
     perfetto_trace,
@@ -14,6 +15,7 @@ from repro.analysis.obs import (
     reboot_critical_path,
     reconcile,
     render_prometheus,
+    span_records,
     write_perfetto,
 )
 from repro.errors import AnalysisError
@@ -35,29 +37,42 @@ class TestSpanTree:
                 pass
         with sim.spans.span("guest.boot", actor="vm1"):
             pass
-        tree = build_span_tree(sim.trace)
-        assert [root.name for root in tree.roots] == ["reboot", "guest.boot"]
-        (reboot, _) = tree.roots
-        assert [child.detail for child in reboot.children] == ["a", "b"]
-        assert [node.name for node in reboot.walk()] == [
-            "reboot", "reboot.phase", "reboot.phase",
+        spans = span_records(sim.trace)
+        # Begin order is id order; the parent field links the forest.
+        assert [s["span"] for s in spans] == [1, 2, 3, 4]
+        assert [(s["name"], s["parent"]) for s in spans] == [
+            ("reboot", 0), ("reboot.phase", 1), ("reboot.phase", 1),
+            ("guest.boot", 0),
         ]
-        assert len(tree.find("reboot.phase")) == 2
-        assert tree.find("guest.boot", actor="h0") == []
+        assert [s["detail"] for s in spans if s["parent"] == 1] == ["a", "b"]
+        assert spans[0] == {
+            "span": 1, "parent": 0, "name": "reboot", "actor": "h0",
+            "detail": "warm", "start": 0.0, "end": 0.0,
+        }
+        assert [s["actor"] for s in spans if s["name"] == "guest.boot"] == [
+            "vm1"
+        ]
 
     def test_open_span_has_no_duration(self, sim):
         span = sim.spans.span("reboot", actor="h0")
         span.__enter__()
-        tree = build_span_tree(sim.trace)
-        node = tree.roots[0]
-        assert not node.closed
-        with pytest.raises(AnalysisError, match="still open"):
-            node.duration
+        (record,) = span_records(sim.trace)
+        assert record["end"] is None
+        # An open reboot is not a completed one: no critical path yet.
+        with pytest.raises(AnalysisError, match="0 completed reboot"):
+            reboot_critical_path([record])
 
     def test_end_without_begin_is_rejected(self, sim):
         sim.trace.record("span.end", span=99)
         with pytest.raises(AnalysisError, match="unknown span"):
-            build_span_tree(sim.trace)
+            span_records(sim.trace)
+
+    def test_second_end_is_rejected(self, sim):
+        with sim.spans.span("reboot", actor="h0"):
+            pass
+        sim.trace.record("span.end", span=1)
+        with pytest.raises(AnalysisError, match="ended twice"):
+            span_records(sim.trace)
 
 
 def _small_scenario(sim):
@@ -120,6 +135,13 @@ class TestPerfettoExport:
         events = perfetto_trace(sim.trace)["traceEvents"]
         assert not [e for e in events if e["pid"] == 2]
 
+    def test_enabled_but_empty_registry_adds_no_metrics_process(self, sim):
+        with sim.spans.span("reboot", actor="h0"):
+            sim.run(until=1.0)
+        events = perfetto_trace(sim.trace, sim.metrics)["traceEvents"]
+        assert sim.metrics.enabled
+        assert [e["pid"] for e in events] == [1, 1, 1]
+
     def test_write_perfetto_matches_the_pure_python_encoding(
         self, sim, tmp_path
     ):
@@ -133,8 +155,8 @@ class TestPerfettoExport:
             gauge.set(value)
         with sim.spans.span("reboot.phase", actor="hôte-0"):
             sim.run(until=0.1)
-        path = write_perfetto(tmp_path / "trace.json", sim.trace, sim.metrics)
         document = perfetto_trace(sim.trace, sim.metrics)
+        path = write_perfetto(tmp_path / "trace.json", document)
         assert path.read_text(encoding="utf-8") == "".join(
             json.JSONEncoder(allow_nan=False).iterencode(document)
         )
@@ -144,7 +166,7 @@ class TestPerfettoExport:
         path.write_bytes(b'{"previous": true}')
         sim.metrics.gauge("cpu.runnable", cpu="c0").set(float("nan"))
         with pytest.raises(AnalysisError, match="trace.json") as info:
-            write_perfetto(path, sim.trace, sim.metrics)
+            write_perfetto(path, perfetto_trace(sim.trace, sim.metrics))
         assert isinstance(info.value.__cause__, ValueError)
         assert path.read_bytes() == b'{"previous": true}'
         assert [p.name for p in tmp_path.iterdir()] == ["trace.json"]
@@ -152,7 +174,8 @@ class TestPerfettoExport:
     def test_write_perfetto_creates_parents_and_strict_json(self, sim, tmp_path):
         _small_scenario(sim)
         path = write_perfetto(
-            tmp_path / "deep" / "trace.json", sim.trace, sim.metrics
+            tmp_path / "deep" / "trace.json",
+            perfetto_trace(sim.trace, sim.metrics),
         )
         assert path.exists()
         document = json.loads(path.read_text(encoding="utf-8"))
@@ -204,6 +227,60 @@ class TestPrometheusRoundTrip:
             ("repro_nic_tx_bytes_total", (("nic", 'weird"name\\x'),))
         ] == 1.0
 
+    @pytest.mark.parametrize(
+        "host", ["web,1", "line\nfeed", 'a="b",c="d"', "x}y{z", "tail\\"]
+    )
+    def test_label_separators_inside_values_round_trip(self, host):
+        """Host names come unvalidated from spec templates: a comma, a
+        line feed or a quoted pair inside one must not split it."""
+        text = render_prometheus(
+            {"fleet.availability": [
+                {"labels": {"host": host, "vm": "v,m"}, "value": 0.5}
+            ]}
+        )
+        assert parse_prometheus(text) == {
+            ("repro_fleet_availability", (("host", host), ("vm", "v,m"))): 0.5
+        }
+
+    @settings(max_examples=200, deadline=None)
+    @given(host=st.text(), vm=st.text(), value=st.floats(allow_nan=False))
+    def test_any_label_text_round_trips(self, host, vm, value):
+        text = render_prometheus(
+            {
+                "fleet.availability": [
+                    {"labels": {"host": host, "vm": vm}, "value": value}
+                ],
+                "httperf.request_latency": [
+                    {"labels": {"client": host}, "count": 1, "sum": value,
+                     "buckets": [[0.1, 1], ["+Inf", 1]]}
+                ],
+            }
+        )
+        parsed = parse_prometheus(text)
+        assert parsed[
+            ("repro_fleet_availability", (("host", host), ("vm", vm)))
+        ] == value
+        assert parsed[
+            ("repro_httperf_request_latency_bucket",
+             (("client", host), ("le", "0.1")))
+        ] == 1
+        assert parsed[
+            ("repro_httperf_request_latency_sum", (("client", host),))
+        ] == value
+        assert len(parsed) == 5
+
+    def test_unknown_escape_is_rejected(self):
+        with pytest.raises(AnalysisError, match="malformed label"):
+            parse_prometheus('repro_x{host="a\\tb"} 1\n')
+
+    def test_unterminated_label_is_rejected(self):
+        with pytest.raises(AnalysisError, match="malformed label"):
+            parse_prometheus('repro_x{host="a} 1\n')
+
+    def test_malformed_value_is_rejected(self):
+        with pytest.raises(AnalysisError, match="malformed sample"):
+            parse_prometheus('repro_x{host="a"} one\n')
+
     def test_unregistered_snapshot_name_is_rejected(self):
         with pytest.raises(AnalysisError, match="unregistered"):
             render_prometheus({"no.such.metric": []})
@@ -216,11 +293,11 @@ class TestPrometheusRoundTrip:
 class TestCriticalPath:
     @pytest.mark.parametrize("strategy", ["warm", "saved", "cold", "dom0-only"])
     def test_span_phases_reconcile_with_the_reboot_report(self, strategy):
-        """The FIG7 contract: the span tree's phase breakdown and the
+        """The FIG7 contract: the reboot span's phase breakdown and the
         strategy's own RebootReport are two views of the same instants."""
         controller = build_testbed(2)
         report = controller.rejuvenate(strategy)
-        path = reboot_critical_path(controller.sim.trace)
+        path = reboot_critical_path(span_records(controller.sim.trace))
         worst = reconcile(path, report)
         assert worst <= 1e-6
         assert path.strategy == strategy
@@ -231,18 +308,20 @@ class TestCriticalPath:
         controller = build_testbed(2)
         controller.rejuvenate("warm")
         controller.rejuvenate("warm")
-        first = reboot_critical_path(controller.sim.trace, occurrence=0)
-        second = reboot_critical_path(controller.sim.trace, occurrence=1)
-        assert second.span.start >= first.span.end  # back-to-back runs touch
+        spans = span_records(controller.sim.trace)
+        first = reboot_critical_path(spans, occurrence=0)
+        second = reboot_critical_path(spans, occurrence=1)
+        # back-to-back runs touch
+        assert second.span["start"] >= first.span["end"]
         with pytest.raises(AnalysisError, match="occurrence 2"):
-            reboot_critical_path(controller.sim.trace, occurrence=2)
+            reboot_critical_path(spans, occurrence=2)
 
     def test_strategy_mismatch_is_detected(self):
         warm = build_testbed(2)
         warm_report = warm.rejuvenate("warm")
         cold = build_testbed(2)
         cold.rejuvenate("cold")
-        path = reboot_critical_path(cold.sim.trace)
+        path = reboot_critical_path(span_records(cold.sim.trace))
         with pytest.raises(AnalysisError, match="strategy"):
             reconcile(path, warm_report)
 
@@ -255,3 +334,15 @@ class TestCaptureSimulators:
         after = Simulator()
         assert captured == [first, second]
         assert after not in captured
+
+    @pytest.mark.parametrize("previous", [None, "0"])
+    def test_metrics_on_inside_and_restored_after(self, monkeypatch, previous):
+        if previous is None:
+            monkeypatch.delenv("REPRO_METRICS", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_METRICS", previous)
+        with capture_simulators() as captured:
+            Simulator()
+        assert captured[0].metrics.enabled
+        assert os.environ.get("REPRO_METRICS") == previous
+        assert not Simulator().metrics.enabled

@@ -5,6 +5,8 @@ table/figure reproduction (sparse sweeps) and asserts the paper-vs-
 measured rows land within tolerance.
 """
 
+import json
+
 import pytest
 
 from repro.errors import ReproError
@@ -84,6 +86,23 @@ class TestCli:
         assert main(["SEC52"]) == 0
         out = capsys.readouterr().out
         assert "SHAPE REPRODUCED" in out
+
+    def test_trace_out_writes_one_trace_per_simulation(self, tmp_path, capsys):
+        from repro.experiments.cli import main
+
+        target = tmp_path / "sec52.json"
+        assert main(["SEC52", "--trace-out", str(target)]) == 0
+        written = sorted(tmp_path.iterdir())
+        assert [path.name for path in written] == [
+            "sec52-00.json", "sec52-01.json",
+        ]
+        printed = capsys.readouterr().out
+        for path in written:
+            assert f"wrote {path}" in printed
+            document = json.loads(path.read_text(encoding="utf-8"))
+            json.dumps(document, allow_nan=False)  # strict: no NaN/Infinity
+            phases = {event["ph"] for event in document["traceEvents"]}
+            assert {"X", "C"} <= phases
 
     def test_no_args_errors(self):
         from repro.experiments.cli import main

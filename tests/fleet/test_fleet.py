@@ -9,6 +9,7 @@ every source of behaviour is a pure function of global host identity
 fluid ticks on the absolute grid), never of shard membership.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -330,6 +331,55 @@ file_kib = 512.0
         # No control policy in the spec, so no decisions to explain —
         # but the reconstruction itself must accept the bundle.
         assert decision_timelines(bundle) == []
+
+    @pytest.fixture(scope="class")
+    def live_traces(self, tmp_path_factory):
+        """Each shard's export from its live simulator, captured in a
+        serial in-process run of the same spec with telemetry on."""
+        from repro.analysis.obs import (
+            capture_simulators,
+            perfetto_trace,
+            write_perfetto,
+        )
+
+        tmp_path = tmp_path_factory.mktemp("live")
+        spec = load_fleet_toml(self._write(tmp_path, self._GOOD))
+        spec = dataclasses.replace(spec, telemetry=True)
+        with capture_simulators() as sims:
+            run_fleet(spec, jobs=1, use_cache=False)
+        assert len(sims) == 2
+        return [
+            write_perfetto(
+                tmp_path / f"live{shard}.json",
+                perfetto_trace(sim.trace, sim.metrics),
+            ).read_bytes()
+            for shard, sim in enumerate(sims)
+        ]
+
+    @pytest.mark.parametrize(
+        "flags", [["--jobs", "2"], ["--jobs", "2", "--cache"]],
+        ids=["jobs2", "cache"],
+    )
+    def test_run_trace_out_writes_each_shard_from_the_bundle(
+        self, tmp_path, capsys, cache_dir, live_traces, flags
+    ):
+        """--trace-out turns telemetry on and rebuilds every shard's trace
+        from the merged bundle, so it works under any --jobs and from
+        the cache (the second --cache run replays every shard)."""
+        # The traces carry the fleet.* SLI gauges telemetry publishes.
+        events = json.loads(live_traces[0])["traceEvents"]
+        assert "fleet.availability{host=host0,kind=httperf,vm=host0-vm0}" in {
+            event["name"] for event in events if event["ph"] == "C"
+        }
+        path = self._write(tmp_path, self._GOOD)
+        for run in range(2 if "--cache" in flags else 1):
+            out = tmp_path / f"run{run}" / "trace.json"
+            assert main(["run", path, *flags, "--trace-out", str(out)]) == 0
+            printed = capsys.readouterr().out
+            for shard, live in enumerate(live_traces):
+                shard_path = out.with_name(f"trace.shard{shard}.json")
+                assert f"wrote {shard_path}" in printed
+                assert shard_path.read_bytes() == live
 
     def test_load_fleet_toml_roundtrip(self, tmp_path):
         spec = load_fleet_toml(self._write(tmp_path, self._GOOD))

@@ -13,7 +13,7 @@ import os
 
 import pytest
 
-from repro.analysis.obs import parse_prometheus
+from repro.analysis.obs import parse_prometheus, perfetto_trace
 from repro.errors import AnalysisError
 from repro.fleet import FleetReport
 from repro.obs import ShardTelemetry, TelemetryBundle, capture_shard
@@ -89,6 +89,33 @@ class TestCaptureShard:
         # The blob is plain data: it survives its own dict round trip.
         assert ShardTelemetry.from_dict(blob.to_dict()) == blob
 
+    def test_shard_document_equals_the_live_export(self):
+        """A shard's own Perfetto document, rebuilt from its blob, is the
+        document the live simulator exports — including after the blob's
+        plain-dict round trip (the cell payload form)."""
+        sim = Simulator(metrics=True)
+        gauge = sim.metrics.gauge("cpu.runnable", cpu="c0")
+        sim.metrics.histogram("httperf.request_latency", client="c").observe(
+            0.1
+        )
+
+        def activity():
+            with sim.spans.span("reboot", actor="host0", detail="warm"):
+                gauge.set(2)
+                with sim.spans.span("reboot.phase", actor="host0",
+                                    detail="suspend"):
+                    yield sim.timeout(3.0)
+                gauge.set(0)
+            sim.spans.span("fleet.host", actor="host1").__enter__()
+            yield sim.timeout(1.0)
+
+        sim.run(sim.spawn(activity()))
+        blob = capture_shard(sim, 0, ["host0", "host1"])
+        live = perfetto_trace(sim.trace, sim.metrics)
+        assert blob.to_perfetto() == live
+        again = ShardTelemetry.from_dict(blob.to_dict())
+        assert json.dumps(again.to_perfetto()) == json.dumps(live)
+
     def test_metrics_disabled_captures_empty_series(self, sim):
         blob = capture_shard(sim, 0, ["host0"])
         assert blob.metrics == {}
@@ -135,6 +162,37 @@ class TestMerge:
     def test_load_missing_file_is_an_analysis_error(self, tmp_path):
         with pytest.raises(AnalysisError, match="no such"):
             TelemetryBundle.load(tmp_path / "absent.json")
+
+    def test_load_directory_is_an_analysis_error(self, tmp_path):
+        with pytest.raises(AnalysisError, match="cannot read") as info:
+            TelemetryBundle.load(tmp_path)
+        assert str(tmp_path) in str(info.value)
+
+    @pytest.mark.parametrize(
+        "raw", [b'{"fleet": "\xff"}', b'{"fleet": '], ids=["latin1", "cut"]
+    )
+    def test_load_undecodable_is_an_analysis_error(self, tmp_path, raw):
+        path = tmp_path / "bundle.json"
+        path.write_bytes(raw)
+        with pytest.raises(AnalysisError, match="not UTF-8 JSON") as info:
+            TelemetryBundle.load(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("document", ["[]", "3", '"fleet"', "null"])
+    def test_load_non_object_is_rejected_plainly(self, tmp_path, document):
+        path = tmp_path / "bundle.json"
+        path.write_text(document, encoding="utf-8")
+        with pytest.raises(AnalysisError, match="expected a JSON object") as info:
+            TelemetryBundle.load(path)
+        assert str(info.value).startswith(f"{path}: ")
+        assert "indices" not in str(info.value)
+
+    def test_load_names_the_path_of_a_malformed_bundle(self, tmp_path):
+        path = tmp_path / "bundle.json"
+        path.write_text('{"fleet": "x"}', encoding="utf-8")
+        with pytest.raises(AnalysisError, match="missing 'shards'") as info:
+            TelemetryBundle.load(path)
+        assert str(info.value).startswith(f"{path}: ")
 
 
 class TestMergedPerfetto:

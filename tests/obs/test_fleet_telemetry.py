@@ -11,6 +11,11 @@ import json
 
 import pytest
 
+from repro.analysis.obs import (
+    capture_simulators,
+    reboot_critical_path,
+    span_records,
+)
 from repro.experiments.parallel import SweepStats
 from repro.fleet import FleetSpec, run_fleet
 from repro.obs import TelemetryBundle
@@ -103,6 +108,26 @@ class TestTelemetryIdentity:
         assert kinds == ["availability", "downtime"]
         assert serial.slo["burn"]  # the burn series accompanies verdicts
         assert "slo PASS" in serial.render()
+
+
+class TestCriticalPathFromTheBundle:
+    def test_bundle_shard_answers_like_the_live_simulator(self):
+        """The critical path is a query over span records, so a bundle
+        shard (plain data that crossed the cell protocol) answers it
+        exactly as the shard's live simulator does."""
+        with capture_simulators() as sims:
+            report = run_fleet(_fleet(), jobs=1, use_cache=False)
+        bundle = TelemetryBundle.from_dict(
+            json.loads(json.dumps(report.telemetry))
+        )
+        assert len(sims) == len(bundle.shards) == 2
+        for shard, sim in zip(bundle.shards, sims):
+            live = span_records(sim.trace)
+            for host in shard.hosts:
+                path = reboot_critical_path(shard.spans, host=host)
+                assert path == reboot_critical_path(live, host=host)
+                assert path.strategy == "warm" and path.entries
+                assert path.total == pytest.approx(path.phase_sum, abs=1e-6)
 
 
 class TestTelemetrySwitch:

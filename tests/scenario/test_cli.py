@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.experiments.cli import main as experiments_main
@@ -48,6 +50,16 @@ def test_run_executes_a_toml_spec(tiny_spec, capsys):
     assert main(["run", tiny_spec]) == 0
     out = capsys.readouterr().out
     assert "scenario tiny:" in out and "fileread on vm00" in out
+
+
+def test_run_trace_out_writes_spans_and_counters(tiny_spec, tmp_path, capsys):
+    out = tmp_path / "run.json"
+    assert main(["run", tiny_spec, "--trace-out", str(out)]) == 0
+    assert f"wrote {out}" in capsys.readouterr().out
+    document = json.loads(out.read_text(encoding="utf-8"))
+    json.dumps(document, allow_nan=False)  # strict: no NaN or Infinity
+    phases = {event["ph"] for event in document["traceEvents"]}
+    assert {"X", "C"} <= phases
 
 
 def test_run_unknown_name_exits_two(capsys):

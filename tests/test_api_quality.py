@@ -25,6 +25,7 @@ PACKAGES = [
     "repro.workloads",
     "repro.cluster",
     "repro.analysis",
+    "repro.obs",
     "repro.experiments",
 ]
 
