@@ -56,9 +56,11 @@ test-fleet:
 	$(PYTHON) -m pytest -x -q tests/fleet tests/workloads/test_fluid.py
 
 # The control-plane lane: detector hysteresis/grid semantics, planner
-# edge cases (partial plans, never exceptions), executor audit, and the
-# closed loop's plain == sanitized determinism pin, plus the aging
-# policies that delegate to the same detector core.
+# edge cases (partial plans, never exceptions), executor audit, the
+# open-loop triggers (the periodic schedule and the rolling/migration
+# campaigns) that feed the same executor, and the closed loop's
+# plain == sanitized determinism pin, plus the aging monitor and
+# watchdog tests.
 test-control:
 	$(PYTHON) -m pytest -x -q tests/control tests/aging
 

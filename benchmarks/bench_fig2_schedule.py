@@ -9,10 +9,11 @@ from benchmarks.conftest import reproduce
 
 def test_fig2_schedule(benchmark, record_result):
     result = reproduce(benchmark, record_result, "FIG2")
+    # Each event is a schedule's audit entry.
     warm = result.data["warm_events"]
     cold = result.data["cold_events"]
-    warm_os = sum(1 for e in warm if e.kind == "os")
-    cold_os = sum(1 for e in cold if e.kind == "os")
+    warm_os = sum(1 for e in warm if e["action"] == "rejuvenate-os")
+    cold_os = sum(1 for e in cold if e["action"] == "rejuvenate-os")
     # Each cold VMM rejuvenation subsumes one pending OS rejuvenation
     # per VM (2 VMs x 2 VMM rejuvenations here).
     assert warm_os - cold_os == 4 or warm_os > cold_os

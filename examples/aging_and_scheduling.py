@@ -10,13 +10,9 @@ trend and recommends a rejuvenation interval, and a time-based policy
 Run:  python examples/aging_and_scheduling.py
 """
 
-from repro.aging import (
-    AgingMonitor,
-    RejuvenationPlan,
-    TimeBasedRejuvenator,
-    format_availability,
-)
+from repro.aging import AgingMonitor, RejuvenationPlan, format_availability
 from repro.config import AgingFaults
+from repro.control import PlanExecutor, periodic
 from repro.core import RootHammer, VMSpec
 from repro.units import DAY, HOUR, fmt_bytes, fmt_duration, gib
 
@@ -51,12 +47,16 @@ def main() -> None:
 
     # Hand control to the time-based policy with a warm strategy.
     print("running the time-based policy (weekly OS, 4-weekly warm VMM)...")
-    rejuvenator = TimeBasedRejuvenator(
-        host, strategy="warm", os_interval_s=7 * DAY, vmm_interval_s=28 * DAY
+    executor = PlanExecutor(controller.sim, {host.name: host})
+    controller.run_process(
+        periodic(
+            executor, host, "warm", os_interval_s=7 * DAY,
+            vmm_interval_s=28 * DAY, until=controller.now + 30 * DAY,
+        )
     )
-    controller.run_process(rejuvenator.run(controller.now + 30 * DAY))
-    print(f"  OS rejuvenations  : {rejuvenator.count('os')}")
-    print(f"  VMM rejuvenations : {rejuvenator.count('vmm')}")
+    actions = [entry["action"] for entry in executor.audit]
+    print(f"  OS rejuvenations  : {actions.count('rejuvenate-os')}")
+    print(f"  VMM rejuvenations : {actions.count('rejuvenate-warm')}")
     print(f"  heap leaked now   : "
           f"{fmt_bytes(controller.vmm().heap.leaked_bytes)} (fresh instance)\n")
 

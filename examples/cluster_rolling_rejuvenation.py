@@ -9,12 +9,8 @@ Run:  python examples/cluster_rolling_rejuvenation.py
 """
 
 from repro.analysis import render_table
-from repro.cluster import (
-    Cluster,
-    LoadBalancer,
-    MigrationRejuvenator,
-    RollingRejuvenator,
-)
+from repro.cluster import Cluster, LoadBalancer, MigrationSpec, live_migrate
+from repro.control import PlanExecutor, campaign
 from repro.simkernel import Simulator
 from repro.units import fmt_duration
 
@@ -41,20 +37,31 @@ def run_scheme(scheme: str) -> dict:
                 rejected_at.append(sim.now)
             yield sim.timeout(1.0)
 
+    hosts = {host.name: host for host in cluster.hosts}
+    if cluster.spare is not None:
+        hosts[cluster.spare.name] = cluster.spare
+
+    def migrate(source: str, target: str, vm: str):
+        yield from live_migrate(hosts[source], hosts[target], vm, MigrationSpec())
+
+    # One executor applies every reboot and migration and audits each.
+    executor = PlanExecutor(sim, hosts, migrate=migrate)
     probe = sim.spawn(lb_prober(sim))
     start = sim.now
     if scheme == "migration":
-        rejuvenator = MigrationRejuvenator(cluster, strategy="cold")
+        maintenance = campaign(
+            executor, cluster.hosts, "cold", spare=cluster.spare
+        )
     else:
-        rejuvenator = RollingRejuvenator(cluster, strategy=scheme, settle_s=10)
-    sim.run(sim.spawn(rejuvenator.run()))
+        maintenance = campaign(executor, cluster.hosts, scheme, settle_s=10)
+    sim.run(sim.spawn(maintenance))
     probe.kill()
     return {
         "scheme": scheme,
         "maintenance": sim.now - start,
         "lb_rejections": len(rejected_at),
         "dispatched": balancer.dispatched,
-        "hosts": len(rejuvenator.completed),
+        "hosts": executor.rejuvenations,
     }
 
 

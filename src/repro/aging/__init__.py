@@ -1,14 +1,14 @@
-"""Software aging and rejuvenation: detectors, policies, availability.
+"""Software aging and rejuvenation: detectors, crashes, availability.
 
 §2 motivates rejuvenation with concrete Xen defects.  The fault knobs
 that inject them are :class:`repro.config.AgingFaults` (the VMM and
 xenstore below this package consult them); this package watches their
-effect (:class:`AgingMonitor`), schedules rejuvenation (time- and
-threshold-based policies, §3.2), and computes service availability from
-measured downtimes (§5.3).
+effect (:class:`AgingMonitor`), lets an exhausted heap crash the VMM and
+a watchdog recover it, and computes service availability from measured
+downtimes (§5.3).  Rejuvenation policies live in :mod:`repro.control`.
 
-The policy/detector classes depend on :mod:`repro.core` (they drive a
-host), so those heavier exports are loaded lazily: importing the
+The detector and watchdog classes depend on :mod:`repro.core` (they
+drive a host), so those heavier exports are loaded lazily: importing the
 availability model does not pull in the whole host stack.
 """
 
@@ -24,9 +24,6 @@ __all__ = [
     "HeapExhaustionCrasher",
     "RejuvenationPlan",
     "ResourceSample",
-    "ScheduledEvent",
-    "ThresholdRejuvenator",
-    "TimeBasedRejuvenator",
     "format_availability",
     "paper_plans",
 ]
@@ -36,9 +33,6 @@ _LAZY = {
     "CrashWatchdog": ("repro.aging.watchdog", "CrashWatchdog"),
     "HeapExhaustionCrasher": ("repro.aging.watchdog", "HeapExhaustionCrasher"),
     "ResourceSample": ("repro.aging.detectors", "ResourceSample"),
-    "ScheduledEvent": ("repro.aging.policy", "ScheduledEvent"),
-    "ThresholdRejuvenator": ("repro.aging.policy", "ThresholdRejuvenator"),
-    "TimeBasedRejuvenator": ("repro.aging.policy", "TimeBasedRejuvenator"),
 }
 
 

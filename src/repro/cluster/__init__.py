@@ -1,36 +1,16 @@
-"""Cluster environment: load balancing, live migration, rolling rejuvenation.
+"""Cluster environment: load balancing and live migration (§6).
 
 The §6 analysis: how the warm-VM reboot compares, at cluster level, to
 cold reboots and to live-migration-based maintenance with a spare host.
+The rejuvenation passes themselves are :func:`repro.control.campaign`.
 """
 
 from repro.cluster.cluster import Cluster, LoadBalancer
-from repro.cluster.planner import (
-    CampaignResult,
-    MaintenancePlan,
-    MaintenancePlanner,
-)
-from repro.cluster.migration import (
-    MigrationSpec,
-    live_migrate,
-    migrate_all,
-)
-from repro.cluster.rolling import (
-    HostRejuvenation,
-    MigrationRejuvenator,
-    RollingRejuvenator,
-)
+from repro.cluster.migration import MigrationSpec, live_migrate
 
 __all__ = [
-    "CampaignResult",
     "Cluster",
-    "MaintenancePlan",
-    "MaintenancePlanner",
-    "HostRejuvenation",
     "LoadBalancer",
-    "MigrationRejuvenator",
     "MigrationSpec",
-    "RollingRejuvenator",
     "live_migrate",
-    "migrate_all",
 ]

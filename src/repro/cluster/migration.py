@@ -163,13 +163,3 @@ def live_migrate(
             destination=destination.name,
         )
     return guest
-
-
-def migrate_all(
-    source: Host, destination: Host, spec: MigrationSpec | None = None
-) -> typing.Generator:
-    """Sequentially migrate every domU off ``source`` (evacuation)."""
-    names = [d.name for d in source.require_vmm().domus]
-    for name in names:
-        yield from live_migrate(source, destination, name, spec)
-    return names

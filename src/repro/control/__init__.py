@@ -1,11 +1,14 @@
-"""Autonomic control plane: closed-loop consolidation + rejuvenation.
+"""Autonomic control plane: the one rejuvenation engine.
 
 The package splits the loop into three pure-ish parts — **detectors**
 (hysteresis gates over live metric signals), a **planner** (pluggable
 placement strategies mapping an inert fleet view to typed actions under
 SLA constraints), and an **executor** (applies actions through existing
 host/migration mechanisms, fully audited) — wired together by
-:class:`ControlLoop` on a drift-free sampling grid.
+:class:`ControlLoop` on a drift-free sampling grid.  The open-loop
+triggers beside it — :func:`periodic` (the §3.2 time-based schedule)
+and :func:`campaign` (a §6 rolling or evacuate-to-spare pass) — feed the
+same executor, so every policy reboot is one audited action.
 
 Layering: this package sits *below* the host and cluster layers and
 imports only the foundation (``errors``, ``simkernel``).  Live hosts
@@ -21,6 +24,7 @@ from repro.control.actions import (
     Plan,
     migrate,
     rejuvenate,
+    rejuvenate_os,
 )
 from repro.control.detectors import (
     Detector,
@@ -48,10 +52,10 @@ from repro.control.planner import (
     VMView,
     register_strategy,
     resolve_strategy,
-    sla_waves,
     strategy_names,
     view_of_hosts,
 )
+from repro.control.schedule import campaign, periodic
 
 __all__ = [
     "Action",
@@ -72,16 +76,18 @@ __all__ = [
     "PlanExecutor",
     "Trigger",
     "VMView",
+    "campaign",
     "cpu_runnable_signal",
     "disk_busy_signal",
     "heap_utilization_signal",
     "migrate",
     "next_tick",
     "nic_tx_signal",
+    "periodic",
     "register_strategy",
     "rejuvenate",
+    "rejuvenate_os",
     "resolve_strategy",
-    "sla_waves",
     "strategy_names",
     "view_of_hosts",
     "windowed_mean",

@@ -1,17 +1,21 @@
-"""Typed actions a placement strategy may emit.
+"""Typed actions a placement strategy or a schedule may emit.
 
 A strategy's output is a :class:`Plan`: an ordered tuple of
 :class:`Action` values the executor applies sequentially, plus the
 actions it *wanted* but the SLA constraints (migration budget, minimum
 hosts up) forced it to defer.  Budget exhaustion degrades to a partial
 plan — never an exception — so a starved control loop keeps making
-forward progress one epoch at a time.
+forward progress one epoch at a time.  The open-loop triggers of
+:mod:`repro.control.schedule` hand the executor the same actions one at
+a time.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+
+from repro.errors import ControlError
 
 
 class ActionKind(enum.Enum):
@@ -20,12 +24,22 @@ class ActionKind(enum.Enum):
     MIGRATE = "migrate"
     REJUVENATE_WARM = "rejuvenate-warm"
     REJUVENATE_COLD = "rejuvenate-cold"
+    REJUVENATE_SAVED = "rejuvenate-saved"
+    REJUVENATE_DOM0_ONLY = "rejuvenate-dom0-only"
+    REJUVENATE_OS = "rejuvenate-os"
     NO_OP = "no-op"
 
 
-REJUVENATE_KINDS = frozenset(
-    {ActionKind.REJUVENATE_WARM, ActionKind.REJUVENATE_COLD}
-)
+REBOOT_KINDS: dict[str, ActionKind] = {
+    "warm": ActionKind.REJUVENATE_WARM,
+    "cold": ActionKind.REJUVENATE_COLD,
+    "saved": ActionKind.REJUVENATE_SAVED,
+    "dom0-only": ActionKind.REJUVENATE_DOM0_ONLY,
+}
+"""Reboot strategy -> the VMM rejuvenation kind that runs it; each
+kind's value is ``rejuvenate-`` plus its strategy."""
+
+REJUVENATE_KINDS = frozenset(REBOOT_KINDS.values()) | {ActionKind.REJUVENATE_OS}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -33,7 +47,8 @@ class Action:
     """One decision: migrate a VM, rejuvenate a host, or do nothing.
 
     ``target`` is the host acted on — the migration destination or the
-    reboot target; ``vm``/``source`` are set for migrations only.
+    reboot target; ``vm`` names the migrated or OS-rejuvenated guest, and
+    ``source`` is set for migrations only.
     ``reason`` carries the detector or constraint that motivated (or
     deferred) the action into the audit log.
     """
@@ -52,14 +67,21 @@ def migrate(vm: str, source: str, target: str, reason: str = "") -> Action:
     )
 
 
+def reboot_kind(strategy: str) -> ActionKind:
+    """The VMM rejuvenation kind that runs reboot ``strategy``."""
+    if strategy not in REBOOT_KINDS:
+        raise ControlError(f"unknown reboot strategy {strategy!r}")
+    return REBOOT_KINDS[strategy]
+
+
 def rejuvenate(host: str, strategy: str = "warm", reason: str = "") -> Action:
-    """A rejuvenation action (``strategy`` is ``"warm"`` or ``"cold"``)."""
-    kind = (
-        ActionKind.REJUVENATE_COLD
-        if strategy == "cold"
-        else ActionKind.REJUVENATE_WARM
-    )
-    return Action(kind, target=host, reason=reason)
+    """A VMM rejuvenation of ``host`` with any reboot strategy."""
+    return Action(reboot_kind(strategy), target=host, reason=reason)
+
+
+def rejuvenate_os(host: str, vm: str, reason: str = "") -> Action:
+    """An OS rejuvenation of one guest: ``vm`` reboots, its VMM keeps running."""
+    return Action(ActionKind.REJUVENATE_OS, target=host, vm=vm, reason=reason)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -3,10 +3,9 @@
 The control plane's detectors (overload / underload / aging-trend) are
 all the same machine: a scalar **signal** sampled on a drift-free
 absolute grid, passed through a **hysteresis** gate with a cooldown.
-The per-host aging policies (:class:`repro.aging.policy
-.ThresholdRejuvenator`) delegate to the same primitives, so "rejuvenate
-when the heap crosses a line" is one instance of the general loop rather
-than a private reimplementation with its own edge cases.
+"Rejuvenate when the heap crosses a line" is the loop's aging detector
+on the VMM heap signal, not a private reimplementation with its own edge
+cases.
 
 Two properties are load-bearing and pinned by tests:
 
@@ -14,14 +13,11 @@ Two properties are load-bearing and pinned by tests:
   fires exactly once; the gate then stays disarmed until the value
   passes back over the re-arm level (default: the watermark itself).
   Without this, a sustained-high signal re-triggers on every sample —
-  the duplicate-trigger bug the satellite audit found in the old
-  threshold policy under ``dom0-only`` reboots (which never reset the
-  VMM heap).
+  as it would under ``dom0-only`` reboots, which never reset the VMM
+  heap.
 * **Drift-free sampling.**  Sample times are ``origin + k * interval``
-  for integer ``k``, regardless of how long handling a trigger took.
-  The old policy loop re-anchored its interval at ``sim.now`` after
-  every reboot, so one 40 s warm reboot shifted every later check off
-  the grid.
+  for integer ``k``, regardless of how long handling a trigger took: a
+  40 s warm reboot never shifts a later check off the grid.
 """
 
 from __future__ import annotations

@@ -1,14 +1,16 @@
 """Plan executor: applies typed actions to live hosts, audited.
 
-The executor is the only part of the control plane that touches
-simulation state, and it does so exclusively through mechanisms that
-already exist — ``host.reboot(strategy)`` for rejuvenation and an
-injected ``migrate(source, target, vm)`` coroutine for live migration
-(wired by the scenario layer from :mod:`repro.cluster.migration`; the
-control layer sits *below* cluster and never imports it).  Every action
-lands one ``control.decision`` trace record and one audit dict whether
-it succeeded, failed, was skipped, or was deferred by the planner, so a
-report replays exactly why the fleet looks the way it does.
+The executor is the only code that takes a host or a guest down on a
+policy's behalf — the closed loop's plans and the open-loop schedules
+of :mod:`repro.control.schedule` alike — and it does so exclusively
+through mechanisms that already exist: ``host.reboot(strategy)`` and
+``host.reboot_guest(vm)`` for rejuvenation and an injected
+``migrate(source, target, vm)`` coroutine for live migration (wired by
+the scenario layer from :mod:`repro.cluster.migration`; the control
+layer sits *below* cluster and never imports it).  Every action lands
+one ``control.decision`` trace record and one audit dict whether it
+succeeded, failed, was skipped, or was deferred, so a report replays
+exactly why the fleet looks the way it does.
 """
 
 from __future__ import annotations
@@ -24,17 +26,25 @@ simulation coroutine performing one live migration."""
 
 
 class PlanExecutor:
-    """Applies :class:`Plan` actions sequentially inside the simulation."""
+    """Applies actions sequentially inside the simulation.
+
+    ``actor`` names the span track the executor's ``control.action``
+    spans open on.  Spans nest strictly per actor, so two triggers that
+    act concurrently — the closed loop and a maintenance schedule — each
+    need an executor on their own track.
+    """
 
     def __init__(
         self,
         sim: typing.Any,
         hosts: typing.Mapping[str, typing.Any],
         migrate: MigrateFn | None = None,
+        actor: str = "control",
     ) -> None:
         self.sim = sim
         self.hosts = dict(hosts)
         self.migrate = migrate
+        self.actor = actor
         self.audit: list[dict] = []
         self.migrations = 0
         self.rejuvenations = 0
@@ -44,30 +54,38 @@ class PlanExecutor:
     def apply(self, plan: Plan, cycle: int) -> typing.Iterator[typing.Any]:
         """Apply one plan's actions in order; record its deferrals."""
         for action in plan.actions:
-            yield from self._apply_one(action, cycle)
+            yield from self.execute(action, cycle)
         for action in plan.deferred:
-            self._record(cycle, action, "deferred")
+            self.defer(action, cycle)
+
+    def execute(
+        self, action: Action, cycle: int
+    ) -> typing.Iterator[typing.Any]:
+        """Apply one action; returns its audited outcome: ``"applied"``,
+        ``"failed"`` (the mechanism raised — a host already rebooting
+        refuses first), ``"skipped"`` (no such host or mechanism) or
+        ``"noop"``."""
+        with self.sim.spans.span(
+            "control.action", actor=self.actor, detail=action.kind.value
+        ):
+            if action.kind is ActionKind.NO_OP:
+                outcome = "noop"
+            elif action.kind is ActionKind.MIGRATE:
+                outcome = yield from self._migrate(action)
+            elif action.kind in REJUVENATE_KINDS:
+                outcome = yield from self._rejuvenate(action)
+            else:  # pragma: no cover - enum is closed
+                raise ControlError(f"unknown action kind {action.kind!r}")
+            self._record(cycle, action, outcome)
+        return outcome
+
+    def defer(self, action: Action, cycle: int) -> None:
+        """Audit an action that was wanted but not taken (see ``reason``)."""
+        self._record(cycle, action, "deferred")
 
     # -- one action ----------------------------------------------------------------
 
-    def _apply_one(
-        self, action: Action, cycle: int
-    ) -> typing.Iterator[typing.Any]:
-        with self.sim.spans.span(
-            "control.action", actor="control", detail=action.kind.value
-        ):
-            if action.kind is ActionKind.NO_OP:
-                self._record(cycle, action, "noop")
-            elif action.kind is ActionKind.MIGRATE:
-                yield from self._apply_migration(action, cycle)
-            elif action.kind in REJUVENATE_KINDS:
-                yield from self._apply_rejuvenation(action, cycle)
-            else:  # pragma: no cover - enum is closed
-                raise ControlError(f"unknown action kind {action.kind!r}")
-
-    def _apply_migration(
-        self, action: Action, cycle: int
-    ) -> typing.Iterator[typing.Any]:
+    def _migrate(self, action: Action) -> typing.Iterator[typing.Any]:
         if (
             self.migrate is None
             or action.vm is None
@@ -75,46 +93,41 @@ class PlanExecutor:
             or action.target is None
         ):
             self.skipped += 1
-            self._record(cycle, action, "skipped")
-            return
+            return "skipped"
         try:
             yield from self.migrate(action.source, action.target, action.vm)
         except ReproError:
             self.failed += 1
-            self._record(cycle, action, "failed")
-            return
+            return "failed"
         self.migrations += 1
-        self._record(cycle, action, "applied")
+        return "applied"
 
-    def _apply_rejuvenation(
-        self, action: Action, cycle: int
-    ) -> typing.Iterator[typing.Any]:
+    def _rejuvenate(self, action: Action) -> typing.Iterator[typing.Any]:
         host = self.hosts.get(action.target or "")
         if host is None:
             self.skipped += 1
-            self._record(cycle, action, "skipped")
-            return
-        strategy = (
-            "cold" if action.kind is ActionKind.REJUVENATE_COLD else "warm"
-        )
+            return "skipped"
         try:
-            yield from host.reboot(strategy)
+            if action.kind is ActionKind.REJUVENATE_OS:
+                yield from host.reboot_guest(action.vm)
+            else:
+                yield from host.reboot(action.kind.value.removeprefix("rejuvenate-"))
         except ReproError:
             self.failed += 1
-            self._record(cycle, action, "failed")
-            return
+            return "failed"
         self.rejuvenations += 1
-        self._record(cycle, action, "applied")
+        return "applied"
 
     # -- the audit trail -----------------------------------------------------------
 
     def _record(self, cycle: int, action: Action, outcome: str) -> None:
-        # The innermost open control-actor span is the control.action span
-        # while _apply_one is on the stack, and the enclosing control.cycle
-        # span for deferred actions (recorded outside any action span) —
-        # either way it is the join key that lets repro.obs reconstruct
-        # this decision's causal chain from the trace alone.
-        span_id = self.sim.spans.current("control")
+        # The innermost open span on the executor's track is the
+        # control.action span while execute() is on the stack, and the
+        # enclosing control.cycle span for deferred actions (recorded
+        # outside any action span) — either way it is the join key that
+        # lets repro.obs reconstruct this decision's causal chain from
+        # the trace alone.
+        span_id = self.sim.spans.current(self.actor)
         entry = {
             "time": self.sim.now,
             "cycle": cycle,

@@ -13,9 +13,7 @@ Four strategies ship:
 =====================  ========================================================
 name                   policy
 =====================  ========================================================
-fleet-order            no migrations; rejuvenate aging hosts in fleet order —
-                       bit-identical to the pre-control-plane
-                       ``cluster/planner.py`` + ``rolling.py`` ordering
+fleet-order            no migrations; rejuvenate aging hosts in fleet order
 first-fit-decreasing   classic bin-packing: evacuate underloaded hosts,
                        largest VM first, first host it fits on; rejuvenate
                        hosts emptied by the packing
@@ -91,6 +89,7 @@ class FleetView:
         return len(self.hosts)
 
     def index_of(self, host_name: str) -> int:
+        """The named host's position in fleet order (the tie-breaker)."""
         for index, host in enumerate(self.hosts):
             if host.name == host_name:
                 return index
@@ -165,26 +164,6 @@ def view_of_hosts(
     return FleetView(tuple(views))
 
 
-def sla_waves(
-    names: typing.Sequence[str], concurrency: int
-) -> tuple[tuple[str, ...], ...]:
-    """Chunk a rejuvenation order into SLA-sized concurrent waves.
-
-    Exactly the wave shape :class:`~repro.cluster.planner
-    .MaintenancePlanner` has always produced: consecutive chunks of
-    ``concurrency`` hosts, last wave short.
-    """
-    if concurrency <= 0:
-        raise ControlError(
-            f"wave concurrency must be >= 1, got {concurrency}"
-        )
-    names = list(names)
-    return tuple(
-        tuple(names[i : i + concurrency])
-        for i in range(0, len(names), concurrency)
-    )
-
-
 # -- the strategy interface -------------------------------------------------------
 
 
@@ -196,10 +175,6 @@ class PlacementStrategy:
     def plan(self, view: FleetView, constraints: Constraints) -> Plan:
         """The actions this strategy wants this cycle."""
         raise NotImplementedError
-
-    def rejuvenation_order(self, view: FleetView) -> tuple[str, ...]:
-        """Host order for a full-fleet rejuvenation campaign."""
-        return tuple(host.name for host in view.hosts)
 
     # -- shared planning helpers ---------------------------------------------------
 
@@ -353,13 +328,8 @@ def resolve_strategy(name: str) -> PlacementStrategy:
 
 @register_strategy
 class FleetOrderStrategy(PlacementStrategy):
-    """The bit-identical default: fleet order, no migrations.
-
-    ``rejuvenation_order`` reproduces exactly what
-    ``cluster/planner.py`` and ``cluster/rolling.py`` did before the
-    strategy interface existed — hosts in build order — and ``plan``
-    limits itself to rejuvenating hosts the aging detector flagged.
-    """
+    """The default: no migrations; ``plan`` rejuvenates the hosts the
+    aging detector flagged, in fleet (build) order."""
 
     name = "fleet-order"
 
@@ -500,22 +470,15 @@ class ConsolidationStrategy(FirstFitDecreasingStrategy):
 class AgingAwareStrategy(FirstFitDecreasingStrategy):
     """Placement that minds the rejuvenation schedule.
 
-    Campaign order is most-aged-first (heap utilization descending,
-    fleet order breaking ties), and migrations land on the *least*-aged
-    receivers: a long-lived VM placed there will not be disturbed by a
-    rejuvenation again soon.  (The Watcher-style refinement of steering
-    short-lived VMs *toward* soon-to-rejuvenate hosts needs lifetime
-    forecasts the simulation does not model.)
+    Aging hosts are rejuvenated most-aged-first (heap utilization
+    descending, fleet order breaking ties), and migrations land on the
+    *least*-aged receivers: a long-lived VM placed there will not be
+    disturbed by a rejuvenation again soon.  (The Watcher-style
+    refinement of steering short-lived VMs *toward* soon-to-rejuvenate
+    hosts needs lifetime forecasts the simulation does not model.)
     """
 
     name = "aging-aware"
-
-    def rejuvenation_order(self, view: FleetView) -> tuple[str, ...]:
-        ordered = sorted(
-            view.hosts,
-            key=lambda h: (-h.heap_utilization, view.index_of(h.name)),
-        )
-        return tuple(host.name for host in ordered)
 
     def plan(self, view: FleetView, constraints: Constraints) -> Plan:
         receivers = sorted(

@@ -8,6 +8,7 @@ host, like the physical machine, persists.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import typing
 
@@ -79,7 +80,8 @@ class Host:
         self.generation = 0
         self.started = False
         self.rebooting = False
-        """True while a :meth:`reboot` is in flight on this host."""
+        """True while a :meth:`reboot` or :meth:`reboot_guest` is in
+        flight on this host."""
         self._reboot_waiters: list[Event] = []
 
     # -- configuration ------------------------------------------------------------
@@ -279,7 +281,16 @@ class Host:
         the virtual disk before the reboot and *restored* instead of
         cold-started afterwards — the OS is rejuvenated but the
         application state (and its expensive start) is not repaid.
+
+        A guest reboot holds the same exclusion as :meth:`reboot`.
         """
+        with self._exclusive():
+            guest = yield from self._reboot_guest(name, checkpoint_processes)
+        return guest
+
+    def _reboot_guest(
+        self, name: str, checkpoint_processes: bool
+    ) -> typing.Generator:
         vmm = self.require_vmm()
         spec = self.vm_specs.get(name)
         if spec is None:
@@ -373,24 +384,31 @@ class Host:
         pick a §7 save acceleration for the saved-VM reboot).  Returns the
         strategy's :class:`~repro.core.strategies.RebootReport`.
 
-        Reboots of one host are mutually exclusive: starting one while
-        another is in flight raises :class:`RejuvenationError` before
-        anything happens.  A caller that must reboot next waits on
-        :meth:`reboot_finished` first.
+        Reboots of one host — this and :meth:`reboot_guest` — are
+        mutually exclusive: starting one while another is in flight
+        raises :class:`RejuvenationError` before anything happens.  A
+        caller that must reboot next waits on :meth:`reboot_finished`
+        first.
         """
         from repro.core import strategies  # local import: cycle guard
 
+        with self._exclusive():
+            report = yield from strategies.execute(self, strategy, **options)
+        return report
+
+    @contextlib.contextmanager
+    def _exclusive(self) -> typing.Iterator[None]:
+        """Hold this host's reboot exclusion; wake waiters on release."""
         if self.rebooting:
             raise RejuvenationError(f"host {self.name!r} is already rebooting")
         self.rebooting = True
         try:
-            report = yield from strategies.execute(self, strategy, **options)
+            yield
         finally:
             self.rebooting = False
             waiters, self._reboot_waiters = self._reboot_waiters, []
             for waiter in waiters:
                 waiter.succeed()
-        return report
 
     def reboot_finished(self) -> Event:
         """An event that fires when the reboot in flight ends, however it

@@ -54,7 +54,7 @@ def module_name_for(path: str) -> str:
 def package_of(module: str) -> str | None:
     """Top-level ``repro`` subpackage a module belongs to.
 
-    ``"repro.cluster.planner"`` → ``"cluster"``; ``"repro.config"`` →
+    ``"repro.cluster.migration"`` → ``"cluster"``; ``"repro.config"`` →
     ``"config"``; ``"repro"`` itself → ``""`` (the foundation root);
     anything outside the ``repro`` namespace → ``None`` (unmapped).
     """

@@ -15,10 +15,10 @@ costing detection time plus a full cold recovery with cache loss.
 
 from __future__ import annotations
 
-from repro.aging.policy import TimeBasedRejuvenator
 from repro.aging.watchdog import CrashWatchdog, HeapExhaustionCrasher
 from repro.analysis.downtime import extract_downtimes
 from repro.analysis.report import ComparisonRow, render_table
+from repro.control import PlanExecutor, periodic
 from repro.experiments.common import ExperimentResult, build_testbed
 from repro.units import MiB, WEEK
 
@@ -40,15 +40,16 @@ def _run_host(proactive: bool, weeks: float = 8.0) -> dict[str, object]:
     watchdog = CrashWatchdog(host, detection_timeout_s=60.0)
     watchdog_proc = sim.spawn(watchdog.run(horizon), name="watchdog")
 
-    rejuvenator = None
+    executor = PlanExecutor(sim, {host.name: host})
     policy_proc = None
     if proactive:
-        rejuvenator = TimeBasedRejuvenator(
-            host, strategy="warm",
+        schedule = periodic(
+            executor, host, "warm",
             os_interval_s=weeks * WEEK * 10,  # OS rejuvenation out of scope here
             vmm_interval_s=WEEK,
+            until=horizon,
         )
-        policy_proc = sim.spawn(rejuvenator.run(horizon), name="policy")
+        policy_proc = sim.spawn(schedule, name="policy")
     if sim.now < horizon:
         sim.run(until=horizon)
     for proc in (crasher_proc, watchdog_proc, policy_proc):
@@ -64,7 +65,7 @@ def _run_host(proactive: bool, weeks: float = 8.0) -> dict[str, object]:
     return {
         "crashes": len(crasher.crashes),
         "recoveries": len(watchdog.recoveries),
-        "planned_rejuvenations": rejuvenator.count("vmm") if rejuvenator else 0,
+        "planned_rejuvenations": executor.rejuvenations,
         "total_downtime": total_downtime / 3,  # per VM
         "availability": 1 - (total_downtime / 3) / horizon_span,
     }

@@ -13,28 +13,41 @@ cold, and fewer standalone OS rejuvenations under cold (the α credit).
 
 from __future__ import annotations
 
-from repro.aging.policy import TimeBasedRejuvenator
 from repro.analysis.report import ComparisonRow, render_table
+from repro.control import PlanExecutor, periodic
 from repro.experiments.common import ExperimentResult, build_testbed
 from repro.units import DAY, WEEK
 
 
-def _schedule(strategy: str, weeks: float = 9.0) -> TimeBasedRejuvenator:
+def _schedule(strategy: str, weeks: float = 9.0) -> list[dict]:
+    """The audit of ``weeks`` of the §3.2 schedule on a 2-VM host."""
     controller = build_testbed(2)
-    rejuvenator = TimeBasedRejuvenator(
-        controller.host,
-        strategy=strategy,
-        os_interval_s=WEEK,
-        vmm_interval_s=4 * WEEK,
+    host = controller.host
+    executor = PlanExecutor(controller.sim, {host.name: host})
+    until = controller.now + weeks * WEEK
+    controller.run_process(
+        periodic(executor, host, strategy, WEEK, 4 * WEEK, until)
     )
-    controller.run_process(rejuvenator.run(controller.now + weeks * WEEK))
-    return rejuvenator
+    return executor.audit
 
 
-def _os_gaps(rejuvenator: TimeBasedRejuvenator, domain: str) -> list[float]:
-    times = [
-        e.time for e in rejuvenator.events if e.kind == "os" and e.target == domain
+def _events(audit: list[dict]) -> list[tuple[str, float, str]]:
+    """The audit as Figure 2's (event, time, target) train: ``os`` and
+    the guest, or ``vmm`` and the reboot strategy."""
+    return [
+        ("os", e["time"], e["vm"])
+        if e["action"] == "rejuvenate-os"
+        else ("vmm", e["time"], e["action"].removeprefix("rejuvenate-"))
+        for e in audit
     ]
+
+
+def _count(audit: list[dict], event: str) -> int:
+    return sum(1 for kind, _, _ in _events(audit) if kind == event)
+
+
+def _os_gaps(audit: list[dict], domain: str) -> list[float]:
+    times = [t for kind, t, vm in _events(audit) if (kind, vm) == ("os", domain)]
     return [b - a for a, b in zip(times, times[1:])]
 
 
@@ -50,8 +63,8 @@ def run(full: bool = False) -> ExperimentResult:
         render_table(
             ["policy", "os rejuvenations", "vmm rejuvenations"],
             [
-                ("warm", warm.count("os"), warm.count("vmm")),
-                ("cold", cold.count("os"), cold.count("vmm")),
+                ("warm", _count(warm, "os"), _count(warm, "vmm")),
+                ("cold", _count(cold, "os"), _count(cold, "vmm")),
             ],
         )
     )
@@ -59,16 +72,16 @@ def run(full: bool = False) -> ExperimentResult:
         render_table(
             ["policy", "event", "day", "target"],
             [
-                (name, e.kind, e.time / DAY, e.target)
-                for name, r in (("warm", warm), ("cold", cold))
-                for e in r.events
+                (name, kind, time / DAY, target)
+                for name, audit in (("warm", warm), ("cold", cold))
+                for kind, time, target in _events(audit)
             ],
         )
     )
     warm_gaps = _os_gaps(warm, "vm00") + _os_gaps(warm, "vm01")
     cold_gaps = _os_gaps(cold, "vm00") + _os_gaps(cold, "vm01")
-    result.data["warm_events"] = warm.events
-    result.data["cold_events"] = cold.events
+    result.data["warm_events"] = warm
+    result.data["cold_events"] = cold
 
     # Under warm, every OS gap is exactly one week (cadence independent of
     # the VMM rejuvenation); under cold at least one gap stretches past a
@@ -93,14 +106,14 @@ def run(full: bool = False) -> ExperimentResult:
         ComparisonRow(
             "cold performs fewer standalone OS rejuvenations (1=yes)",
             1.0,
-            1.0 if cold.count("os") < warm.count("os") else 0.0,
+            1.0 if _count(cold, "os") < _count(warm, "os") else 0.0,
             "",
             tolerance=0.01,
         ),
         ComparisonRow(
             "both perform 2 VMM rejuvenations in 9 weeks",
             2.0,
-            (warm.count("vmm") + cold.count("vmm")) / 2,
+            (_count(warm, "vmm") + _count(cold, "vmm")) / 2,
             "",
             tolerance=0.01,
         ),

@@ -83,8 +83,8 @@ def _cluster_run(
     warmup = 40.0
     sim.run(until=sim.now + warmup)
     maintenance_start = sim.now
-    rejuvenator = built.make_rejuvenator()
-    sim.run(sim.spawn(rejuvenator.run()))
+    executor = built.executor()
+    sim.run(sim.spawn(built.campaign(executor)))
     maintenance_end = sim.now
     sim.run(until=sim.now + 120)
     for client in clients:
@@ -111,9 +111,12 @@ def _cluster_run(
         for client in clients
     )
     dips = [zero_intervals(series, _BUCKET_S) for series in per_host]
-    first_reboot_window = (
-        getattr(rejuvenator, "completed", [None])
-        and (rejuvenator.completed[0].started, rejuvenator.completed[0].finished)
+    # The first host's window: the pass starts on it the moment
+    # maintenance starts, and the audit stamps its reboot's end.
+    first_reboot_end = next(
+        entry["time"]
+        for entry in executor.audit
+        if entry["action"].startswith("rejuvenate-")
     )
     return {
         "scheme": scheme,
@@ -122,8 +125,8 @@ def _cluster_run(
         "baseline": baseline,
         "maintenance": (maintenance_start, maintenance_end),
         "per_host_outages": dips,
-        "completed": getattr(rejuvenator, "completed", []),
-        "first_window": first_reboot_window,
+        "audit": executor.audit,
+        "first_window": (maintenance_start, first_reboot_end),
     }
 
 

@@ -15,8 +15,10 @@ from __future__ import annotations
 import dataclasses
 import typing
 
-from repro.cluster import Cluster, MigrationRejuvenator, RollingRejuvenator
+from repro.cluster import Cluster
+from repro.cluster.migration import MigrationSpec, live_migrate
 from repro.config import TimingProfile, paper_testbed, small_testbed
+from repro.control import PlanExecutor, campaign
 from repro.core import RootHammer
 from repro.core.host import Host
 from repro.core.host import VMSpec as CoreVMSpec
@@ -94,8 +96,28 @@ class BuiltScenario:
         """The named VM's current guest image."""
         return self.host_of(vm_name).guest(vm_name)
 
-    def make_rejuvenator(self) -> "RollingRejuvenator | MigrationRejuvenator":
-        """The cluster maintenance driver the spec asks for."""
+    def _hosts_and_spare(self) -> list[Host]:
+        spare = self.cluster.spare if self.cluster is not None else None
+        return self.hosts + ([spare] if spare is not None else [])
+
+    def migrate(self, source: str, target: str, vm: str) -> typing.Generator:
+        """Live-migrate ``vm`` between two named hosts, the spare included
+        (the executor's migration mechanism; a process body)."""
+        hosts = {host.name: host for host in self._hosts_and_spare()}
+        yield from live_migrate(hosts[source], hosts[target], vm, MigrationSpec())
+
+    def executor(self) -> PlanExecutor:
+        """A maintenance :class:`~repro.control.PlanExecutor` over every
+        host plus the spare, on its own ``maintenance`` span track."""
+        return PlanExecutor(
+            self.sim,
+            {host.name: host for host in self._hosts_and_spare()},
+            migrate=self.migrate,
+            actor="maintenance",
+        )
+
+    def campaign(self, executor: PlanExecutor) -> typing.Generator:
+        """The spec's rolling or migration pass, run by ``executor``."""
         maintenance = self.spec.maintenance
         if maintenance is None or maintenance.kind not in ("rolling", "migration"):
             raise ScenarioError(
@@ -104,10 +126,13 @@ class BuiltScenario:
         if self.cluster is None:  # pragma: no cover - spec validation bars this
             raise ScenarioError("cluster maintenance on a single-host scenario")
         if maintenance.kind == "migration":
-            return MigrationRejuvenator(self.cluster, strategy=maintenance.strategy)
-        return RollingRejuvenator(
-            self.cluster,
-            strategy=maintenance.strategy,
+            return campaign(
+                executor, self.hosts, maintenance.strategy, spare=self.cluster.spare
+            )
+        return campaign(
+            executor,
+            self.hosts,
+            maintenance.strategy,
             settle_s=maintenance.settle_s,
         )
 

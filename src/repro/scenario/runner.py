@@ -18,10 +18,8 @@ from __future__ import annotations
 import dataclasses
 import typing
 
-from repro.aging.policy import TimeBasedRejuvenator
 from repro.aging.watchdog import CrashWatchdog, HeapExhaustionCrasher
-from repro.control.loop import ControlLoop
-from repro.errors import GuestError, VMMError
+from repro.control import ControlLoop, PlanExecutor, periodic
 from repro.obs.slo import evaluate_slo, merge_latency_histogram, outage_intervals
 from repro.scenario.builder import AttachedWorkload, BuiltScenario, build_scenario
 from repro.scenario.spec import ScenarioSpec
@@ -127,37 +125,18 @@ class ScenarioReport:
         return "\n".join(lines)
 
 
-def _periodic_schedule(
-    built: BuiltScenario,
-    host,
-    horizon: float,
-    rejuvenators: list[TimeBasedRejuvenator],
-) -> typing.Generator:
-    """Drive a host's periodic schedule to ``horizon``, surviving crashes.
-
-    When an injected heap-exhaustion crash lands mid-schedule, a planned
-    rejuvenation can find the VMM already dead — or the guests it killed
-    not yet rebooted.  The crash watchdog owns recovery, so the schedule
-    waits it out and restarts (each restart is a fresh
-    :class:`TimeBasedRejuvenator`; ``rejuvenators`` accumulates them so
-    the report can total their events) instead of tearing the whole
-    scenario down.
-    """
-    maintenance = built.spec.maintenance
-    sim = built.sim
-    while sim.now < horizon:
-        rejuvenator = TimeBasedRejuvenator(
-            host,
-            strategy=maintenance.strategy,
-            os_interval_s=maintenance.os_interval_s,
-            vmm_interval_s=maintenance.vmm_interval_s,
-        )
-        rejuvenators.append(rejuvenator)
-        try:
-            yield from rejuvenator.run(horizon)
-            return
-        except (VMMError, GuestError):
-            yield sim.timeout(60.0)  # give the watchdog room to recover
+def _maintenance_counts(kind: str, executor: PlanExecutor) -> dict[str, int]:
+    """What the maintenance executor's audit says was done."""
+    guests = sum(
+        e["action"] == "rejuvenate-os" and e["outcome"] == "applied"
+        for e in executor.audit
+    )
+    vmms = executor.rejuvenations - guests
+    if kind == "periodic":
+        counts = {"os_rejuvenations": guests, "vmm_rejuvenations": vmms}
+    else:
+        counts = {"hosts_rejuvenated": vmms}
+    return {**counts, "failed": executor.failed}
 
 
 def _measure(built: BuiltScenario, attached: AttachedWorkload) -> WorkloadReport:
@@ -230,62 +209,52 @@ def run_scenario(
 
     control_loop: ControlLoop | None = None
     if spec.policy is not None and spec.observe_s > 0:
-        migrate_fn = None
-        if built.cluster is not None:
-            # Dependency inversion: the control layer sits below cluster,
-            # so the migration mechanism is injected as a callable.
-            from repro.cluster.migration import MigrationSpec, live_migrate
-
-            hosts_by_name = {host.name: host for host in built.hosts}
-            migration = MigrationSpec()
-
-            def migrate_fn(source: str, target: str, vm: str):
-                yield from live_migrate(
-                    hosts_by_name[source], hosts_by_name[target], vm, migration
-                )
-
         control_loop = ControlLoop(
             sim,
             built.hosts,
             config=spec.policy.to_control_config(),
-            migrate=migrate_fn,
+            # Dependency inversion: the control layer sits below cluster,
+            # so the migration mechanism is injected as a callable.
+            migrate=built.migrate if built.cluster is not None else None,
         )
         sim.spawn(control_loop.run(horizon), name="control")
 
     maintenance_report: dict[str, typing.Any] = {}
     maintenance = spec.maintenance
+    executor: PlanExecutor | None = None
     if maintenance is not None:
         maintenance_report["kind"] = maintenance.kind
         maintenance_report["strategy"] = maintenance.strategy
         if maintenance.kind == "reboot":
+            # One measured mechanism, not a policy: its report is the
+            # strategy's RebootReport.
             report = built.controller.rejuvenate(maintenance.strategy)
             maintenance_report["reboot_total_s"] = report.total
             maintenance_report["vmm_reboot_s"] = report.vmm_reboot_duration()
-        elif maintenance.kind == "periodic":
-            rejuvenators: list[TimeBasedRejuvenator] = []
-            for host in built.hosts:
+        else:  # periodic / rolling / migration: policies, one executor
+            executor = built.executor()
+            if maintenance.kind == "periodic":
+                (host,) = built.hosts  # spec validation: a single host
                 sim.spawn(
-                    _periodic_schedule(built, host, horizon, rejuvenators),
+                    periodic(
+                        executor,
+                        host,
+                        maintenance.strategy,
+                        maintenance.os_interval_s,
+                        maintenance.vmm_interval_s,
+                        until=horizon,
+                    ),
                     name=f"rejuvenate:{host.name}",
                 )
-        else:  # rolling / migration (spec validation limits the kinds)
-            rejuvenator = built.make_rejuvenator()
-            started = sim.now
-            sim.run(sim.spawn(rejuvenator.run()))
-            maintenance_report["maintenance_s"] = sim.now - started
-            maintenance_report["hosts_rejuvenated"] = len(
-                getattr(rejuvenator, "completed", [])
-            )
+            else:
+                started = sim.now
+                sim.run(sim.spawn(built.campaign(executor)))
+                maintenance_report["maintenance_s"] = sim.now - started
 
     if sim.now < horizon:
         sim.run(until=horizon)
-    if maintenance is not None and maintenance.kind == "periodic":
-        maintenance_report["os_rejuvenations"] = sum(
-            r.count("os") for r in rejuvenators
-        )
-        maintenance_report["vmm_rejuvenations"] = sum(
-            r.count("vmm") for r in rejuvenators
-        )
+    if executor is not None:
+        maintenance_report.update(_maintenance_counts(maintenance.kind, executor))
     if crashers:
         fault_report["crashes"] = sum(len(c.crashes) for c in crashers)
         fault_report["recoveries"] = sum(len(w.recoveries) for w in watchdogs)

@@ -368,11 +368,12 @@ class MaintenanceSpec:
     """What maintenance the scenario performs after warm-up.
 
     * ``reboot`` — one VMM reboot of the (single) host with ``strategy``;
-    * ``rolling`` — :class:`~repro.cluster.rolling.RollingRejuvenator`
-      across the cluster, ``settle_s`` between hosts;
-    * ``migration`` — evacuate-to-spare rejuvenation (needs ``spare``);
-    * ``periodic`` — a :class:`~repro.aging.policy.TimeBasedRejuvenator`
-      on the single host, driven for the scenario's observation window.
+    * ``rolling`` — a :func:`~repro.control.campaign` pass across the
+      cluster, ``settle_s`` after each host;
+    * ``migration`` — an evacuate-to-spare campaign (needs ``spare``;
+      ``settle_s`` is ignored);
+    * ``periodic`` — the :func:`~repro.control.periodic` schedule on the
+      single host, driven for the scenario's observation window.
     """
 
     kind: str = "reboot"

@@ -56,10 +56,7 @@ SPAN_NAMES: frozenset[str] = frozenset(
         "guest.boot",
         "guest.shutdown",
         "guest.rejuvenation",
-        # cluster maintenance (detail = strategy or host)
-        "cluster.rolling",
-        "cluster.host",
-        "cluster.migration",
+        # one VM's live migration (detail = source->destination)
         "migration.vm",
         # fleet tier: one host's epoch-scheduled reboot (detail = strategy)
         "fleet.host",

@@ -120,7 +120,6 @@ TRACE_SCHEMA: dict[str, TraceKindSpec] = {
     "probe.up": _spec("prober", "downtime"),
     "probe.down": _spec("prober"),
     "watchdog.detected": _spec("host"),
-    "aging.threshold.trigger": _spec("utilization"),
     "control.decision": _spec(
         "cycle", "action", "target", "outcome",
         # "span" is the id of the enclosing control.action (or, for

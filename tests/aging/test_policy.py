@@ -1,98 +1,17 @@
-"""Unit tests for rejuvenation policies and the aging monitor."""
+"""Unit tests for the aging monitor and the aging story end to end.
+
+The rejuvenation policies are tested with the control plane that runs
+them: tests/control/test_schedule.py and tests/control/test_loop.py.
+"""
 
 import pytest
 
-from repro.aging import AgingMonitor, ThresholdRejuvenator, TimeBasedRejuvenator
+from repro.aging import AgingMonitor
 from repro.config import AgingFaults
 from repro.errors import ConfigError
-from repro.units import DAY, HOUR
+from repro.units import HOUR
 
 from tests.conftest import build_started_host
-
-
-class TestTimeBased:
-    def test_validation(self, sim, started_host):
-        with pytest.raises(ConfigError):
-            TimeBasedRejuvenator(started_host, os_interval_s=0)
-
-    def test_os_rejuvenations_happen_on_schedule(self, sim, started_host):
-        rejuvenator = TimeBasedRejuvenator(
-            started_host, strategy="warm",
-            os_interval_s=DAY, vmm_interval_s=100 * DAY,
-        )
-        sim.run(sim.spawn(rejuvenator.run(sim.now + 3.5 * DAY)))
-        # 2 VMs x 3 days.
-        assert rejuvenator.count("os") == 6
-        assert rejuvenator.count("vmm") == 0
-
-    def test_vmm_rejuvenation_happens(self, sim, started_host):
-        rejuvenator = TimeBasedRejuvenator(
-            started_host, strategy="warm",
-            os_interval_s=10 * DAY, vmm_interval_s=2 * DAY,
-        )
-        sim.run(sim.spawn(rejuvenator.run(sim.now + 5 * DAY)))
-        assert rejuvenator.count("vmm") == 2
-        assert started_host.generation == 3  # two warm reboots
-
-    def test_cold_vmm_rejuvenation_resets_os_clocks(self, sim, started_host):
-        rejuvenator = TimeBasedRejuvenator(
-            started_host, strategy="cold",
-            os_interval_s=3 * DAY, vmm_interval_s=4 * DAY,
-        )
-        sim.run(sim.spawn(rejuvenator.run(sim.now + 8 * DAY)))
-        os_days = sorted(
-            e.time / DAY for e in rejuvenator.events if e.kind == "os"
-        )
-        # OS at day 3; VMM at day 4 resets; next OS at day 7 (not 6).
-        assert any(abs(d - 3) < 0.2 for d in os_days)
-        assert not any(abs(d - 6) < 0.2 for d in os_days)
-        assert any(abs(d - 7) < 0.2 for d in os_days)
-
-    def test_warm_vmm_rejuvenation_keeps_os_clocks(self, sim, started_host):
-        rejuvenator = TimeBasedRejuvenator(
-            started_host, strategy="warm",
-            os_interval_s=3 * DAY, vmm_interval_s=4 * DAY,
-        )
-        sim.run(sim.spawn(rejuvenator.run(sim.now + 7 * DAY)))
-        os_days = sorted(
-            e.time / DAY for e in rejuvenator.events if e.kind == "os"
-        )
-        assert any(abs(d - 6) < 0.2 for d in os_days)  # cadence kept
-
-    def test_guests_alive_after_policy_run(self, sim, started_host):
-        rejuvenator = TimeBasedRejuvenator(
-            started_host, strategy="warm",
-            os_interval_s=DAY, vmm_interval_s=2 * DAY,
-        )
-        sim.run(sim.spawn(rejuvenator.run(sim.now + 4 * DAY)))
-        for name in ("vm0", "vm1"):
-            assert started_host.guest(name).state.value == "running"
-
-
-class TestThreshold:
-    def test_validation(self, sim, started_host):
-        with pytest.raises(ConfigError):
-            ThresholdRejuvenator(started_host, heap_threshold=0)
-        with pytest.raises(ConfigError):
-            ThresholdRejuvenator(started_host, check_interval_s=0)
-
-    def test_healthy_vmm_never_triggers(self, sim, started_host):
-        rejuvenator = ThresholdRejuvenator(
-            started_host, heap_threshold=0.5, check_interval_s=HOUR
-        )
-        sim.run(sim.spawn(rejuvenator.run(sim.now + 12 * HOUR)))
-        assert rejuvenator.rejuvenations == []
-
-    def test_leaking_vmm_triggers_rejuvenation(self, sim, started_host):
-        vmm = started_host.vmm
-        vmm.heap.leak_bytes(int(vmm.heap.capacity_bytes * 0.9))
-        rejuvenator = ThresholdRejuvenator(
-            started_host, strategy="warm",
-            heap_threshold=0.8, check_interval_s=HOUR,
-        )
-        sim.run(sim.spawn(rejuvenator.run(sim.now + 3 * HOUR)))
-        assert len(rejuvenator.rejuvenations) == 1
-        assert started_host.vmm.heap.utilization < 0.8  # fresh heap
 
 
 class TestAgingMonitor:

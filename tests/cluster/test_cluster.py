@@ -1,13 +1,12 @@
-"""Unit tests for the cluster, load balancer, and rolling rejuvenation."""
+"""Unit tests for the cluster and its load balancer.
+
+Rolling and migration rejuvenation passes are tested with the control
+plane that runs them, in tests/control/test_schedule.py.
+"""
 
 import pytest
 
-from repro.cluster import (
-    Cluster,
-    LoadBalancer,
-    MigrationRejuvenator,
-    RollingRejuvenator,
-)
+from repro.cluster import Cluster, LoadBalancer
 from repro.config import small_testbed
 from repro.errors import ClusterError
 from repro.simkernel import Simulator
@@ -91,74 +90,3 @@ class TestLoadBalancer:
         lb = LoadBalancer(sim, lambda: cluster.services("sshd"))
         result = sim.run(sim.spawn(lb.dispatch(payload_bytes=128)))
         assert result == 128
-
-
-class TestRollingRejuvenation:
-    def test_all_hosts_rebooted(self, sim):
-        cluster = started_cluster(sim, size=3)
-        rejuvenator = RollingRejuvenator(cluster, strategy="warm", settle_s=1)
-        sim.run(sim.spawn(rejuvenator.run()))
-        assert [r.host for r in rejuvenator.completed] == [
-            "host0", "host1", "host2",
-        ]
-        for host in cluster.hosts:
-            assert host.generation == 2
-
-    def test_sequential_not_overlapping(self, sim):
-        cluster = started_cluster(sim, size=2)
-        rejuvenator = RollingRejuvenator(cluster, strategy="warm", settle_s=0)
-        sim.run(sim.spawn(rejuvenator.run()))
-        first, second = rejuvenator.completed
-        assert second.started >= first.finished
-
-    def test_service_continuity_under_warm_rolling(self, sim):
-        """At most one replica is ever down: the LB can always dispatch."""
-        cluster = started_cluster(sim, size=2)
-        lb = LoadBalancer(sim, lambda: cluster.services("sshd"))
-        failures = []
-
-        def prober(sim):
-            while True:
-                try:
-                    lb.pick()
-                except ClusterError:
-                    failures.append(sim.now)
-                yield sim.timeout(2.0)
-
-        probe = sim.spawn(prober(sim))
-        rejuvenator = RollingRejuvenator(cluster, strategy="warm", settle_s=2)
-        sim.run(sim.spawn(rejuvenator.run()))
-        probe.kill()
-        assert failures == []
-
-    def test_validation(self, sim):
-        cluster = started_cluster(sim)
-        with pytest.raises(ClusterError):
-            RollingRejuvenator(cluster, settle_s=-1)
-
-
-class TestMigrationRejuvenation:
-    def test_requires_spare(self, sim):
-        cluster = started_cluster(sim, spare=False)
-        with pytest.raises(ClusterError):
-            MigrationRejuvenator(cluster)
-
-    def test_vms_return_home(self, sim):
-        cluster = started_cluster(sim, size=2, spare=True)
-        rejuvenator = MigrationRejuvenator(cluster, strategy="cold")
-        sim.run(sim.spawn(rejuvenator.run()))
-        for host in cluster.hosts:
-            assert host.generation == 2  # rebooted once
-            vm = f"{host.name}-vm0"
-            assert host.guest(vm).state.value == "running"
-        assert cluster.spare.require_vmm().domus == []
-
-    def test_guest_state_survives_whole_cycle(self, sim):
-        cluster = started_cluster(sim, size=1, spare=True)
-        guest = cluster.host("host0").guest("host0-vm0")
-        guest.page_cache.insert("/hot", 4096)
-        rejuvenator = MigrationRejuvenator(cluster, strategy="cold")
-        sim.run(sim.spawn(rejuvenator.run()))
-        after = cluster.host("host0").guest("host0-vm0")
-        assert after is guest  # same image travelled out and back
-        assert after.page_cache.cached_bytes("/hot") == 4096

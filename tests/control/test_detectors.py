@@ -1,21 +1,18 @@
 """Detector-core unit tests: hysteresis, sampling grid, windowed means.
 
-Pins the two properties the control plane (and the aging policies that
-delegate to it) depend on:
+Pins the two properties the control loop depends on:
 
 * single-fire hysteresis — a sustained-high signal triggers once, not
-  once per sample (the duplicate-trigger bug the satellite audit found
-  in the old threshold policy under ``dom0-only`` reboots);
+  once per sample (a level parked above the threshold, as under
+  ``dom0-only`` reboots that never reset the VMM heap, must not re-fire);
 * drift-free sampling — ticks land on ``origin + k * interval`` no
-  matter how long handling a trigger took (the old loop re-anchored at
-  ``sim.now`` after every reboot).
+  matter how long handling a trigger took.
 """
 
 import types
 
 import pytest
 
-from repro.aging import ThresholdRejuvenator
 from repro.control import (
     ControlConfig,
     ControlLoop,
@@ -30,7 +27,6 @@ from repro.control import (
 )
 from repro.errors import ControlError
 from repro.simkernel import Simulator
-from repro.units import HOUR
 
 
 class TestNextTick:
@@ -283,47 +279,3 @@ class TestDetector:
         fired = [detector.observe(60.0 * k) for k in range(5)]
         assert [t is not None for t in fired] == [True, False, False, False, False]
         assert len(detector.triggers) == 1
-
-
-class TestThresholdRejuvenatorRegression:
-    """Satellite audit: the old private threshold loop re-fired on every
-    check while utilization stayed high and re-anchored its grid after
-    each reboot.  Both are pinned fixed here through the shared core."""
-
-    def test_dom0_only_reboot_fires_exactly_once(self, sim, started_host):
-        # dom0-only rejuvenation never resets the VMM heap, so the
-        # signal stays parked above the threshold for the whole run —
-        # the exact sustained-high shape that used to duplicate.
-        vmm = started_host.vmm
-        vmm.heap.leak_bytes(int(vmm.heap.capacity_bytes * 0.9))
-        rejuvenator = ThresholdRejuvenator(
-            started_host, strategy="dom0-only",
-            heap_threshold=0.8, check_interval_s=HOUR,
-        )
-        sim.run(sim.spawn(rejuvenator.run(sim.now + 6 * HOUR)))
-        assert started_host.vmm.heap.utilization > 0.8  # still aged
-        assert len(rejuvenator.rejuvenations) == 1
-        assert len(rejuvenator.triggers) == 1
-
-    def test_checks_stay_on_the_absolute_grid(self, sim, started_host):
-        vmm = started_host.vmm
-        origin = sim.now
-        leak = int(vmm.heap.capacity_bytes * 0.9)
-        vmm.heap.leak_bytes(leak)
-        rejuvenator = ThresholdRejuvenator(
-            started_host, strategy="warm",
-            heap_threshold=0.8, check_interval_s=HOUR,
-        )
-
-        def leak_again(sim):
-            # Re-age the fresh heap so the gate re-arms and re-fires.
-            yield sim.timeout(2.5 * HOUR)
-            started_host.vmm.heap.leak_bytes(leak)
-
-        sim.spawn(leak_again(sim))
-        sim.run(sim.spawn(rejuvenator.run(sim.now + 5 * HOUR)))
-        assert len(rejuvenator.rejuvenations) == 2
-        # Triggers land on origin + k*interval even though the first
-        # warm reboot consumed tens of seconds mid-grid.
-        for fired_at in rejuvenator.triggers:
-            assert (fired_at - origin) % HOUR == pytest.approx(0.0, abs=1e-6)

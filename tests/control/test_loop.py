@@ -19,6 +19,7 @@ from repro.control import (
     PlanExecutor,
     migrate,
     rejuvenate,
+    rejuvenate_os,
 )
 from repro.errors import ControlError, HardwareError
 from repro.scenario.runner import run_scenario
@@ -29,10 +30,11 @@ from repro.scenario.spec import (
     VMSpec,
     WorkloadSpec,
 )
+from repro.units import HOUR
 
 
 class StubHost:
-    """The minimum the loop/executor need: a name, VM inventory, reboot."""
+    """The minimum the loop/executor need: a name, VM inventory, reboots."""
 
     def __init__(self, sim, name, reboot_s=30.0, fail=False):
         self.sim = sim
@@ -47,6 +49,10 @@ class StubHost:
             raise HardwareError(f"{self.name}: reboot wedged")
         yield self.sim.timeout(self.reboot_s)
         self.reboots.append((self.sim.now, strategy))
+
+    def reboot_guest(self, vm):
+        yield self.sim.timeout(self.reboot_s)
+        self.reboots.append((self.sim.now, vm))
 
 
 class ScriptedStrategy(PlacementStrategy):
@@ -195,6 +201,27 @@ class TestPlanExecutor:
         assert outcomes == ["skipped", "failed", "deferred"]
         assert executor.audit[2]["reason"] == "budget"
 
+    def test_every_reboot_strategy_and_guest_reboots_apply(self, sim):
+        host = StubHost(sim, "h0")
+        executor = PlanExecutor(sim, {"h0": host})
+        plan = Plan(
+            "scripted",
+            actions=(
+                rejuvenate("h0", "saved"),
+                rejuvenate("h0", "dom0-only"),
+                rejuvenate_os("h0", "vm0"),
+            ),
+        )
+        self._apply(sim, executor, plan)
+        assert host.reboots == [(30.0, "saved"), (60.0, "dom0-only"), (90.0, "vm0")]
+        assert [e["action"] for e in executor.audit] == [
+            "rejuvenate-saved", "rejuvenate-dom0-only", "rejuvenate-os",
+        ]
+        assert executor.audit[2]["vm"] == "vm0"
+        assert executor.rejuvenations == 3
+        with pytest.raises(ControlError, match="unknown reboot strategy"):
+            rejuvenate("h0", "lukewarm")
+
     def test_noop_actions_are_audited(self, sim):
         executor = PlanExecutor(sim, {})
         plan = Plan(
@@ -203,6 +230,36 @@ class TestPlanExecutor:
         )
         self._apply(sim, executor, plan)
         assert executor.audit[0]["outcome"] == "noop"
+
+
+class TestAgingOnARealHost:
+    """The loop's aging detector on a started host, through to an applied
+    reboot and a fresh heap (no SLA floor, so one host may go down)."""
+
+    def _loop(self, sim, host, **config):
+        return ControlLoop(
+            sim, [host],
+            ControlConfig(interval_s=HOUR, min_hosts_up=0, **config),
+        )
+
+    def test_healthy_vmm_never_triggers(self, sim, started_host):
+        loop = self._loop(sim, started_host, aging_threshold=0.5)
+        sim.run(sim.spawn(loop.run(sim.now + 12 * HOUR)))
+        summary = loop.summary()
+        assert summary["triggers"]["aging"] == 0
+        assert summary["rejuvenations"] == 0
+        assert started_host.generation == 1
+
+    def test_leaking_vmm_triggers_rejuvenation(self, sim, started_host):
+        vmm = started_host.vmm
+        vmm.heap.leak_bytes(int(vmm.heap.capacity_bytes * 0.9))
+        loop = self._loop(sim, started_host, aging_threshold=0.8)
+        sim.run(sim.spawn(loop.run(sim.now + 3 * HOUR)))
+        summary = loop.summary()
+        assert summary["triggers"]["aging"] == 1
+        assert summary["rejuvenations"] == 1
+        assert [e["action"] for e in summary["audit"]] == ["rejuvenate-warm"]
+        assert started_host.vmm.heap.utilization < 0.8  # fresh heap
 
 
 def _mini_spec() -> ScenarioSpec:

@@ -15,7 +15,6 @@ from repro.control import (
     HostView,
     VMView,
     resolve_strategy,
-    sla_waves,
     strategy_names,
     view_of_hosts,
 )
@@ -134,14 +133,12 @@ class TestStrategies:
             hv("h0", heap_utilization=0.2),
             hv("h1", heap_utilization=0.9, aging=True),
             hv("h2", vms=(vm("a", "h2"),), underloaded=True),
+            hv("h3", heap_utilization=0.95, aging=True),
         ))
-        strategy = resolve_strategy("fleet-order")
-        # Campaign order is build order, exactly what cluster/planner.py
-        # produced before the strategy interface existed.
-        assert strategy.rejuvenation_order(view) == ("h0", "h1", "h2")
-        plan = strategy.plan(view, Constraints())
+        plan = resolve_strategy("fleet-order").plan(view, Constraints())
         assert plan.migrations == 0  # never migrates
-        assert [a.target for a in plan.actions] == ["h1"]
+        # Aging hosts rejuvenate in build order, not most-aged first.
+        assert [a.target for a in plan.actions] == ["h1", "h3"]
 
     def test_consolidation_evacuates_whole_donors_or_not_at_all(self):
         view = FleetView((
@@ -180,19 +177,19 @@ class TestStrategies:
 
     def test_aging_aware_orders_by_heap_and_steers_to_least_aged(self):
         view = FleetView((
-            hv("h0", heap_utilization=0.5),
-            hv("h1", heap_utilization=0.9),
+            hv("h0", heap_utilization=0.5, aging=True),
+            hv("h1", heap_utilization=0.9, aging=True),
             hv("h2", heap_utilization=0.1),
             hv("idle", vms=(vm("a", "idle"),), underloaded=True,
                heap_utilization=0.3),
         ))
-        strategy = resolve_strategy("aging-aware")
-        assert strategy.rejuvenation_order(view) == (
-            "h1", "h0", "idle", "h2",
-        )
-        plan = strategy.plan(view, Constraints())
+        plan = resolve_strategy("aging-aware").plan(view, Constraints())
         (move,) = [a for a in plan.actions if a.kind is ActionKind.MIGRATE]
         assert move.target == "h2"  # the least-aged receiver
+        # The emptied host first, then the aging hosts most-aged first.
+        assert [
+            a.target for a in plan.actions if a.kind is not ActionKind.MIGRATE
+        ] == ["idle", "h1", "h0"]
 
     def test_all_idle_fleet_keeps_the_sla_floor_serving(self):
         view = FleetView((
@@ -228,14 +225,6 @@ class TestRegistryAndHelpers:
             Constraints(min_hosts_up=-1)
         with pytest.raises(ControlError):
             Constraints(rejuvenate="lukewarm")
-
-    def test_sla_waves_chunking(self):
-        assert sla_waves(["a", "b", "c", "d", "e"], 2) == (
-            ("a", "b"), ("c", "d"), ("e",),
-        )
-        assert sla_waves([], 3) == ()
-        with pytest.raises(ControlError):
-            sla_waves(["a"], 0)
 
     def test_view_of_hosts_duck_types(self):
         class Spec:

@@ -83,6 +83,31 @@ class TestGuestReboot:
         sim.run(sim.spawn(started_host.reboot_guest("vm0")))
         assert started_host.guest("vm0").filesystem.exists("/data")
 
+    def test_vmm_reboot_refused_while_a_guest_reboots(self, sim, started_host):
+        sim.spawn(started_host.reboot_guest("vm0"))
+        sim.run(until=sim.now + 1.0)
+        refused = sim.spawn(started_host.reboot("warm"))
+        refused.defuse()
+        sim.run()
+        assert isinstance(refused.value, RejuvenationError)
+        assert "already rebooting" in str(refused.value)
+        # The guest reboot finished undisturbed, and the VMM never went down.
+        assert not started_host.rebooting
+        assert started_host.generation == 1
+        assert started_host.guest("vm0").state.value == "running"
+
+    def test_guest_reboot_refused_while_the_vmm_reboots(self, sim, started_host):
+        sim.spawn(started_host.reboot("warm"))
+        sim.run(until=sim.now + 1.0)
+        refused = sim.spawn(started_host.reboot_guest("vm0"))
+        refused.defuse()
+        sim.run()
+        assert isinstance(refused.value, RejuvenationError)
+        assert "already rebooting" in str(refused.value)
+        assert started_host.generation == 2
+        for name in ("vm0", "vm1"):
+            assert started_host.guest(name).state.value == "running"
+
 
 class TestCreationQuirk:
     def test_single_creation_no_slump(self, sim):

@@ -50,8 +50,13 @@ def test_golden_baseline_covers_every_experiment():
 
 
 @pytest.mark.parametrize("experiment_id", _golden_params())
-def test_serial_rows_match_golden(experiment_id):
-    assert _rows(run_experiment(experiment_id)) == GOLDEN[experiment_id]
+def test_serial_rows_match_golden(experiment_id, request):
+    result = (
+        request.getfixturevalue("fig9_serial")  # shared with test_runners.py
+        if experiment_id == "FIG9"
+        else run_experiment(experiment_id)
+    )
+    assert _rows(result) == GOLDEN[experiment_id]
 
 
 # Observability must be a pure observer: with metric collection switched

@@ -66,9 +66,8 @@ def test_fig7_reproduces_paper_shape():
 
 
 @pytest.mark.slow
-def test_fig9_reproduces_paper_shape():
-    result = run_experiment("FIG9")
-    failing = [row for row in result.rows if not row.within_tolerance]
+def test_fig9_reproduces_paper_shape(fig9_serial):
+    failing = [row for row in fig9_serial.rows if not row.within_tolerance]
     assert not failing, [row.label for row in failing]
 
 

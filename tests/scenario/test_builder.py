@@ -86,12 +86,12 @@ class TestCluster:
                 _spec(hosts=(HostSpec(name="rack", count=2, vms=(VMSpec(),)),))
             )
 
-    def test_make_rejuvenator_requires_cluster_maintenance(self):
+    def test_campaign_requires_cluster_maintenance(self):
         built = build_scenario(_spec())
         with pytest.raises(ScenarioError, match="no cluster maintenance"):
-            built.make_rejuvenator()
+            built.campaign(built.executor())
 
-    def test_rolling_rejuvenator_runs_across_the_cluster(self):
+    def test_rolling_campaign_runs_across_the_cluster(self):
         built = build_scenario(
             _spec(
                 hosts=(HostSpec(count=2, vms=(VMSpec(),)),),
@@ -100,9 +100,10 @@ class TestCluster:
                 ),
             )
         )
-        rejuvenator = built.make_rejuvenator()
-        built.sim.run(built.sim.spawn(rejuvenator.run()))
-        assert len(rejuvenator.completed) == 2
+        executor = built.executor()
+        built.sim.run(built.sim.spawn(built.campaign(executor)))
+        assert executor.rejuvenations == 2
+        assert [e["target"] for e in executor.audit] == ["host0", "host1"]
 
 
 class TestWorkloads:

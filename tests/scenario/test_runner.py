@@ -135,6 +135,8 @@ class TestRunScenario:
         report = run_scenario(spec)
         assert report.faults["crashes"] >= 1
         assert report.faults["recoveries"] >= 1
+        # Rejuvenations that found the VMM dead are audited and counted.
+        assert report.maintenance["failed"] >= 1
 
     def test_report_round_trips_to_plain_data(self):
         data = run_scenario(_quick_spec()).to_dict()

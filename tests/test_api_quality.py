@@ -20,6 +20,7 @@ PACKAGES = [
     "repro.memory",
     "repro.vmm",
     "repro.guest",
+    "repro.control",
     "repro.core",
     "repro.aging",
     "repro.workloads",
