@@ -9,14 +9,170 @@ measurements — see DESIGN.md "Calibration anchors" for the derivations.
 
 Nothing outside this module hard-codes a paper number: experiments *run*
 on these physical parameters and the paper's results emerge (or fail to).
+
+It also holds :class:`Table`, the one loader for the declarative specs
+(scenario, fleet, ``[policy]``, ``[slo]``): each spec is a frozen
+dataclass whose field annotations are its TOML schema.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import sys
+import tomllib
+import types
+import typing
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ReproError, ScenarioError
 from repro.units import GiB, KiB, MiB, gib, mib
+
+
+def require(condition: bool, where: str, message: str) -> None:
+    """Raise ``ScenarioError(f"{where}: {message}")`` unless ``condition``."""
+    if not condition:
+        raise ScenarioError(f"{where}: {message}")
+
+
+def require_one_of(value: str, choices: typing.Collection[str], where: str) -> None:
+    """Raise ``ScenarioError`` unless ``value`` is one of ``choices``."""
+    if value not in choices:
+        message = f"must be one of {', '.join(choices)}, got {value!r}"
+        raise ScenarioError(f"{where}: {message}")
+
+
+_EXPECTED = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
+
+Reader = typing.Callable[[typing.Any, str], typing.Any]
+
+
+def _reader(hint: typing.Any) -> Reader:
+    """The function that checks a value against the field annotation ``hint``."""
+    if isinstance(hint, types.UnionType):  # X | None
+        (inner,) = [arg for arg in typing.get_args(hint) if arg is not type(None)]
+        read = _reader(inner)
+        return lambda value, where: None if value is None else read(value, where)
+    if typing.get_origin(hint) is tuple:  # tuple[str, ...] or tuple[Table, ...]
+        item = typing.get_args(hint)[0]
+        read_item = _reader(item)
+        what = "a string or list of strings" if item is str else "an array of tables"
+
+        def read_tuple(value: typing.Any, where: str) -> tuple:
+            if item is str and isinstance(value, str):
+                return (value,)
+            if not isinstance(value, (list, tuple)):
+                raise ScenarioError(
+                    f"{where}: expected {what}, got {type(value).__name__}"
+                )
+            return tuple(
+                read_item(entry, f"{where}[{index}]")
+                for index, entry in enumerate(value)
+            )
+
+        return read_tuple
+    if issubclass(hint, Table):
+        return hint.from_dict
+    accepted = (int, float) if hint is float else hint
+
+    def read_scalar(value: typing.Any, where: str) -> typing.Any:
+        # bool is an int subclass: a bool is a boolean and nothing else
+        if not isinstance(value, accepted) or isinstance(value, bool) != (hint is bool):
+            raise ScenarioError(
+                f"{where}: expected {_EXPECTED[hint]}, got {type(value).__name__}"
+            )
+        if hint is float and not abs(value) <= sys.float_info.max:  # inf, nan, 10**400
+            raise ScenarioError(f"{where}: expected a finite number, got {value!r}")
+        return value
+
+    return read_scalar
+
+
+@functools.cache
+def _readers(cls: type) -> dict[str, Reader]:
+    """Field name -> reader, in declaration order, resolved once per class."""
+    hints = typing.get_type_hints(cls)
+    return {field.name: _reader(hints[field.name]) for field in dataclasses.fields(cls)}
+
+
+def _plain(value: typing.Any) -> typing.Any:
+    if isinstance(value, Table):
+        return value.to_dict()
+    if isinstance(value, tuple):
+        return [_plain(item) for item in value]
+    return value
+
+
+class Table:
+    """A TOML table as a frozen dataclass, read by one typed loader.
+
+    Subclasses are ``@dataclasses.dataclass(frozen=True)`` classes whose
+    field annotations are the schema.  :meth:`from_dict` checks every key
+    against its annotation before the constructor runs: ``bool``,
+    ``int`` (not a bool), ``float`` (an int or a float, finite), ``str``,
+    ``tuple[str, ...]`` (a string or a list of strings), a nested
+    ``Table`` (a sub-table), ``tuple[Table, ...]`` (an array of tables),
+    and any of these ``| None``.  A rejected key raises
+    :class:`~repro.errors.ScenarioError` with its dotted path
+    (``scenario.hosts[0].vms[0].count: expected an integer, got float``);
+    :meth:`to_dict` is the inverse.
+    """
+
+    TABLE = "table"
+    """The table's name: the default ``where`` of :meth:`from_dict`, and
+    the path prefix its ``__post_init__`` messages carry (``vm.count:
+    ...``), which loading replaces with the table's place in the
+    document."""
+
+    @classmethod
+    def from_dict(cls, data: typing.Any, where: str | None = None) -> typing.Self:
+        """Check ``data`` key by key and construct the table."""
+        where = cls.TABLE if where is None else where
+        if not isinstance(data, dict):
+            raise ScenarioError(f"{where}: expected a table, got {type(data).__name__}")
+        readers = _readers(cls)
+        unknown = sorted(map(repr, data.keys() - readers.keys()))
+        if unknown:
+            raise ScenarioError(
+                f"{where}: unknown key(s) {', '.join(unknown)}; "
+                f"known: {', '.join(sorted(readers))}"
+            )
+        kwargs = {
+            key: readers[key](value, f"{where}.{key}") for key, value in data.items()
+        }
+        try:
+            return cls(**kwargs)
+        except ReproError as exc:
+            # "vm.count: ..." from __post_init__ becomes "<where>.count: ..."
+            path, _, message = str(exc).partition(": ")
+            path = "" if path == cls.TABLE else path.removeprefix(cls.TABLE + ".")
+            raise ScenarioError(
+                f"{where}.{path}: {message}" if path else f"{where}: {message}"
+            ) from None
+        except TypeError as exc:  # a required key is missing
+            raise ScenarioError(f"{where}: {exc}") from None
+
+    def to_dict(self) -> dict:
+        """Plain TOML-shaped data that :meth:`from_dict` reads back.
+
+        Keys follow the field declaration order, so ``repr`` of the result
+        is deterministic: the sweep engine uses it as content-address
+        material, and fleet shards receive their specs in this form.
+        """
+        return {name: _plain(getattr(self, name)) for name in _readers(type(self))}
+
+    @classmethod
+    def load_toml(cls, path: str) -> typing.Self:
+        """Load and check one table from a TOML file; errors name the file."""
+        try:
+            with open(path, "rb") as handle:
+                data = tomllib.load(handle)
+        except FileNotFoundError:
+            raise ScenarioError(f"{path}: no such spec file") from None
+        except OSError as exc:
+            raise ScenarioError(f"{path}: cannot read: {exc.strerror}") from None
+        except (tomllib.TOMLDecodeError, UnicodeDecodeError) as exc:
+            raise ScenarioError(f"{path}: invalid TOML: {exc}") from None
+        return cls.from_dict(data, where=path)
 
 
 def _positive(name: str, value: float) -> None:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import typing
 
+from repro.config import Table
 from repro.control.detectors import (
     Detector,
     cpu_runnable_signal,
@@ -30,6 +31,7 @@ from repro.control.detectors import (
 )
 from repro.control.executor import MigrateFn, PlanExecutor
 from repro.control.planner import (
+    STRATEGY_REGISTRY,
     Constraints,
     PlacementStrategy,
     resolve_strategy,
@@ -39,15 +41,20 @@ from repro.errors import ControlError
 
 
 @dataclasses.dataclass(frozen=True)
-class ControlConfig:
-    """All knobs of one control loop, TOML-shaped.
+class ControlConfig(Table):
+    """All knobs of one control loop: the ``[policy]`` table of scenario
+    and fleet specs, loaded by :meth:`~repro.config.Table.from_dict`.
 
     Thresholds: ``overload``/``underload`` are mean runnable jobs per
     core over the trailing ``window_s`` (the CPU gauge the hardware
     layer already publishes); ``aging_threshold``/``aging_rearm`` are
     VMM heap utilization.  ``cooldown_s`` applies to every detector.
+    ``strategy`` names a :data:`~repro.control.planner.STRATEGY_REGISTRY`
+    entry.  Invalid values raise :class:`~repro.errors.ControlError`
+    (``interval_s: must be positive, got 0``).
     """
 
+    TABLE = "policy"
     strategy: str = "fleet-order"
     interval_s: float = 60.0
     window_s: float = 60.0
@@ -68,40 +75,41 @@ class ControlConfig:
     disk detector."""
 
     def __post_init__(self) -> None:
+        if self.strategy not in STRATEGY_REGISTRY:
+            raise ControlError(
+                f"strategy: must be one of {', '.join(STRATEGY_REGISTRY)}, "
+                f"got {self.strategy!r}"
+            )
         if self.interval_s <= 0:
-            raise ControlError(
-                f"control interval must be positive, got {self.interval_s}"
-            )
+            raise ControlError(f"interval_s: must be positive, got {self.interval_s}")
         if self.window_s <= 0:
+            raise ControlError(f"window_s: must be positive, got {self.window_s}")
+        if not 0 <= self.underload < self.overload:
             raise ControlError(
-                f"detector window must be positive, got {self.window_s}"
-            )
-        if self.underload < 0 or self.overload <= self.underload:
-            raise ControlError(
-                "need 0 <= underload < overload, got "
+                "underload: need 0 <= underload < overload, got "
                 f"underload={self.underload} overload={self.overload}"
             )
         if not 0 < self.aging_threshold <= 1:
             raise ControlError(
-                f"aging_threshold must be in (0, 1], got {self.aging_threshold}"
+                f"aging_threshold: must be in (0, 1], got {self.aging_threshold}"
             )
         if not 0 <= self.aging_rearm <= self.aging_threshold:
             raise ControlError(
-                "aging_rearm must be in [0, aging_threshold], got "
-                f"{self.aging_rearm}"
+                f"aging_rearm: must be in [0, aging_threshold], got {self.aging_rearm}"
             )
         if self.cooldown_s < 0:
-            raise ControlError(
-                f"cooldown must be >= 0, got {self.cooldown_s}"
-            )
+            raise ControlError(f"cooldown_s: must be >= 0, got {self.cooldown_s}")
         if self.net_overload_bps < 0:
             raise ControlError(
-                f"net_overload_bps must be >= 0, got {self.net_overload_bps}"
+                "net_overload_bps: must be >= 0 (0 disables), "
+                f"got {self.net_overload_bps}"
             )
         if not 0 <= self.disk_overload <= 1:
             raise ControlError(
-                f"disk_overload must be in [0, 1], got {self.disk_overload}"
+                "disk_overload: must be a busy fraction in [0, 1] (0 disables), "
+                f"got {self.disk_overload}"
             )
+        self.constraints()  # checks migration_budget, min_hosts_up and rejuvenate
 
     def constraints(self) -> Constraints:
         """The SLA envelope strategies plan inside."""

@@ -107,15 +107,15 @@ class Constraints:
     def __post_init__(self) -> None:
         if self.migration_budget < 0:
             raise ControlError(
-                f"migration_budget must be >= 0, got {self.migration_budget}"
+                f"migration_budget: must be >= 0, got {self.migration_budget}"
             )
         if self.min_hosts_up < 0:
             raise ControlError(
-                f"min_hosts_up must be >= 0, got {self.min_hosts_up}"
+                f"min_hosts_up: must be >= 0, got {self.min_hosts_up}"
             )
         if self.rejuvenate not in ("warm", "cold"):
             raise ControlError(
-                f"rejuvenate must be 'warm' or 'cold', got {self.rejuvenate!r}"
+                f"rejuvenate: must be one of warm, cold, got {self.rejuvenate!r}"
             )
 
 

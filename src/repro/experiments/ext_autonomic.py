@@ -29,12 +29,12 @@ from __future__ import annotations
 import typing
 
 from repro.analysis.report import ComparisonRow, render_table
+from repro.control import ControlConfig
 from repro.experiments.common import ExperimentResult, run_self_decomposed
 from repro.scenario.runner import run_scenario
 from repro.scenario.spec import (
     HostSpec,
     MaintenanceSpec,
-    PolicySpec,
     ScenarioSpec,
     VMSpec,
     WorkloadSpec,
@@ -91,7 +91,7 @@ def _spec(arm: str) -> ScenarioSpec:
             name="ext-autonomic/autonomic",
             hosts=_hosts(),
             workloads=_workloads(),
-            policy=PolicySpec(
+            policy=ControlConfig(
                 strategy="first-fit-decreasing",
                 underload=_UNDERLOAD,
                 migration_budget=_MIGRATION_BUDGET,

@@ -26,10 +26,10 @@ import dataclasses
 import sys
 import typing
 
+from repro.control import ControlConfig
 from repro.errors import FleetError, ScenarioError
 from repro.fleet.runner import run_fleet
 from repro.fleet.spec import load_fleet_toml
-from repro.scenario.spec import PolicySpec
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -54,12 +54,8 @@ def _trace_suffixed(path: str, shard: int) -> str:
 def _cmd_run(args: argparse.Namespace) -> int:
     spec = load_fleet_toml(args.spec)
     if args.policy:
-        policy = (
-            dataclasses.replace(spec.policy, strategy=args.policy)
-            if spec.policy is not None
-            else PolicySpec(strategy=args.policy)
-        )
-        spec = dataclasses.replace(spec, policy=policy)
+        policy = {**(spec.policy or ControlConfig()).to_dict(), "strategy": args.policy}
+        spec = dataclasses.replace(spec, policy=ControlConfig.from_dict(policy))
     observed = bool(args.obs_out or args.trace_out)
     if observed and not spec.telemetry_enabled:
         spec = dataclasses.replace(spec, telemetry=True)

@@ -140,9 +140,7 @@ def run_fleet_shard(shard: dict) -> dict:
         # hosts.  Decisions are a pure function of shard-local state on
         # the absolute grid, so sharding never changes them; migrations
         # stay shard-local (the loop only sees this shard's hosts).
-        control_loop = ControlLoop(
-            sim, built.hosts, config=spec.policy.to_control_config()
-        )
+        control_loop = ControlLoop(sim, built.hosts, config=spec.policy)
         sim.spawn(control_loop.run(horizon), name="fleet.control")
     sim.run(until=horizon)
     built.stop_workloads()

@@ -23,35 +23,32 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import tomllib
-import typing
 
-from repro.errors import ScenarioError
+from repro.config import Table, require, require_one_of
+from repro.control.actions import REBOOT_KINDS
+from repro.control.loop import ControlConfig
 from repro.obs.slo import SLOSpec
 from repro.scenario.spec import (
-    STRATEGIES,
+    PROFILES,
     FaultSpec,
     HostSpec,
-    PolicySpec,
     ScenarioSpec,
     WorkloadSpec,
-    _as_dict,
-    _check_keys,
-    _construct,
-    _number,
-    _require,
-    _sub_tables,
+    expand_hosts,
+    layout,
 )
-
-HOST_TEMPLATE = "host{i}"
-"""Default host name template; ``{i}`` is the global host index, so a
-host keeps its name (and therefore its RNG streams) in every sharding."""
 
 
 @dataclasses.dataclass(frozen=True)
-class FleetSpec:
-    """A sharded rolling-rejuvenation fleet run."""
+class FleetSpec(Table):
+    """A sharded rolling-rejuvenation fleet run.
 
+    Workloads attach by service to every VM that runs it; a workload
+    pinned to one VM (``vm``) is rejected, because that VM lives in one
+    shard only.
+    """
+
+    TABLE = "fleet"
     name: str
     description: str = ""
     hosts: tuple[HostSpec, ...] = ()
@@ -60,7 +57,7 @@ class FleetSpec:
     seed: int = 0
     workloads: tuple[WorkloadSpec, ...] = ()
     faults: FaultSpec | None = None
-    policy: PolicySpec | None = None
+    policy: ControlConfig | None = None
     strategy: str = "warm"
     hosts_per_epoch: int = 1
     epoch_s: float = 60.0
@@ -75,40 +72,40 @@ class FleetSpec:
     over the observation window from the merged telemetry."""
 
     def __post_init__(self) -> None:
-        _require(bool(self.name), "name", "must be a non-empty string")
-        _require(
-            isinstance(self.telemetry, bool),
-            "telemetry",
-            f"must be a boolean, got {type(self.telemetry).__name__}",
-        )
-        _require(len(self.hosts) >= 1, "hosts", "need at least one host entry")
-        _require(self.shards >= 1, "shards", f"must be >= 1, got {self.shards}")
-        _require(
-            self.strategy in STRATEGIES,
-            "strategy",
-            f"must be one of {', '.join(STRATEGIES)}, got {self.strategy!r}",
-        )
-        _require(
+        require(bool(self.name), "name", "must be a non-empty string")
+        require(len(self.hosts) >= 1, "hosts", "need at least one host entry")
+        require(self.shards >= 1, "shards", f"must be >= 1, got {self.shards}")
+        layout(self.hosts, cluster=True)  # no host or VM name given twice
+        require_one_of(self.profile, PROFILES, "profile")
+        for index, workload in enumerate(self.workloads):
+            require(
+                workload.vm is None,
+                f"workloads[{index}].vm",
+                "a fleet attaches each workload to every VM running its "
+                f"service; a single VM lives in one shard, got {workload.vm!r}",
+            )
+        require_one_of(self.strategy, REBOOT_KINDS, "strategy")
+        require(
             self.hosts_per_epoch >= 1,
             "hosts_per_epoch",
             f"must be >= 1, got {self.hosts_per_epoch}",
         )
-        _require(
+        require(
             self.epoch_s > 0, "epoch_s", f"must be positive, got {self.epoch_s}"
         )
-        _require(
+        require(
             self.warmup_s > 0,
             "warmup_s",
             f"must be positive (it must cover shard bring-up), "
             f"got {self.warmup_s}",
         )
-        _require(
+        require(
             self.observe_s > 0,
             "observe_s",
             f"must be positive, got {self.observe_s}",
         )
         span = self.epochs * self.epoch_s
-        _require(
+        require(
             self.observe_s >= span,
             "observe_s",
             f"must cover the epoch schedule ({self.epochs} epoch(s) x "
@@ -153,23 +150,7 @@ class FleetSpec:
 
     def expanded_hosts(self) -> list[HostSpec]:
         """Per-host singleton specs with explicit, shard-invariant names."""
-        expanded: list[HostSpec] = []
-        index = 0
-        for host in self.hosts:
-            template = host.name if host.name is not None else HOST_TEMPLATE
-            if host.count > 1 and "{i" not in template:
-                raise ScenarioError(
-                    f"host name {template!r} has no '{{i}}' placeholder "
-                    f"but count is {host.count}; the copies would collide"
-                )
-            for _ in range(host.count):
-                expanded.append(
-                    dataclasses.replace(
-                        host, name=template.format(i=index), count=1
-                    )
-                )
-                index += 1
-        return expanded
+        return expand_hosts(self.hosts)
 
     def schedule(self) -> dict[str, float]:
         """Absolute reboot start per host name (the epoch protocol)."""
@@ -224,64 +205,7 @@ class FleetSpec:
             )
         return plans
 
-    # -- (de)serialization -------------------------------------------------------
-
-    @classmethod
-    def from_dict(cls, data: dict, where: str = "fleet") -> "FleetSpec":
-        _check_keys(data, _FLEET_FIELDS, where)
-        for key in ("shards", "seed", "hosts_per_epoch", "epoch_s",
-                    "warmup_s", "observe_s"):
-            _number(data, key, where)
-        kwargs = dict(data)
-        if "hosts" in kwargs:
-            kwargs["hosts"] = tuple(
-                HostSpec.from_dict(host, f"{where}.hosts[{i}]")
-                for i, host in enumerate(
-                    _sub_tables(kwargs["hosts"], f"{where}.hosts")
-                )
-            )
-        if "workloads" in kwargs:
-            kwargs["workloads"] = tuple(
-                WorkloadSpec.from_dict(w, f"{where}.workloads[{i}]")
-                for i, w in enumerate(
-                    _sub_tables(kwargs["workloads"], f"{where}.workloads")
-                )
-            )
-        if kwargs.get("faults") is not None:
-            kwargs["faults"] = FaultSpec.from_dict(
-                kwargs["faults"], f"{where}.faults"
-            )
-        if kwargs.get("policy") is not None:
-            kwargs["policy"] = PolicySpec.from_dict(
-                kwargs["policy"], f"{where}.policy"
-            )
-        if kwargs.get("slo") is not None:
-            kwargs["slo"] = SLOSpec.from_dict(kwargs["slo"], f"{where}.slo")
-        return _construct(cls, kwargs, where)
-
-    def to_dict(self) -> dict:
-        out = _as_dict(self)
-        out["hosts"] = [host.to_dict() for host in self.hosts]
-        out["workloads"] = [w.to_dict() for w in self.workloads]
-        if self.faults is not None:
-            out["faults"] = self.faults.to_dict()
-        if self.policy is not None:
-            out["policy"] = self.policy.to_dict()
-        if self.slo is not None:
-            out["slo"] = self.slo.to_dict()
-        return out
-
-
-_FLEET_FIELDS = frozenset(f.name for f in dataclasses.fields(FleetSpec))
-
 
 def load_fleet_toml(path: str) -> FleetSpec:
     """Load and validate a fleet spec from a TOML file."""
-    try:
-        with open(path, "rb") as handle:
-            data = tomllib.load(handle)
-    except FileNotFoundError:
-        raise ScenarioError(f"{path}: no such fleet spec file") from None
-    except tomllib.TOMLDecodeError as exc:
-        raise ScenarioError(f"{path}: invalid TOML: {exc}") from None
-    return FleetSpec.from_dict(data, where=path)
+    return FleetSpec.load_toml(path)

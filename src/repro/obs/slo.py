@@ -29,16 +29,12 @@ from __future__ import annotations
 import dataclasses
 import typing
 
-from repro.errors import AnalysisError, ScenarioError
-
-
-def _require(condition: bool, where: str, message: str) -> None:
-    if not condition:
-        raise ScenarioError(f"{where}: {message}")
+from repro.config import Table, require
+from repro.errors import AnalysisError
 
 
 @dataclasses.dataclass(frozen=True)
-class SLOSpec:
+class SLOSpec(Table):
     """One service-level objective set (the ``[slo]`` TOML table).
 
     At least one objective must be stated:
@@ -58,6 +54,7 @@ class SLOSpec:
     is stated.
     """
 
+    TABLE = "slo"
     availability: float | None = None
     downtime_budget_s: float | None = None
     latency_target_s: float | None = None
@@ -65,7 +62,7 @@ class SLOSpec:
     window_s: float = 60.0
 
     def __post_init__(self) -> None:
-        _require(
+        require(
             self.availability is not None
             or self.downtime_budget_s is not None
             or self.latency_target_s is not None,
@@ -74,70 +71,33 @@ class SLOSpec:
             "downtime_budget_s, or latency_target_s)",
         )
         if self.availability is not None:
-            _require(
+            require(
                 0 < self.availability <= 1,
                 "slo.availability",
                 f"must be a ratio in (0, 1], got {self.availability}",
             )
         if self.downtime_budget_s is not None:
-            _require(
+            require(
                 self.downtime_budget_s >= 0,
                 "slo.downtime_budget_s",
                 f"must be >= 0, got {self.downtime_budget_s}",
             )
         if self.latency_target_s is not None:
-            _require(
+            require(
                 self.latency_target_s > 0,
                 "slo.latency_target_s",
                 f"must be positive, got {self.latency_target_s}",
             )
-        _require(
+        require(
             0 < self.latency_quantile < 1,
             "slo.latency_quantile",
             f"must be in (0, 1), got {self.latency_quantile}",
         )
-        _require(
+        require(
             self.window_s > 0,
             "slo.window_s",
             f"must be positive, got {self.window_s}",
         )
-
-    @classmethod
-    def from_dict(cls, data: dict, where: str = "slo") -> "SLOSpec":
-        _require(
-            isinstance(data, dict),
-            where,
-            f"expected a table, got {type(data).__name__}",
-        )
-        unknown = sorted(set(data) - _SLO_FIELDS)
-        if unknown:
-            raise ScenarioError(
-                f"{where}: unknown key(s) {', '.join(map(repr, unknown))}; "
-                f"known: {', '.join(sorted(_SLO_FIELDS))}"
-            )
-        for key, value in data.items():
-            if value is not None and (
-                isinstance(value, bool) or not isinstance(value, (int, float))
-            ):
-                raise ScenarioError(
-                    f"{where}.{key}: expected a number, "
-                    f"got {type(value).__name__}"
-                )
-        try:
-            return cls(**data)
-        except TypeError as exc:  # pragma: no cover - _check above bars this
-            raise ScenarioError(f"{where}: {exc}") from None
-
-    def to_dict(self) -> dict:
-        """The objectives as plain data, one key per field (the ``[slo]``
-        table's shape)."""
-        return {
-            field.name: getattr(self, field.name)
-            for field in dataclasses.fields(self)
-        }
-
-
-_SLO_FIELDS = frozenset(f.name for f in dataclasses.fields(SLOSpec))
 
 
 # ---------------------------------------------------------------------------

@@ -24,18 +24,10 @@ from repro.core.host import Host
 from repro.core.host import VMSpec as CoreVMSpec
 from repro.errors import ReproError, ScenarioError
 from repro.guest.kernel import GuestKernel
-from repro.scenario.spec import HostSpec, ScenarioSpec, WorkloadSpec
+from repro.scenario.spec import ScenarioSpec, VMSpec, WorkloadSpec, layout
 from repro.simkernel import Simulator
 from repro.workloads.httperf import FluidCoordinator, FluidHttperf, Httperf
 from repro.workloads.prober import PingProber
-
-STANDALONE_VM_TEMPLATE = "vm{i:02d}"
-"""Default VM name on a standalone host — the experiments' ``vm00``.."""
-
-CLUSTER_VM_TEMPLATE = "{host}-vm{i}"
-"""Default VM name in a cluster — Figure 9's ``host0-vm0``.."""
-
-HOST_TEMPLATE = "host{i}"
 
 
 def resolve_profile(name: str) -> TimingProfile:
@@ -184,55 +176,12 @@ class ScenarioBuilder:
             return True
         return None
 
-    # -- fleet expansion ---------------------------------------------------------
-
-    def _expand_fleet(
-        self, host_spec: HostSpec, host_name: str, template: str
-    ) -> list[CoreVMSpec]:
-        """The concrete per-VM specs for one host, names resolved."""
-        fleet: list[CoreVMSpec] = []
-        index = 0
-        for position, vm in enumerate(host_spec.vms):
-            name_template = vm.name if vm.name is not None else template
-            if vm.count > 1 and "{i" not in name_template:
-                raise ScenarioError(
-                    f"vms[{position}]: name {name_template!r} has no "
-                    "'{i}' placeholder but count is "
-                    f"{vm.count}; the copies would collide"
-                )
-            for _ in range(vm.count):
-                fleet.append(
-                    CoreVMSpec(
-                        name_template.format(i=index, host=host_name),
-                        memory_bytes=vm.memory_bytes,
-                        services=vm.services,
-                        vcpus=vm.vcpus,
-                        driver_domain=vm.driver_domain,
-                        cpu_weight=vm.cpu_weight,
-                        cpu_cap_cores=vm.cpu_cap_cores,
-                    )
-                )
-                index += 1
-        return fleet
-
-    def _host_names(self) -> list[str]:
-        """Every host name the spec expands to, in build order."""
-        names: list[str] = []
-        index = 0
-        standalone = not self.spec.is_cluster
-        for host_spec in self.spec.hosts:
-            template = host_spec.name
-            if template is None:
-                template = "server" if standalone else HOST_TEMPLATE
-            if host_spec.count > 1 and "{i" not in template:
-                raise ScenarioError(
-                    f"host name {template!r} has no '{{i}}' placeholder "
-                    f"but count is {host_spec.count}; the copies would collide"
-                )
-            for _ in range(host_spec.count):
-                names.append(template.format(i=index))
-                index += 1
-        return names
+    def _layout(self) -> list[tuple[str, list[CoreVMSpec]]]:
+        """Every host's name and concrete VM specs, in build order."""
+        return [
+            (host_name, [_core_vm(name, vm) for name, vm in vms])
+            for host_name, vms in layout(self.spec.hosts, self.spec.is_cluster)
+        ]
 
     # -- materialization -------------------------------------------------------------
 
@@ -249,10 +198,7 @@ class ScenarioBuilder:
         return built
 
     def _build_standalone(self, faults: typing.Any) -> BuiltScenario:
-        (host_name,) = self._host_names()
-        fleet = self._expand_fleet(
-            self.spec.hosts[0], host_name, STANDALONE_VM_TEMPLATE
-        )
+        ((host_name, fleet),) = self._layout()
         controller = RootHammer.started(
             vms=fleet,
             profile=self.profile,
@@ -271,17 +217,7 @@ class ScenarioBuilder:
         )
 
     def _build_cluster(self, faults: typing.Any) -> BuiltScenario:
-        names = self._host_names()
-        layouts: list[list[CoreVMSpec]] = []
-        cursor = 0
-        for host_spec in self.spec.hosts:
-            for _ in range(host_spec.count):
-                layouts.append(
-                    self._expand_fleet(
-                        host_spec, names[cursor], CLUSTER_VM_TEMPLATE
-                    )
-                )
-                cursor += 1
+        names, layouts = zip(*self._layout())
         sim = Simulator(
             backend=self.backend,
             metrics=self._metrics_mode(),
@@ -442,6 +378,19 @@ class ScenarioBuilder:
             built.workloads.append(
                 AttachedWorkload(workload, host, vm_name, paths, client)
             )
+
+
+def _core_vm(name: str, vm: VMSpec) -> CoreVMSpec:
+    """The host layer's spec for one named VM."""
+    return CoreVMSpec(
+        name,
+        memory_bytes=vm.memory_bytes,
+        services=vm.services,
+        vcpus=vm.vcpus,
+        driver_domain=vm.driver_domain,
+        cpu_weight=vm.cpu_weight,
+        cpu_cap_cores=vm.cpu_cap_cores,
+    )
 
 
 def build_scenario(

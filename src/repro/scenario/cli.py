@@ -16,11 +16,12 @@ import dataclasses
 import sys
 import typing
 
+from repro.control import ControlConfig
 from repro.errors import ScenarioError
 from repro.scenario import registry
 from repro.scenario.builder import build_scenario
 from repro.scenario.runner import run_scenario
-from repro.scenario.spec import PolicySpec, load_toml
+from repro.scenario.spec import load_toml
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
@@ -53,12 +54,8 @@ def _cmd_build(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     spec = registry.resolve(args.spec)
     if args.policy:
-        policy = (
-            dataclasses.replace(spec.policy, strategy=args.policy)
-            if spec.policy is not None
-            else PolicySpec(strategy=args.policy)
-        )
-        spec = dataclasses.replace(spec, policy=policy)
+        policy = {**(spec.policy or ControlConfig()).to_dict(), "strategy": args.policy}
+        spec = dataclasses.replace(spec, policy=ControlConfig.from_dict(policy))
     if args.trace_out:
         from repro.analysis.obs import (
             capture_simulators,

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import os
 
+from repro.control import ControlConfig
 from repro.errors import ScenarioError
 from repro.scenario.spec import (
     FaultSpec,
     HostSpec,
     MaintenanceSpec,
-    PolicySpec,
     ScenarioSpec,
     VMSpec,
     WorkloadSpec,
@@ -145,7 +145,7 @@ register(
             WorkloadSpec(kind="prober", service="apache"),
         ),
         # No maintenance table: the policy decides what to rejuvenate.
-        policy=PolicySpec(
+        policy=ControlConfig(
             strategy="first-fit-decreasing",
             underload=0.001,
         ),

@@ -212,7 +212,7 @@ def run_scenario(
         control_loop = ControlLoop(
             sim,
             built.hosts,
-            config=spec.policy.to_control_config(),
+            config=spec.policy,
             # Dependency inversion: the control layer sits below cluster,
             # so the migration mechanism is injected as a callable.
             migrate=built.migrate if built.cluster is not None else None,

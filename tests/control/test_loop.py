@@ -25,7 +25,6 @@ from repro.errors import ControlError, HardwareError
 from repro.scenario.runner import run_scenario
 from repro.scenario.spec import (
     HostSpec,
-    PolicySpec,
     ScenarioSpec,
     VMSpec,
     WorkloadSpec,
@@ -275,7 +274,7 @@ def _mini_spec() -> ScenarioSpec:
             HostSpec(name="idle", vms=(VMSpec(memory_gib=1.0),)),
         ),
         workloads=(WorkloadSpec(kind="httperf", concurrency=4),),
-        policy=PolicySpec(
+        policy=ControlConfig(
             strategy="first-fit-decreasing",
             interval_s=30.0,
             window_s=30.0,

@@ -12,14 +12,13 @@ import pytest
 from repro.analysis.obs import span_records
 from repro.cluster import Cluster, LoadBalancer, live_migrate
 from repro.config import small_testbed
-from repro.control import PlanExecutor, campaign, periodic
+from repro.control import ControlConfig, PlanExecutor, campaign, periodic
 from repro.errors import ClusterError, ControlError, GuestError, MigrationError
 from repro.scenario.runner import run_scenario
 from repro.scenario.spec import (
     FaultSpec,
     HostSpec,
     MaintenanceSpec,
-    PolicySpec,
     ScenarioSpec,
     VMSpec,
 )
@@ -284,7 +283,7 @@ def _shared_host_spec() -> ScenarioSpec:
             kind="periodic", strategy="warm",
             os_interval_s=HOUR, vmm_interval_s=2 * HOUR,
         ),
-        policy=PolicySpec(
+        policy=ControlConfig(
             aging_threshold=0.06, aging_rearm=0.01, cooldown_s=0.0,
             min_hosts_up=0,
         ),
@@ -299,7 +298,7 @@ def _shared_cluster_spec() -> ScenarioSpec:
         name="campaign-and-policy",
         hosts=(HostSpec(count=3, vms=(VMSpec(),)),),
         maintenance=MaintenanceSpec(kind="rolling", strategy="warm", settle_s=5.0),
-        policy=PolicySpec(
+        policy=ControlConfig(
             aging_threshold=0.0001, aging_rearm=0.0, cooldown_s=0.0,
             min_hosts_up=0, interval_s=10.0,
         ),

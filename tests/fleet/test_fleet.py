@@ -82,12 +82,11 @@ class TestSpec:
         assert all(h.count == 1 for h in _fleet().expanded_hosts())
 
     def test_host_name_collision_rejected(self):
-        spec = _fleet(hosts=[
-            {"name": "samename", "count": 2,
-             "vms": [{"count": 1, "services": ["apache"]}]},
-        ])
         with pytest.raises(ScenarioError, match="placeholder"):
-            spec.expanded_hosts()
+            _fleet(hosts=[
+                {"name": "samename", "count": 2,
+                 "vms": [{"count": 1, "services": ["apache"]}]},
+            ])
 
     def test_schedule_is_the_epoch_formula(self):
         spec = _fleet()
@@ -127,11 +126,42 @@ class TestSpec:
             ({"epoch_s": 0.0}, "epoch_s"),
             ({"warmup_s": 0.0}, "warmup_s"),
             ({"observe_s": 30.0}, "observe_s"),  # shorter than the epochs
+            pytest.param(
+                {"shards": 1.5},
+                r"fleet\.shards: expected an integer, got float",
+                id="shards-float",
+            ),
+            pytest.param(
+                {"hosts_per_epoch": 1.5},
+                r"fleet\.hosts_per_epoch: expected an integer",
+                id="hosts_per_epoch-float",
+            ),
+            pytest.param(
+                {"telemetry": "yes"},
+                r"fleet\.telemetry: expected a boolean",
+                id="telemetry-str",
+            ),
+            pytest.param(
+                {"profile": "huge"}, r"fleet\.profile: must be one of", id="profile"
+            ),
+            pytest.param(
+                {"hosts": [{"name": "a", "vms": [{}]}, {"name": "a", "vms": [{}]}]},
+                r"fleet\.hosts: the name 'a' is given twice",
+                id="host-name-twice",
+            ),
         ],
     )
     def test_validation(self, overrides, needle):
         with pytest.raises(ScenarioError, match=needle):
             _fleet(**overrides)
+
+    def test_vm_pinned_workload_rejected(self):
+        # The pinned VM lives in one shard only: at two shards the other
+        # shard used to fail after shard 0 ran, and at one shard the
+        # report counted every VM's sessions for the one pinned client.
+        workload = {**_fleet().to_dict()["workloads"][0], "vm": "host0-vm0"}
+        with pytest.raises(ScenarioError, match=r"fleet\.workloads\[0\]\.vm: "):
+            _fleet(shards=2, workloads=[workload])
 
 
 class TestDeterminism:
@@ -310,6 +340,19 @@ file_kib = 512.0
 
     def test_missing_file_exits_two(self, capsys):
         assert main(["validate", "/no/such/fleet.toml"]) == 2
+
+    def test_validate_wrong_type_exits_two(self, tmp_path, capsys):
+        path = self._write(tmp_path, self._GOOD.replace("shards = 2", "shards = 1.5"))
+        assert main(["validate", path]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ")
+        assert line.endswith(".shards: expected an integer, got float")
+
+    def test_run_unknown_policy_exits_two(self, tmp_path, capsys):
+        path = self._write(tmp_path, self._GOOD)
+        assert main(["run", path, "--policy", "bogus"]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: policy.strategy: must be one of")
 
     def test_run_prints_report(self, tmp_path, capsys):
         path = self._write(tmp_path, self._GOOD)

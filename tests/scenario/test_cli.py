@@ -40,6 +40,33 @@ def test_validate_rejects_bad_spec(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "body, key",
+    [
+        (
+            'name = "x"\n\n[[hosts]]\n\n[[hosts.vms]]\ncount = 1.5\n',
+            "hosts[0].vms[0].count",
+        ),
+        ('name = "x"\nspare = "no"\n', "spare"),
+    ],
+    ids=["vm-count", "spare"],
+)
+def test_validate_rejects_a_wrong_type(tmp_path, capsys, body, key):
+    path = tmp_path / "typed.toml"
+    path.write_text(body, encoding="utf-8")
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "ok" not in captured.out
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and f".{key}: expected a" in line
+
+
+def test_run_rejects_an_unknown_policy_strategy(capsys):
+    assert main(["run", "probed-warm-reboot", "--policy", "bogus"]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: policy.strategy: must be one of")
+
+
 def test_build_dry_builds_registered_scenario(capsys):
     assert main(["build", "probed-warm-reboot"]) == 0
     out = capsys.readouterr().out

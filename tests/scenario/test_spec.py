@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import textwrap
 
@@ -98,6 +99,171 @@ class TestValidation:
         assert WorkloadSpec(file_kib=2048.0).file_bytes == 2048 * KiB
 
 
+class TestTypedLoading:
+    """Each key is checked against its field's type when the spec loads,
+    and the error names the first bad key by its dotted path."""
+
+    @pytest.mark.parametrize(
+        "overrides, error",
+        [
+            pytest.param(
+                {"name": 5},
+                "scenario.name: expected a string, got int",
+                id="name",
+            ),
+            pytest.param(
+                {"seed": 1.5},
+                "scenario.seed: expected an integer, got float",
+                id="seed",
+            ),
+            pytest.param(
+                {"spare": "no"},
+                "scenario.spare: expected a boolean, got str",
+                id="spare",
+            ),
+            pytest.param(
+                {"force_cluster": "no"},
+                "scenario.force_cluster: expected a boolean",
+                id="force_cluster",
+            ),
+            pytest.param(
+                {"observe_s": math.inf},
+                "scenario.observe_s: expected a finite number",
+                id="observe_s-inf",
+            ),
+            pytest.param(
+                {"warmup_s": math.nan},
+                "scenario.warmup_s: expected a finite number",
+                id="warmup_s-nan",
+            ),
+            pytest.param(
+                {"hosts": [{"count": 1.5}]},
+                "scenario.hosts[0].count: expected an integer, got float",
+                id="host-count",
+            ),
+            pytest.param(
+                {"hosts": [{"name": 5}]},
+                "scenario.hosts[0].name: expected a string, got int",
+                id="host-name",
+            ),
+            pytest.param(
+                {"hosts": [{"vms": [{"driver_domain": "false"}]}]},
+                "scenario.hosts[0].vms[0].driver_domain: expected a boolean",
+                id="driver_domain",
+            ),
+            pytest.param(
+                {"hosts": [{"vms": [{"services": ["ssh", 5]}]}]},
+                "scenario.hosts[0].vms[0].services[1]: expected a string, got int",
+                id="services-item",
+            ),
+            pytest.param(
+                {"hosts": [{"vms": [{"services": ["ssh", "bogus"]}]}]},
+                "scenario.hosts[0].vms[0].services: must be one of ssh, apache, "
+                "jboss, got 'bogus'",
+                id="services-unknown",
+            ),
+            pytest.param(
+                {"hosts": [{"vms": [{"cpu_cap_cores": -1.0}]}]},
+                "scenario.hosts[0].vms[0].cpu_cap_cores: must be positive",
+                id="cpu_cap_cores",
+            ),
+            pytest.param(
+                {"hosts": [{"vms": [{"memory_gib": 1e308}]}]},
+                "scenario.hosts[0].vms[0].memory_gib: must be positive and finite",
+                id="memory_gib-overflow",
+            ),
+            pytest.param(
+                {"policy": {"migration_budget": 1.5}},
+                "scenario.policy.migration_budget: expected an integer, got float",
+                id="policy-migration_budget",
+            ),
+            pytest.param(
+                {"policy": {"interval_s": 0}},
+                "scenario.policy.interval_s: must be positive, got 0",
+                id="policy-interval_s",
+            ),
+            pytest.param(
+                {"policy": {"min_hosts_up": -1}},
+                "scenario.policy.min_hosts_up: must be >= 0, got -1",
+                id="policy-min_hosts_up",
+            ),
+            pytest.param(
+                {"policy": {"strategy": "bogus"}},
+                "scenario.policy.strategy: must be one of fleet-order, "
+                "first-fit-decreasing, consolidation, aging-aware, got 'bogus'",
+                id="policy-strategy",
+            ),
+            pytest.param(
+                {"slo": {"availability": 2.0}},
+                "scenario.slo.availability: must be a ratio in (0, 1]",
+                id="slo-availability",
+            ),
+            pytest.param(
+                {"maintenance": {"kind": "periodic"}},
+                "scenario.maintenance: periodic maintenance needs positive",
+                id="maintenance-periodic",
+            ),
+            pytest.param(
+                {1: 2, "zz": 3}, "scenario: unknown key(s) 'zz', 1;", id="unknown-keys"
+            ),
+            pytest.param(
+                {"faults": []},
+                "scenario.faults: expected a table, got list",
+                id="faults-list",
+            ),
+            pytest.param(
+                {"workloads": {}},
+                "scenario.workloads: expected an array of tables",
+                id="workloads-table",
+            ),
+            pytest.param(
+                {},
+                "scenario: ScenarioSpec.__init__() missing 1 required",
+                id="missing-name",
+            ),
+        ],
+    )
+    def test_malformed_spec_fails_at_load_naming_the_key(self, overrides, error):
+        data = {"name": "x", **overrides}
+        if not overrides:
+            del data["name"]
+        with pytest.raises(ScenarioError) as err:
+            ScenarioSpec.from_dict(data)
+        assert str(err.value).startswith(error)
+
+    @pytest.mark.parametrize(
+        "name", ["{j}", "{0}", "{}", "{", "}", "{{x}}", "{i[0]}", "{host.upper}"]
+    )
+    def test_vm_name_that_cannot_render_fails_at_load(self, name):
+        data = {"name": "x", "hosts": [{"vms": [{"name": name}]}]}
+        with pytest.raises(ScenarioError) as err:
+            ScenarioSpec.from_dict(data)
+        assert str(err.value).startswith("scenario.hosts[0].vms[0].name: ")
+
+    def test_host_name_may_not_use_host(self):
+        data = {"name": "x", "hosts": [{"name": "{host}"}]}
+        with pytest.raises(ScenarioError, match=r"hosts\[0\]\.name: .* not render"):
+            ScenarioSpec.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "hosts, name",
+        [
+            ([{"name": "a"}, {"name": "a"}], "a"),
+            ([{"count": 2, "name": "n{i}", "vms": [{"name": "web{i}"}]}], "web0"),
+            ([{"name": "host1-vm0"}, {"vms": [{}]}], "host1-vm0"),
+        ],
+    )
+    def test_a_name_given_twice_fails_at_load(self, hosts, name):
+        with pytest.raises(ScenarioError, match=f"the name '{name}' is given twice"):
+            ScenarioSpec.from_dict({"name": "x", "hosts": hosts})
+
+    def test_spare_name_is_taken(self):
+        with pytest.raises(ScenarioError, match="'spare' is given twice"):
+            ScenarioSpec(
+                name="x", spare=True, hosts=(HostSpec(name="spare", vms=(VMSpec(),)),)
+            )
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("name", registry.names())
     def test_builtins_round_trip_through_dicts(self, name):
@@ -168,6 +334,14 @@ class TestTomlLoading:
     def test_invalid_toml_is_a_scenario_error(self, tmp_path):
         with pytest.raises(ScenarioError, match="invalid TOML"):
             load_toml(_write_toml(tmp_path, "name = \n"))
+
+    def test_unreadable_spec_is_a_scenario_error(self, tmp_path):
+        with pytest.raises(ScenarioError, match="cannot read"):
+            load_toml(str(tmp_path))
+        binary = tmp_path / "binary.toml"
+        binary.write_bytes(b'name = "\xff"\n')
+        with pytest.raises(ScenarioError, match="invalid TOML"):
+            load_toml(str(binary))
 
     def test_validation_error_names_the_file(self, tmp_path):
         path = _write_toml(tmp_path, 'name = "x"\nprofile = "huge"\n')
