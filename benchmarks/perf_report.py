@@ -121,11 +121,10 @@ def measure_run_all(jobs: int) -> dict[str, typing.Any]:
     first run that also populates the cache, "cached" the pure-replay
     re-run — the two ends every real invocation falls between.
     """
-    from repro.experiments import run_all
     from repro.experiments.parallel import run_all_parallel
 
     started = time.perf_counter()
-    run_all()
+    run_all_parallel(jobs=1, use_cache=False)
     serial_s = time.perf_counter() - started
 
     tmp = tempfile.mkdtemp(prefix="repro-bench-cache-")

@@ -1,20 +1,24 @@
 """Experiment runners: one per table/figure of the paper's evaluation.
 
-Each runner module exposes ``run(full: bool = False) -> ExperimentResult``;
-``full=True`` uses the paper's exact sweep sizes (all of n = 1..11,
-10 000-file corpora), ``full=False`` a sparse-but-representative subset
-for quick iteration.  The registry maps experiment ids to runners; the
-CLI and the benchmark harness both dispatch through it.
+Each runner module is a cell plan: ``cells(full)`` lists independent
+measurements as ``(key, function name, params)`` tuples, and
+``assemble(full, payloads)`` folds their payloads into an
+:class:`ExperimentResult`.  ``full=True`` uses the paper's exact sweep
+sizes (all of n = 1..11, 10 000-file corpora), ``full=False`` a
+sparse-but-representative subset for quick iteration.  The registry maps
+experiment ids to runner modules, and every run — :func:`run_experiment`,
+the CLI, the benchmark harness — executes the plan through
+:func:`repro.jobs.run_cells`.
 """
 
 from __future__ import annotations
 
 import importlib
 import types
-import typing
 
 from repro.errors import ReproError
 from repro.experiments.common import ExperimentResult, build_testbed
+from repro.jobs import SweepStats
 
 _RUNNERS: dict[str, tuple[str, str]] = {
     "FIG2": ("repro.experiments.fig2_schedule", "rejuvenation timing (Fig. 2)"),
@@ -75,27 +79,28 @@ def runner_module(experiment_id: str) -> types.ModuleType:
     return module
 
 
-def run_experiment(experiment_id: str, full: bool = False) -> ExperimentResult:
-    """Run one experiment by id (e.g. ``"FIG6"``)."""
-    return runner_module(experiment_id).run(full=full)
-
-
-def run_all(
+def run_experiment(
+    experiment_id: str,
     full: bool = False,
-    jobs: int | None = None,
+    jobs: int | None = 1,
     use_cache: bool = False,
-) -> dict[str, ExperimentResult]:
-    """Run the whole evaluation section.
+    stats: SweepStats | None = None,
+) -> ExperimentResult:
+    """Run one experiment by id (e.g. ``"FIG6"``) through the cell runner.
 
-    With ``jobs`` > 1 (or ``use_cache``) the sweep is delegated to
-    :mod:`repro.experiments.parallel`, which decomposes experiments into
-    independent cells and fans them across worker processes.
+    By default its cells run in this process, in plan order, with no
+    cache; ``jobs`` fans them across worker processes (``None``: one per
+    CPU) and ``use_cache`` replays and stores payloads in the result
+    cache, exactly as :func:`~repro.experiments.parallel.run_all_parallel`
+    does for a whole sweep.
     """
-    if (jobs is not None and jobs != 1) or use_cache:
-        from repro.experiments.parallel import run_all_parallel
+    from repro.experiments.parallel import run_all_parallel
 
-        return run_all_parallel(full=full, jobs=jobs, use_cache=use_cache)
-    return {key: run_experiment(key, full=full) for key in _RUNNERS}
+    key = experiment_id.upper()
+    results = run_all_parallel(
+        full=full, jobs=jobs, use_cache=use_cache, experiments=[key], stats=stats
+    )
+    return results[key]
 
 
 __all__ = [
@@ -103,6 +108,5 @@ __all__ = [
     "build_testbed",
     "describe",
     "experiment_ids",
-    "run_all",
     "run_experiment",
 ]

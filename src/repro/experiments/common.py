@@ -9,7 +9,6 @@ all show the same artifact.
 from __future__ import annotations
 
 import dataclasses
-import sys
 import typing
 
 from repro.analysis.report import (
@@ -72,38 +71,6 @@ def build_testbed(
     )
     built = ScenarioBuilder(spec, profile=profile).build()
     return built.controller
-
-
-def run_decomposed(module: typing.Any, full: bool) -> ExperimentResult:
-    """Run a cell-decomposed experiment module serially.
-
-    A decomposed module exposes ``cells(full)`` — a list of
-    ``(key, fn_name, params)`` tuples describing independent measurements
-    on fresh testbeds — and ``assemble(full, payloads)``, which folds the
-    per-cell payloads back into the :class:`ExperimentResult`.  The serial
-    path below and the process-pool path in
-    :mod:`repro.experiments.parallel` execute the *same* cells and the
-    *same* assembly, so serial/parallel equivalence holds by construction:
-    every cell builds its own deterministically-seeded simulator, making
-    its payload independent of which process runs it and in what order.
-    """
-    payloads = {
-        key: getattr(module, fn_name)(**params)
-        for key, fn_name, params in module.cells(full)
-    }
-    return module.assemble(full, payloads)
-
-
-def run_self_decomposed(full: bool) -> ExperimentResult:
-    """:func:`run_decomposed` on the *calling* experiment module.
-
-    Decomposed runners all define ``run`` as "execute my own cells", which
-    used to read ``run_decomposed(sys.modules[__name__], full)`` in every
-    module; this helper resolves the caller's module from the stack
-    instead, so a runner's ``run`` is one self-contained line.
-    """
-    caller = sys._getframe(1).f_globals["__name__"]
-    return run_decomposed(sys.modules[caller], full)
 
 
 def default_vm_counts(full: bool) -> list[int]:

@@ -30,7 +30,7 @@ import typing
 
 from repro.analysis.report import ComparisonRow, render_table
 from repro.control import ControlConfig
-from repro.experiments.common import ExperimentResult, run_self_decomposed
+from repro.experiments.common import ExperimentResult
 from repro.scenario.runner import run_scenario
 from repro.scenario.spec import (
     HostSpec,
@@ -139,11 +139,6 @@ def _rejuvenated_hosts(payload: dict) -> list[str]:
 def cells(full: bool = False) -> list[tuple[tuple, str, dict]]:
     """Independent measurement cells for the parallel/serial runners."""
     return [((arm,), "_run_arm", {"arm": arm}) for arm in _ARMS]
-
-
-def run(full: bool = False) -> ExperimentResult:
-    """Race the rolling schedule against the autonomic control loop."""
-    return run_self_decomposed(full)
 
 
 def assemble(

@@ -30,7 +30,6 @@ from repro.analysis.report import ComparisonRow, render_table
 from repro.experiments.common import (
     ExperimentResult,
     build_testbed,
-    run_self_decomposed,
 )
 
 _VM = "vm00"
@@ -84,11 +83,6 @@ def _measure(action: str) -> float:
 def cells(full: bool = False) -> list[tuple[tuple, str, dict]]:
     """Independent measurement cells for the parallel/serial runners."""
     return [((action,), "_measure", {"action": action}) for action in _LADDER]
-
-
-def run(full: bool = False) -> ExperimentResult:
-    """Measure the downtime ladder across rejuvenation granularities."""
-    return run_self_decomposed(full)
 
 
 def assemble(

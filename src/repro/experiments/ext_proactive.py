@@ -15,6 +15,8 @@ costing detection time plus a full cold recovery with cache loss.
 
 from __future__ import annotations
 
+import typing
+
 from repro.aging.watchdog import CrashWatchdog, HeapExhaustionCrasher
 from repro.analysis.downtime import extract_downtimes
 from repro.analysis.report import ComparisonRow, render_table
@@ -71,14 +73,24 @@ def _run_host(proactive: bool, weeks: float = 8.0) -> dict[str, object]:
     }
 
 
-def run(full: bool = False) -> ExperimentResult:
+def cells(full: bool = False) -> list[tuple[tuple, str, dict]]:
+    """Independent measurement cells for the parallel/serial runners."""
+    return [
+        ((name,), "_run_host", {"proactive": name == "proactive"})
+        for name in ("reactive", "proactive")
+    ]
+
+
+def assemble(
+    full: bool, payloads: dict[tuple, typing.Any]
+) -> ExperimentResult:
     """Race weekly warm rejuvenation against watchdog-only crash recovery."""
     result = ExperimentResult(
         "EXT-PROACTIVE",
         "proactive warm rejuvenation vs reactive crash recovery (extension)",
     )
-    reactive = _run_host(proactive=False)
-    proactive = _run_host(proactive=True)
+    reactive = payloads[("reactive",)]
+    proactive = payloads[("proactive",)]
     result.data["reactive"] = reactive
     result.data["proactive"] = proactive
     result.tables.append(

@@ -13,6 +13,8 @@ cold, and fewer standalone OS rejuvenations under cold (the α credit).
 
 from __future__ import annotations
 
+import typing
+
 from repro.analysis.report import ComparisonRow, render_table
 from repro.control import PlanExecutor, periodic
 from repro.experiments.common import ExperimentResult, build_testbed
@@ -51,13 +53,23 @@ def _os_gaps(audit: list[dict], domain: str) -> list[float]:
     return [b - a for a, b in zip(times, times[1:])]
 
 
-def run(full: bool = False) -> ExperimentResult:
-    """Reproduce the Figure 2 schedule interaction over nine weeks."""
+def cells(full: bool = False) -> list[tuple[tuple, str, dict]]:
+    """Independent measurement cells for the parallel/serial runners."""
+    return [
+        ((strategy,), "_schedule", {"strategy": strategy})
+        for strategy in ("warm", "cold")
+    ]
+
+
+def assemble(
+    full: bool, payloads: dict[tuple, typing.Any]
+) -> ExperimentResult:
+    """Compare the warm and cold nine-week audits (Figure 2)."""
     result = ExperimentResult(
         "FIG2", "rejuvenation timing: warm keeps the OS cadence, cold shifts it"
     )
-    warm = _schedule("warm")
-    cold = _schedule("cold")
+    warm = payloads[("warm",)]
+    cold = payloads[("cold",)]
 
     result.tables.append(
         render_table(

@@ -16,7 +16,6 @@ from repro.experiments.common import (
     ExperimentResult,
     build_testbed,
     default_memory_gib,
-    run_self_decomposed,
 )
 from repro.units import gib
 
@@ -43,11 +42,6 @@ def cells(full: bool = False) -> list[tuple[tuple, str, dict]]:
         for size in default_memory_gib(full)
         for method in _METHOD_ORDER
     ]
-
-
-def run(full: bool = False) -> ExperimentResult:
-    """Sweep a single VM's memory (1..11 GiB) across the three methods."""
-    return run_self_decomposed(full)
 
 
 def assemble(

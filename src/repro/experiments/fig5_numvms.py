@@ -17,7 +17,6 @@ from repro.experiments.common import (
     ExperimentResult,
     build_testbed,
     default_vm_counts,
-    run_self_decomposed,
 )
 
 _METHODS = {
@@ -43,11 +42,6 @@ def cells(full: bool = False) -> list[tuple[tuple, str, dict]]:
         for n in default_vm_counts(full)
         for method in _METHOD_ORDER
     ]
-
-
-def run(full: bool = False) -> ExperimentResult:
-    """Sweep 1..11 one-GiB VMs across the three methods."""
-    return run_self_decomposed(full)
 
 
 def assemble(

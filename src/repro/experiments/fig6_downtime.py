@@ -21,7 +21,6 @@ from repro.experiments.common import (
     ExperimentResult,
     build_testbed,
     default_vm_counts,
-    run_self_decomposed,
 )
 from repro.guest.tcp import SessionState, TcpSession
 
@@ -84,11 +83,6 @@ def cells(full: bool = False) -> list[tuple[tuple, str, dict]]:
                     )
                 )
     return out
-
-
-def run(full: bool = False) -> ExperimentResult:
-    """Measure service downtime for every (n, service, strategy) cell."""
-    return run_self_decomposed(full)
 
 
 def assemble(

@@ -19,7 +19,6 @@ import typing
 
 from repro.analysis.report import ComparisonRow, render_table
 from repro.analysis.timeline import AnnotatedTimeline, bucketize, zero_intervals
-from repro.errors import ReproError
 from repro.experiments.common import ExperimentResult, build_testbed
 from repro.units import kib
 from repro.workloads.httperf import Httperf
@@ -42,10 +41,8 @@ def run_one(strategy: str) -> dict[str, typing.Any]:
     controller.run_process(guest.warm_file_cache(paths))
 
     def lookup():
-        try:
-            return controller.host.guest(_WEB_VM).service("apache")
-        except ReproError:
-            raise
+        return controller.host.guest(_WEB_VM).service("apache")
+
     client = Httperf(
         controller.sim,
         lookup,
@@ -89,23 +86,32 @@ def run_one(strategy: str) -> dict[str, typing.Any]:
         "rate_before": before,
         "rate_after": after,
         "base": base,
-        "client": client,
     }
 
 
-def run(full: bool = False) -> ExperimentResult:
+def cells(full: bool = False) -> list[tuple[tuple, str, dict]]:
+    """Independent measurement cells for the parallel/serial runners."""
+    return [
+        ((strategy,), "run_one", {"strategy": strategy})
+        for strategy in ("warm", "cold")
+    ]
+
+
+def assemble(
+    full: bool, payloads: dict[tuple, typing.Any]
+) -> ExperimentResult:
     """Reboot under live web load, warm vs cold, with phase breakdown."""
     result = ExperimentResult(
         "FIG7", "downtime breakdown with a live web workload (11 VMs)"
     )
-    warm = run_one("warm")
-    cold = run_one("cold")
+    warm = payloads[("warm",)]
+    cold = payloads[("cold",)]
 
     for name, data in (("warm", warm), ("cold", cold)):
         timeline = AnnotatedTimeline(data["series"], data["phases"])
         result.tables.append(f"-- {name} --\n{timeline.render()}")
-    result.data["warm"] = {k: v for k, v in warm.items() if k != "client"}
-    result.data["cold"] = {k: v for k, v in cold.items() if k != "client"}
+    result.data["warm"] = warm
+    result.data["cold"] = cold
 
     warm_report = warm["report"]
     cold_report = cold["report"]

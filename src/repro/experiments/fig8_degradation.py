@@ -17,7 +17,6 @@ from repro.errors import ReproError
 from repro.experiments.common import (
     ExperimentResult,
     build_testbed,
-    run_self_decomposed,
 )
 from repro.units import gib, kib, mib
 from repro.workloads.fileread import degradation, first_and_second_read
@@ -85,11 +84,6 @@ def cells(full: bool = False) -> list[tuple[tuple, str, dict]]:
         for s in ("warm", "cold")
     )
     return out
-
-
-def run(full: bool = False) -> ExperimentResult:
-    """Measure file-read and web throughput around warm/cold reboots."""
-    return run_self_decomposed(full)
 
 
 def assemble(

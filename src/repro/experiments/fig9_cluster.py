@@ -26,7 +26,7 @@ from repro.analysis.timeline import (
     sum_series,
     zero_intervals,
 )
-from repro.experiments.common import ExperimentResult, run_self_decomposed
+from repro.experiments.common import ExperimentResult
 from repro.scenario.builder import ScenarioBuilder
 from repro.scenario.spec import (
     HostSpec,
@@ -136,11 +136,6 @@ def cells(full: bool = False) -> list[tuple[tuple, str, dict]]:
         ((scheme,), "_cluster_run", {"scheme": scheme, "size": _SIZE})
         for scheme in _SCHEMES
     ]
-
-
-def run(full: bool = False) -> ExperimentResult:
-    """Run the three cluster maintenance schemes and compare timelines."""
-    return run_self_decomposed(full)
 
 
 def assemble(

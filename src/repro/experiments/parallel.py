@@ -7,18 +7,15 @@ and the code — never on which process runs it or in what order.  The
 generic machinery — :class:`~repro.jobs.Cell`, the process pool, the
 content-addressed payload cache — lives in :mod:`repro.jobs` at the
 foundation layer (the fleet tier rides on it too); this module is the
-experiment-facing tier on top: it decomposes experiment and scenario
-runs into cell plans and assembles payloads back into results.
+experiment-facing tier on top: it turns each runner module's
+``cells(full)`` into a cell plan, and scenario specs into another, and
+folds payloads back into results with the runner's ``assemble``.
 
-Experiments that are not cell-decomposed (they expose no ``cells``/
-``assemble`` pair) degrade gracefully to a single whole-run cell, which
-still parallelises across experiments and still caches.
-
-Equivalence with the serial path is by construction: the serial runner
-(:func:`repro.experiments.common.run_decomposed`) executes the *same*
-cell functions and the *same* ``assemble``; the tests in
-``tests/experiments/test_parallel.py`` assert bit-identical rows across
-serial, parallel and cached runs.
+Every experiment run goes through here, so serial (``jobs=1``), pooled
+and cached runs execute the *same* cells and the *same* ``assemble``;
+they differ only in where a cell runs and whether its payload is
+pickled.  The tests in ``tests/experiments/`` pin bit-identical rows
+across all three.
 """
 
 from __future__ import annotations
@@ -30,65 +27,21 @@ from repro.experiments import experiment_ids, runner_module
 from repro.experiments.common import ExperimentResult
 from repro.jobs import Cell, SweepStats, run_cells
 
-_WHOLE = "__whole_run__"
-"""Cell key marking a non-decomposed experiment run as a single unit."""
-
 
 # -- the cell plan -----------------------------------------------------------------
 
 
 def cells_for(experiment_id: str, full: bool = False) -> list[Cell]:
-    """The cell plan for one experiment.
-
-    Decomposed runner modules expose ``cells(full)``; anything else
-    becomes a single whole-run cell executing :func:`_run_whole`.
-    """
+    """The cell plan for one experiment: its runner module's ``cells(full)``."""
     key = experiment_id.upper()
     module = runner_module(key)
-    if hasattr(module, "cells") and hasattr(module, "assemble"):
-        return [
-            Cell(key, tuple(cell_key), f"{module.__name__}:{fn_name}", dict(params))
-            for cell_key, fn_name, params in module.cells(full)
-        ]
     return [
-        Cell(
-            key,
-            (_WHOLE,),
-            f"{__name__}:_run_whole",
-            {"experiment_id": key, "full": full},
-        )
+        Cell(key, tuple(cell_key), f"{module.__name__}:{fn_name}", dict(params))
+        for cell_key, fn_name, params in module.cells(full)
     ]
 
 
-def _run_whole(experiment_id: str, full: bool) -> ExperimentResult:
-    """Whole-run fallback cell for non-decomposed experiments."""
-    return runner_module(experiment_id).run(full=full)
-
-
-def _assemble(
-    experiment_id: str, full: bool, payloads: dict[tuple, typing.Any]
-) -> ExperimentResult:
-    module = runner_module(experiment_id)
-    if hasattr(module, "cells") and hasattr(module, "assemble"):
-        return module.assemble(full, payloads)
-    return payloads[(_WHOLE,)]
-
-
 # -- the runners -------------------------------------------------------------------
-
-
-def run_experiment_parallel(
-    experiment_id: str,
-    full: bool = False,
-    jobs: int | None = None,
-    use_cache: bool = True,
-    stats: SweepStats | None = None,
-) -> ExperimentResult:
-    """Run one experiment by fanning its cells across worker processes."""
-    key = experiment_id.upper()
-    plan = cells_for(key, full)
-    payloads = run_cells(plan, jobs, use_cache, stats, full=full)
-    return _assemble(key, full, {c.key: payloads[(key, c.key)] for c in plan})
 
 
 def scenario_cells(specs: typing.Sequence[typing.Any]) -> list[Cell]:
@@ -144,9 +97,8 @@ def run_all_parallel(
 ) -> dict[str, ExperimentResult]:
     """Run a set of experiments (default: all) over one shared pool.
 
-    Cells from every experiment are pooled before fan-out, so the one
-    long whole-run cell of a non-decomposed experiment overlaps the many
-    short cells of the decomposed ones.
+    Cells from every experiment are pooled before fan-out, so the long
+    cells of one experiment overlap the many short cells of another.
     """
     keys = (
         experiment_ids()
@@ -164,5 +116,5 @@ def run_all_parallel(
             for (exp, cell_key), payload in payloads.items()
             if exp == key
         }
-        results[key] = _assemble(key, full, per_key)
+        results[key] = runner_module(key).assemble(full, per_key)
     return results

@@ -8,11 +8,16 @@ with the paper's 99.993 % / 99.985 % / 99.977 %.
 
 from __future__ import annotations
 
+import typing
+
 from repro.aging.availability import format_availability, paper_plans
 from repro.analysis.downtime import reboot_downtime_summary
 from repro.analysis.report import ComparisonRow, render_table
 from repro.experiments.common import ExperimentResult, build_testbed
 from repro.experiments.fig6_downtime import measure_downtime
+
+_N_VMS = 11
+_STRATEGIES = ("warm", "cold", "saved")
 
 
 def measure_os_rejuvenation_downtime(n_vms: int = 11) -> float:
@@ -27,16 +32,30 @@ def measure_os_rejuvenation_downtime(n_vms: int = 11) -> float:
     return summary.mean
 
 
-def run(full: bool = False) -> ExperimentResult:
+def cells(full: bool = False) -> list[tuple[tuple, str, dict]]:
+    """Independent measurement cells for the parallel/serial runners:
+    one guest's OS rejuvenation, then Figure 6's 11-VM JBoss downtime
+    per VMM reboot strategy."""
+    return [(("os",), "measure_os_rejuvenation_downtime", {"n_vms": _N_VMS})] + [
+        (
+            (strategy,),
+            "measure_downtime",
+            {"n": _N_VMS, "service_kind": "jboss", "strategy": strategy},
+        )
+        for strategy in _STRATEGIES
+    ]
+
+
+def assemble(
+    full: bool, payloads: dict[tuple, typing.Any]
+) -> ExperimentResult:
     """Compute availability nines from measured downtimes."""
     result = ExperimentResult(
         "SEC53", "availability under weekly OS / 4-weekly VMM rejuvenation"
     )
-    n = 11
-    os_downtime = measure_os_rejuvenation_downtime(n)
+    os_downtime = payloads[("os",)]
     downtimes = {
-        strategy: measure_downtime(n, "jboss", strategy)[0]
-        for strategy in ("warm", "cold", "saved")
+        strategy: payloads[(strategy,)][0] for strategy in _STRATEGIES
     }
     plans = paper_plans(
         warm_downtime_s=downtimes["warm"],

@@ -13,9 +13,12 @@ lines, and re-derives the r(n) coefficients.
 
 from __future__ import annotations
 
+import typing
+
 from repro.analysis.downtime_model import DowntimeModel, paper_model
 from repro.analysis.fitting import fit_constant, fit_line
 from repro.analysis.report import ComparisonRow, render_table
+from repro.core import RebootReport
 from repro.experiments.common import (
     ExperimentResult,
     build_testbed,
@@ -23,25 +26,43 @@ from repro.experiments.common import (
 )
 
 
-def sweep(full: bool = False) -> dict[str, object]:
-    """Measure the model's raw quantities across VM counts."""
+def _reboot(n: int, strategy: str) -> RebootReport:
+    """One VMM reboot of a fresh ``n``-VM testbed."""
+    return build_testbed(n).rejuvenate(strategy)
+
+
+def cells(full: bool = False) -> list[tuple[tuple, str, dict]]:
+    """Independent measurement cells for the parallel/serial runners:
+    a warm and a cold reboot per VM count."""
+    return [
+        ((strategy, n), "_reboot", {"n": n, "strategy": strategy})
+        for n in default_vm_counts(full)
+        for strategy in ("warm", "cold")
+    ]
+
+
+def assemble(
+    full: bool, payloads: dict[tuple, typing.Any]
+) -> ExperimentResult:
+    """Fit the downtime model's lines from the reboot reports."""
+    result = ExperimentResult("SEC56", "fitted downtime model and r(n)")
     counts = default_vm_counts(full)
     reboot_vmm, resume, reboot_os, boot = [], [], [], []
     resets = []
     for n in counts:
-        warm = build_testbed(n).rejuvenate("warm")
+        warm = payloads[("warm", n)]
         reboot_vmm.append(warm.vmm_reboot_duration())
         resume.append(
             warm.phase_duration("suspend") + warm.phase_duration("resume")
         )
-        cold = build_testbed(n).rejuvenate("cold")
+        cold = payloads[("cold", n)]
         reboot_os.append(
             cold.phase_duration("guest-shutdown")
             + cold.phase_duration("guest-boot")
         )
         boot.append(cold.phase_duration("guest-boot"))
         resets.append(cold.phase_duration("hardware-reset"))
-    return {
+    measured = {
         "counts": counts,
         "reboot_vmm": fit_line(counts, reboot_vmm),
         "resume": fit_line(counts, resume),
@@ -55,12 +76,6 @@ def sweep(full: bool = False) -> dict[str, object]:
             "boot": boot,
         },
     }
-
-
-def run(full: bool = False) -> ExperimentResult:
-    """Fit the downtime model's lines from simulated sweeps."""
-    result = ExperimentResult("SEC56", "fitted downtime model and r(n)")
-    measured = sweep(full)
     model = DowntimeModel(
         reboot_vmm=measured["reboot_vmm"],
         resume=measured["resume"],

@@ -34,6 +34,7 @@ from repro.scenario.spec import (
     HostSpec,
     ScenarioSpec,
     WorkloadSpec,
+    check_workloads,
     expand_hosts,
     layout,
 )
@@ -43,9 +44,10 @@ from repro.scenario.spec import (
 class FleetSpec(Table):
     """A sharded rolling-rejuvenation fleet run.
 
-    Workloads attach by service to every VM that runs it; a workload
-    pinned to one VM (``vm``) is rejected, because that VM lives in one
-    shard only.
+    Workloads attach by service to every VM that runs it, and each shard
+    gets the workloads some VM in it runs; a workload pinned to one VM
+    (``vm``) is rejected, because that VM lives in one shard only, and so
+    is one whose service no VM runs.
     """
 
     TABLE = "fleet"
@@ -75,7 +77,7 @@ class FleetSpec(Table):
         require(bool(self.name), "name", "must be a non-empty string")
         require(len(self.hosts) >= 1, "hosts", "need at least one host entry")
         require(self.shards >= 1, "shards", f"must be >= 1, got {self.shards}")
-        layout(self.hosts, cluster=True)  # no host or VM name given twice
+        named = layout(self.hosts, cluster=True)  # no host or VM name given twice
         require_one_of(self.profile, PROFILES, "profile")
         for index, workload in enumerate(self.workloads):
             require(
@@ -84,6 +86,7 @@ class FleetSpec(Table):
                 "a fleet attaches each workload to every VM running its "
                 f"service; a single VM lives in one shard, got {workload.vm!r}",
             )
+        check_workloads(self.workloads, named)
         require_one_of(self.strategy, REBOOT_KINDS, "strategy")
         require(
             self.hosts_per_epoch >= 1,
@@ -155,10 +158,13 @@ class FleetSpec(Table):
     def schedule(self) -> dict[str, float]:
         """Absolute reboot start per host name (the epoch protocol)."""
         return {
-            host.name: self.warmup_s
-            + (index // self.hosts_per_epoch) * self.epoch_s
+            host.name: self._start_s(index)
             for index, host in enumerate(self.expanded_hosts())
         }
+
+    def _start_s(self, index: int) -> float:
+        """The reboot start of the host at global ``index``."""
+        return self.warmup_s + (index // self.hosts_per_epoch) * self.epoch_s
 
     def shard_plans(self) -> list[dict]:
         """One plain-dict execution plan per shard (cell parameters).
@@ -166,10 +172,9 @@ class FleetSpec(Table):
         Hosts are partitioned contiguously and as evenly as possible;
         a host is never split across shards, so everything that couples
         clients — the shared machine pools under one host's VMs — stays
-        shard-local.
+        shard-local.  A shard gets the workloads some VM in it runs.
         """
         expanded = self.expanded_hosts()
-        schedule = self.schedule()
         shards = min(self.shards, len(expanded))
         base, extra = divmod(len(expanded), shards)
         plans: list[dict] = []
@@ -177,14 +182,16 @@ class FleetSpec(Table):
         for index in range(shards):
             size = base + (1 if index < extra else 0)
             chunk = expanded[cursor:cursor + size]
-            cursor += size
+            services = {s for host in chunk for vm in host.vms for s in vm.services}
             scenario = ScenarioSpec(
                 name=f"{self.name}/shard{index}",
                 hosts=tuple(chunk),
                 force_cluster=True,
                 profile=self.profile,
                 seed=self.seed,
-                workloads=self.workloads,
+                workloads=tuple(
+                    w for w in self.workloads if w.service in services
+                ),
                 faults=self.faults,
                 policy=self.policy,
             )
@@ -194,7 +201,8 @@ class FleetSpec(Table):
                     "shard": index,
                     "spec_data": scenario.to_dict(),
                     "schedule": {
-                        host.name: schedule[host.name] for host in chunk
+                        host.name: self._start_s(cursor + offset)
+                        for offset, host in enumerate(chunk)
                     },
                     "strategy": self.strategy,
                     "epoch_s": self.epoch_s,
@@ -203,6 +211,7 @@ class FleetSpec(Table):
                     "telemetry": self.telemetry_enabled,
                 }
             )
+            cursor += size
         return plans
 
 

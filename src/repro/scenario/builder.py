@@ -249,18 +249,12 @@ class ScenarioBuilder:
         """The (host, vm) pairs a workload spec attaches to, in build order."""
         if workload.vm is not None:
             return [(built.host_of(workload.vm), workload.vm)]
-        targets = [
+        return [
             (host, vm_spec.name)
             for host in built.hosts
             for vm_spec in host.vm_specs.values()
             if workload.service in vm_spec.services
         ]
-        if not targets:
-            raise ScenarioError(
-                f"workload {workload.kind!r} matches no VM: nothing runs "
-                f"{workload.service!r} and no vm was named"
-            )
-        return targets
 
     def _service_name(
         self, built: BuiltScenario, vm_name: str, kind: str
@@ -352,14 +346,8 @@ class ScenarioBuilder:
             )
             client: Httperf | FluidHttperf
             if workload.mode == "fluid":
-                if built.fluid is None:
+                if built.fluid is None:  # the spec checked one tick_s for all
                     built.fluid = FluidCoordinator(sim, tick_s=workload.tick_s)
-                elif built.fluid.tick_s != workload.tick_s:
-                    raise ScenarioError(
-                        "all fluid workloads in one scenario must share "
-                        f"tick_s; got {built.fluid.tick_s} and "
-                        f"{workload.tick_s}"
-                    )
                 client = FluidHttperf(
                     built.fluid,
                     lookup,

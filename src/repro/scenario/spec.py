@@ -12,10 +12,11 @@ runs, the ``scenario run`` CLI — is materialized from one by
 :class:`~repro.scenario.builder.ScenarioBuilder`.
 
 Validation is strict and early: unknown keys, wrong types, out-of-range
-values, name templates that cannot render and names given twice raise
-:class:`~repro.errors.ScenarioError` with a dotted path to the offending
-field (``hosts[0].vms[1].memory_gib``), so a typo in a TOML file fails at
-load time, not three simulated minutes into a run.
+values, name templates that cannot render, names given twice and
+workloads that no VM can take raise :class:`~repro.errors.ScenarioError`
+with a dotted path to the offending field (``hosts[0].vms[1].memory_gib``),
+so a typo in a TOML file fails at load time, not three simulated minutes
+into a run.
 """
 
 from __future__ import annotations
@@ -282,6 +283,36 @@ class WorkloadSpec(Table):
         return int(self.file_kib * KiB)
 
 
+def check_workloads(
+    workloads: typing.Sequence[WorkloadSpec],
+    named: list[tuple[str, list[tuple[str, VMSpec]]]],
+) -> None:
+    """Reject workloads the builder could not attach, given the hosts'
+    :func:`layout`: a ``vm`` that names no VM, a ``service`` that no VM
+    runs, or fluid workloads that disagree on ``tick_s`` (one tick driver
+    advances every fluid client of a simulation)."""
+    vms = {name: vm for _, host_vms in named for name, vm in host_vms}
+    services = {service for vm in vms.values() for service in vm.services}
+    ticks = [w.tick_s for w in workloads if w.mode == "fluid"]
+    for index, workload in enumerate(workloads):
+        where = f"workloads[{index}]"
+        if workload.vm is not None:
+            require(
+                workload.vm in vms, f"{where}.vm", f"no VM is named {workload.vm!r}"
+            )
+        else:
+            require(
+                workload.service in services,
+                f"{where}.service",
+                f"no VM runs {workload.service!r} and no vm was named",
+            )
+        if workload.mode == "fluid" and workload.tick_s != ticks[0]:
+            raise ScenarioError(
+                f"{where}.tick_s: all fluid workloads in one simulation must "
+                f"share tick_s; got {ticks[0]} and {workload.tick_s}"
+            )
+
+
 @dataclasses.dataclass(frozen=True)
 class FaultSpec(Table):
     """Injected software aging: the §2 leak defects plus a heap-leak rate.
@@ -408,7 +439,8 @@ class ScenarioSpec(Table):
         require(bool(self.name), "name", "must be a non-empty string")
         require_one_of(self.profile, PROFILES, "profile")
         require(len(self.hosts) >= 1, "hosts", "need at least one host entry")
-        layout(self.hosts, self.is_cluster, self.spare)  # no name given twice
+        named = layout(self.hosts, self.is_cluster, self.spare)  # no name given twice
+        check_workloads(self.workloads, named)
         require(self.warmup_s >= 0, "warmup_s", f"must be >= 0, got {self.warmup_s}")
         require(
             self.observe_s >= 0, "observe_s", f"must be >= 0, got {self.observe_s}"

@@ -18,7 +18,7 @@ import os
 import pytest
 
 from repro.experiments import experiment_ids, run_experiment
-from repro.experiments.parallel import SweepStats, run_experiment_parallel
+from repro.jobs import SweepStats
 
 _GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_rows.json")
 with open(_GOLDEN_PATH, encoding="utf-8") as _handle:
@@ -31,10 +31,10 @@ def _rows(result) -> list[dict]:
     return [dataclasses.asdict(row) for row in result.rows]
 
 
-def _golden_params():
+def _params(keys):
     return [
         pytest.param(key, marks=pytest.mark.slow) if key in _SLOW else key
-        for key in sorted(GOLDEN)
+        for key in keys
     ]
 
 
@@ -49,14 +49,9 @@ def test_golden_baseline_covers_every_experiment():
     assert all(rows for rows in GOLDEN.values())
 
 
-@pytest.mark.parametrize("experiment_id", _golden_params())
-def test_serial_rows_match_golden(experiment_id, request):
-    result = (
-        request.getfixturevalue("fig9_serial")  # shared with test_runners.py
-        if experiment_id == "FIG9"
-        else run_experiment(experiment_id)
-    )
-    assert _rows(result) == GOLDEN[experiment_id]
+@pytest.mark.parametrize("experiment_id", _params(sorted(GOLDEN)))
+def test_serial_rows_match_golden(experiment_id, serial_result):
+    assert _rows(serial_result(experiment_id)) == GOLDEN[experiment_id]
 
 
 # Observability must be a pure observer: with metric collection switched
@@ -81,23 +76,28 @@ def test_batched_backend_observed_rows_match_golden(
     assert _rows(run_experiment(experiment_id)) == GOLDEN[experiment_id]
 
 
-# The quick decomposed sweeps re-run through the pool and the cache; the
-# slow ones (FIG7/FIG9) already pin both paths via their serial golden
-# match plus test_parallel.py's serial==parallel==cached contract.
+# Every experiment but FIG9 (whose three cluster runs would double its
+# ~10 s) re-runs through the pool and the cache: pooled and cached runs
+# execute the same cell functions and the same assemble as serial ones.
 @pytest.mark.parametrize(
     "experiment_id",
-    ["FIG4", "FIG5", "FIG6", "FIG8", "EXT-GRANULARITY", "EXT-AUTONOMIC"],
+    _params(
+        [
+            "FIG2", "FIG4", "FIG5", "SEC52", "FIG6", "SEC53", "FIG7", "FIG8",
+            "SEC56", "EXT-PROACTIVE", "EXT-GRANULARITY", "EXT-AUTONOMIC",
+        ]
+    ),
 )
 def test_parallel_and_cached_rows_match_golden(experiment_id, cache_dir):
     stats = SweepStats()
-    pooled = run_experiment_parallel(
+    pooled = run_experiment(
         experiment_id, jobs=2, use_cache=True, stats=stats
     )
     assert stats.cache_hits == 0 and stats.executed == stats.total_cells
     assert _rows(pooled) == GOLDEN[experiment_id]
 
     replay_stats = SweepStats()
-    replayed = run_experiment_parallel(
+    replayed = run_experiment(
         experiment_id, jobs=2, use_cache=True, stats=replay_stats
     )
     assert replay_stats.executed == 0

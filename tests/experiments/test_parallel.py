@@ -11,12 +11,8 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ReproError
-from repro.experiments import run_experiment
-from repro.experiments.parallel import (
-    cells_for,
-    run_all_parallel,
-    run_experiment_parallel,
-)
+from repro.experiments import experiment_ids, run_experiment, runner_module
+from repro.experiments.parallel import cells_for, run_all_parallel
 from repro.jobs import Cell, SweepStats, clear_cache
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
@@ -32,17 +28,19 @@ def cache_dir(tmp_path, monkeypatch):
 # the columnar engine's lazy-materialization callback path end to end in
 # addition to the sweep plumbing the two figure experiments cover.
 @pytest.mark.parametrize("experiment_id", ["FIG5", "FIG6", "SEC53"])
-def test_serial_parallel_cached_rows_identical(experiment_id, cache_dir):
-    serial = run_experiment(experiment_id)
+def test_serial_parallel_cached_rows_identical(
+    experiment_id, cache_dir, serial_result
+):
+    serial = serial_result(experiment_id)
 
     stats = SweepStats()
-    parallel = run_experiment_parallel(
+    parallel = run_experiment(
         experiment_id, jobs=2, use_cache=True, stats=stats
     )
     assert stats.cache_hits == 0 and stats.executed == stats.total_cells
 
     cached_stats = SweepStats()
-    cached = run_experiment_parallel(
+    cached = run_experiment(
         experiment_id, jobs=2, use_cache=True, stats=cached_stats
     )
     assert cached_stats.executed == 0
@@ -54,7 +52,7 @@ def test_serial_parallel_cached_rows_identical(experiment_id, cache_dir):
     assert serial.data == parallel.data == cached.data
 
 
-def test_experiment_results_contain_no_numpy_scalars(cache_dir):
+def test_experiment_results_contain_no_numpy_scalars(serial_result):
     # The columnar trace engine and vectorized timeline analysis must
     # convert back to plain Python scalars at every boundary: a stray
     # np.float64 in a row would pickle fine but silently change the
@@ -76,21 +74,10 @@ def test_experiment_results_contain_no_numpy_scalars(cache_dir):
             for field in dataclasses.fields(value):
                 walk(getattr(value, field.name))
 
-    result = run_experiment("SEC53")
+    result = serial_result("SEC53")
     walk(result.rows)
     walk(result.tables)
     walk(result.data)
-
-
-def test_whole_run_fallback_for_undecomposed_experiment(cache_dir):
-    # SEC52 exposes no cells()/assemble(): it degrades to one whole-run
-    # cell and must still round-trip through pool and cache unchanged.
-    plan = cells_for("SEC52")
-    assert len(plan) == 1 and plan[0].key == ("__whole_run__",)
-    serial = run_experiment("SEC52")
-    parallel = run_experiment_parallel("SEC52", jobs=2, use_cache=True)
-    cached = run_experiment_parallel("SEC52", jobs=2, use_cache=True)
-    assert serial.rows == parallel.rows == cached.rows
 
 
 def test_cell_digest_is_content_addressed():
@@ -127,19 +114,19 @@ def test_workload_mode_is_cache_key_material():
 )
 def test_corrupt_cache_entry_is_a_miss(cache_dir, blob):
     stats = SweepStats()
-    run_experiment_parallel("FIG2", jobs=1, use_cache=True, stats=stats)
+    run_experiment("FIG2", use_cache=True, stats=stats)
     assert stats.executed > 0
     # Corrupt every stored payload; the sweep must recompute, not crash.
     for path in cache_dir.rglob("*.pkl"):
         path.write_bytes(blob)
     stats = SweepStats()
-    result = run_experiment_parallel("FIG2", jobs=1, use_cache=True, stats=stats)
+    result = run_experiment("FIG2", use_cache=True, stats=stats)
     assert stats.cache_hits == 0 and stats.executed == stats.total_cells
     assert result.shape_reproduced
 
 
 def test_clear_cache_removes_payloads(cache_dir):
-    run_experiment_parallel("FIG2", jobs=1, use_cache=True)
+    run_experiment("FIG2", use_cache=True)
     assert clear_cache() > 0
     assert clear_cache() == 0
 
@@ -152,15 +139,19 @@ def test_run_all_parallel_subset(cache_dir):
 
 def test_rejects_bad_jobs(cache_dir):
     with pytest.raises(ReproError):
-        run_experiment_parallel("FIG2", jobs=0)
+        run_experiment("FIG2", jobs=0)
 
 
 def test_every_decomposed_module_keys_match_assemble():
-    # cells() keys must be unique: the payload dict would silently drop
-    # duplicates otherwise.
-    for experiment_id in ("FIG4", "FIG5", "FIG6", "FIG8", "FIG9",
-                          "EXT-GRANULARITY"):
+    # cells() + assemble() is the only experiment protocol: no runner
+    # keeps a run() of its own.  Keys must be unique (the payload dict
+    # would silently drop duplicates otherwise), and every cell names a
+    # function of its runner module.
+    for experiment_id in experiment_ids():
+        module = runner_module(experiment_id)
+        assert not hasattr(module, "run"), experiment_id
         plan = cells_for(experiment_id)
         keys = [cell.key for cell in plan]
-        assert len(keys) == len(set(keys)), experiment_id
-        assert all(cell.fn.partition(":")[2] for cell in plan)
+        assert keys and len(keys) == len(set(keys)), experiment_id
+        for cell in plan:
+            assert callable(getattr(module, cell.fn.partition(":")[2])), cell

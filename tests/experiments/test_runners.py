@@ -44,8 +44,8 @@ class TestRegistry:
     "experiment_id",
     ["FIG2", "FIG4", "FIG5", "SEC52", "FIG6", "SEC53", "FIG8", "SEC56"],
 )
-def test_experiment_reproduces_paper_shape(experiment_id):
-    result = run_experiment(experiment_id)
+def test_experiment_reproduces_paper_shape(experiment_id, serial_result):
+    result = serial_result(experiment_id)
     assert result.rows, f"{experiment_id} produced no comparison rows"
     failing = [row for row in result.rows if not row.within_tolerance]
     assert not failing, (
@@ -59,15 +59,16 @@ def test_experiment_reproduces_paper_shape(experiment_id):
 
 
 @pytest.mark.slow
-def test_fig7_reproduces_paper_shape():
-    result = run_experiment("FIG7")
+def test_fig7_reproduces_paper_shape(serial_result):
+    result = serial_result("FIG7")
     failing = [row for row in result.rows if not row.within_tolerance]
     assert not failing, [row.label for row in failing]
 
 
 @pytest.mark.slow
-def test_fig9_reproduces_paper_shape(fig9_serial):
-    failing = [row for row in fig9_serial.rows if not row.within_tolerance]
+def test_fig9_reproduces_paper_shape(serial_result):
+    result = serial_result("FIG9")
+    failing = [row for row in result.rows if not row.within_tolerance]
     assert not failing, [row.label for row in failing]
 
 

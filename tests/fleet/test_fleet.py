@@ -145,6 +145,19 @@ class TestSpec:
                 {"profile": "huge"}, r"fleet\.profile: must be one of", id="profile"
             ),
             pytest.param(
+                {"workloads": [{"service": "jboss"}]},
+                r"fleet\.workloads\[0\]\.service: no VM runs 'jboss'",
+                id="workload-service-unrun",
+            ),
+            pytest.param(
+                {"workloads": [
+                    {"mode": "fluid", "tick_s": 1.0},
+                    {"mode": "fluid", "tick_s": 2.0},
+                ]},
+                r"fleet\.workloads\[1\]\.tick_s: all fluid workloads",
+                id="workload-tick_s-mixed",
+            ),
+            pytest.param(
                 {"hosts": [{"name": "a", "vms": [{}]}, {"name": "a", "vms": [{}]}]},
                 r"fleet\.hosts: the name 'a' is given twice",
                 id="host-name-twice",
@@ -190,6 +203,18 @@ class TestDeterminism:
         assert json.dumps(whole.rows) == json.dumps(serial.rows)
         assert whole.requests == serial.requests
         assert whole.downtime_s == serial.downtime_s
+
+    def test_shards_get_only_the_workloads_their_vms_run(self):
+        # httperf runs on the apache host only: the ssh host's shard gets
+        # no workload, and sharding stays invisible in the rows.
+        hosts = [
+            {"vms": [{"count": 1, "services": ["apache"]}]},
+            {"vms": [{"count": 1, "services": ["ssh"]}]},
+        ]
+        whole = run_fleet(_fleet(hosts=hosts, shards=1), jobs=1)
+        sharded = run_fleet(_fleet(hosts=hosts, shards=2), jobs=1)
+        assert json.dumps(sharded.rows) == json.dumps(whole.rows)
+        assert sharded.requests == whole.requests > 0
 
     def test_report_shape(self, serial):
         assert serial.hosts == 4 and serial.vms == 4 and serial.shards == 4
@@ -337,6 +362,15 @@ file_kib = 512.0
         path = self._write(tmp_path, 'name = "x"\nshards = 0\n')
         assert main(["validate", path]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_validate_workload_no_vm_runs_exits_two(self, tmp_path, capsys):
+        path = self._write(
+            tmp_path, self._GOOD.replace('service = "apache"', 'service = "jboss"')
+        )
+        assert main(["validate", path]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ")
+        assert ".workloads[0].service: no VM runs 'jboss'" in line
 
     def test_missing_file_exits_two(self, capsys):
         assert main(["validate", "/no/such/fleet.toml"]) == 2

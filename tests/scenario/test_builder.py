@@ -149,10 +149,8 @@ class TestWorkloads:
         assert built.guest("vm01").filesystem.exists(attached.paths[0])
 
     def test_unmatched_workload_is_rejected(self):
-        with pytest.raises(ScenarioError, match="matches no VM"):
-            build_scenario(
-                _spec(workloads=(WorkloadSpec(kind="httperf", service="jboss"),))
-            )
+        with pytest.raises(ScenarioError, match="no VM runs 'jboss'"):
+            _spec(workloads=(WorkloadSpec(kind="httperf", service="jboss"),))
 
     def test_unknown_service_kind_on_pinned_vm_is_rejected(self):
         with pytest.raises(ScenarioError, match="runs no"):

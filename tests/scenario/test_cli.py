@@ -61,6 +61,19 @@ def test_validate_rejects_a_wrong_type(tmp_path, capsys, body, key):
     assert line.startswith("error: ") and f".{key}: expected a" in line
 
 
+def test_validate_rejects_a_workload_no_vm_runs(tmp_path, capsys):
+    path = tmp_path / "unrun.toml"
+    path.write_text(
+        'name = "x"\n\n[[workloads]]\nservice = "jboss"\n', encoding="utf-8"
+    )
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "ok" not in captured.out
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ")
+    assert line.endswith(".workloads[0].service: no VM runs 'jboss' and no vm was named")
+
+
 def test_run_rejects_an_unknown_policy_strategy(capsys):
     assert main(["run", "probed-warm-reboot", "--policy", "bogus"]) == 2
     (line,) = capsys.readouterr().err.splitlines()

@@ -221,6 +221,27 @@ class TestTypedLoading:
                 "scenario: ScenarioSpec.__init__() missing 1 required",
                 id="missing-name",
             ),
+            pytest.param(
+                {"workloads": [{"kind": "prober", "vm": "nope"}]},
+                "scenario.workloads[0].vm: no VM is named 'nope'",
+                id="workload-vm-unknown",
+            ),
+            pytest.param(
+                {"workloads": [{"service": "jboss"}]},
+                "scenario.workloads[0].service: no VM runs 'jboss'",
+                id="workload-service-unrun",
+            ),
+            pytest.param(
+                {
+                    "hosts": [{"vms": [{"services": ["apache"]}]}],
+                    "workloads": [
+                        {"mode": "fluid", "tick_s": 1.0},
+                        {"mode": "fluid", "tick_s": 2.0},
+                    ],
+                },
+                "scenario.workloads[1].tick_s: all fluid workloads",
+                id="workload-tick_s-mixed",
+            ),
         ],
     )
     def test_malformed_spec_fails_at_load_naming_the_key(self, overrides, error):

@@ -15,7 +15,7 @@ import math
 import pytest
 
 from repro.errors import ReproError, ScenarioError
-from repro.scenario import ScenarioSpec, build_scenario, run_scenario
+from repro.scenario import ScenarioSpec, run_scenario
 from repro.simkernel import Simulator
 from repro.units import kib
 from repro.workloads.httperf import FluidCoordinator, FluidHttperf
@@ -286,19 +286,18 @@ class TestSpecValidation:
             )
 
     def test_mixed_tick_lengths_rejected_at_build(self):
-        spec = ScenarioSpec.from_dict(
-            {
-                "name": "x",
-                "hosts": [
-                    {"count": 1, "vms": [{"count": 2, "services": ["apache"]}]}
-                ],
-                "workloads": [
-                    {"kind": "httperf", "vm": "vm00", "mode": "fluid",
-                     "tick_s": 1.0},
-                    {"kind": "httperf", "vm": "vm01", "mode": "fluid",
-                     "tick_s": 2.0},
-                ],
-            }
-        )
         with pytest.raises(ScenarioError, match="tick"):
-            build_scenario(spec)
+            ScenarioSpec.from_dict(
+                {
+                    "name": "x",
+                    "hosts": [
+                        {"count": 1, "vms": [{"count": 2, "services": ["apache"]}]}
+                    ],
+                    "workloads": [
+                        {"kind": "httperf", "vm": "vm00", "mode": "fluid",
+                         "tick_s": 1.0},
+                        {"kind": "httperf", "vm": "vm01", "mode": "fluid",
+                         "tick_s": 2.0},
+                    ],
+                }
+            )
