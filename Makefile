@@ -21,7 +21,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: lint lint-stats test test-sanitize bench-selftest test-fleet test-control scenarios obs-check bench perf-check perf-write profile ci
+.PHONY: lint lint-stats test test-sanitize bench-selftest test-fleet test-control scenarios obs-check bench perf-check perf-write perf-ab profile ci
 
 # Whole-program determinism & architecture analysis (rules SL001-SL015)
 # over src/ (strict profile) and tests/ + benchmarks/ (relaxed profile:
@@ -51,9 +51,11 @@ bench-selftest:
 	$(PYTHON) -m pytest perfbench/tests -q
 
 # The fleet tier lane: sharded-vs-serial determinism, fluid-vs-exact
-# cross-validation within the documented tolerances, epoch protocol.
+# cross-validation within the documented tolerances, epoch protocol, the
+# one-pass window queries against their oracle, and the cluster service
+# index against the scan it replaced (plus its O(1) down-host cost).
 test-fleet:
-	$(PYTHON) -m pytest -x -q tests/fleet tests/workloads/test_fluid.py
+	$(PYTHON) -m pytest -x -q tests/fleet tests/workloads/test_fluid.py tests/workloads/test_window_queries.py tests/cluster/test_service_index.py
 
 # The control-plane lane: detector hysteresis/grid semantics, planner
 # edge cases (partial plans, never exceptions), executor audit, the
@@ -114,6 +116,13 @@ perf-check:
 # committed baseline.  Run on quiet hardware and commit the result.
 perf-write:
 	$(PYTHON) benchmarks/perf_report.py --write --jobs 4
+
+# The end-to-end benchmark, this checkout against BASE (a git revision)
+# in alternating pairs over seeds 0-9: per workload and end-to-end
+# metric, both medians and IQRs and the win count.  BASE is checked out
+# as a worktree under .bench_build/ab/ and removed afterwards.
+perf-ab:
+	$(PYTHON) benchmarks/ab.py $(BASE)
 
 # cProfile over the heaviest experiment (FIG9), cumulative-time sorted.
 # Hot-path work should start from this, not from guesses.

@@ -83,6 +83,8 @@ class Cluster:
                 streams=streams.spawn("spare"),
                 **host_kwargs,
             )
+        self._index: dict[tuple[str, str], Service] = {}
+        self._index_version = -1
 
     @property
     def size(self) -> int:
@@ -121,6 +123,27 @@ class Cluster:
                     if service_name is None or service.name == service_name:
                         replicas.append(service)
         return replicas
+
+    def replica(self, service_name: str, vm_name: str) -> Service | None:
+        """The replica of ``service_name`` whose guest is ``vm_name``, if any.
+
+        Answered from an index that one pass over :meth:`services` builds,
+        keeping each (service, guest) pair's first match in host order —
+        exactly what scanning :meth:`services` for it returns.  The pass
+        runs lazily, on the first read after the simulation's
+        ``placement_version`` moved, so a host that stays down costs one
+        dict read per lookup, not a scan of every host.
+        """
+        version = self.sim.placement_version
+        if version != self._index_version:
+            index: dict[tuple[str, str], Service] = {}
+            for service in self.services():
+                guest = service.guest
+                if guest is not None:
+                    index.setdefault((service.name, guest.name), service)
+            self._index = index
+            self._index_version = version
+        return self._index.get((service_name, vm_name))
 
 
 class LoadBalancer:

@@ -12,10 +12,15 @@ from repro.errors import FilesystemError
 
 
 class Filesystem:
-    """Name → size catalogue for one guest's virtual disk."""
+    """Name → size catalogue for one guest's virtual disk.
+
+    ``generation`` moves on every :meth:`create` and :meth:`remove`, so a
+    reader can keep a sum over file sizes until it does.
+    """
 
     def __init__(self) -> None:
         self._files: dict[str, int] = {}
+        self.generation = 0
 
     def create(self, path: str, nbytes: int) -> None:
         """Add (or resize) a file at ``path``."""
@@ -24,6 +29,7 @@ class Filesystem:
         if not path or not path.startswith("/"):
             raise FilesystemError(f"bad path {path!r}")
         self._files[path] = nbytes
+        self.generation += 1
 
     def create_many(self, prefix: str, count: int, nbytes: int) -> list[str]:
         """Create ``count`` equal-size files (the 10 000×512 KB web corpus)."""
@@ -48,6 +54,7 @@ class Filesystem:
         if path not in self._files:
             raise FilesystemError(f"no such file {path!r}")
         del self._files[path]
+        self.generation += 1
 
     def paths(self) -> list[str]:
         """All file paths, sorted."""

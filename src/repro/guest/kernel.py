@@ -88,6 +88,7 @@ class GuestKernel:
         self.vmm = vmm
         self.domain = domain
         domain.guest = self
+        vmm.sim.placement_version += 1
 
     def _require_bound(self) -> tuple["Hypervisor", "Domain"]:
         if self.vmm is None or self.domain is None:

@@ -67,6 +67,7 @@ class Service:
         self.guest = guest
         self.state = ServiceState.STARTING
         machine = guest.machine
+        machine.sim.placement_version += 1
         if self.read_bytes:
             yield machine.disk.read(f"{guest.name}:svc:{self.name}", self.read_bytes)
         if self.cpu_s:
@@ -131,6 +132,7 @@ class Service:
         self.state = ServiceState.STARTING
         costs = guest.profile.services
         machine = guest.machine
+        machine.sim.placement_version += 1
         if costs.checkpoint_bytes:
             yield machine.disk.read(
                 f"{guest.name}:ckpt:{self.name}", costs.checkpoint_bytes

@@ -277,10 +277,10 @@ class ScenarioBuilder:
     ) -> typing.Callable[[], typing.Any]:
         """A per-request service resolver for one VM.
 
-        Cluster resolution is memoized while the hit stays reachable —
-        after a cold reboot the service object is new, after a migration
-        it lives on another host (possibly the spare), and a full cluster
-        scan per request would dominate the whole experiment.
+        On a cluster the service object is re-resolved per call — after a
+        cold reboot it is new, after a migration it lives on another host
+        (possibly the spare) — through the cluster's service index, which
+        rescans only after the placement changed.
         """
         cluster = built.cluster
         if cluster is None:
@@ -290,21 +290,11 @@ class ScenarioBuilder:
 
             return lookup
 
-        cache: list[typing.Any] = [None]
-
         def cluster_lookup() -> typing.Any:
-            cached = cache[0]
-            if (
-                cached is not None
-                and cached.reachable
-                and cached.guest.name == vm_name
-            ):
-                return cached
-            for candidate in cluster.services(service):
-                if candidate.guest is not None and candidate.guest.name == vm_name:
-                    cache[0] = candidate
-                    return candidate
-            raise ReproError(f"{vm_name} has no live {service} replica")
+            replica = cluster.replica(service, vm_name)
+            if replica is None:
+                raise ReproError(f"{vm_name} has no live {service} replica")
+            return replica
 
         return cluster_lookup
 

@@ -306,6 +306,7 @@ class FluidHttperf:
         self.downtime_s = 0.0
         self._warm_cursor = 0
         self._probe_ctx: tuple[typing.Any, float, float] | None = None
+        self._residency: tuple | None = None
         self._metric_completed = self.sim.metrics.counter(
             "fluid.completed_requests", client=name
         )
@@ -332,14 +333,7 @@ class FluidHttperf:
             return None
         try:
             machine = guest.machine
-            filesystem = guest.filesystem
-            page_cache = guest.page_cache
-            total = 0
-            cached = 0
-            for path in self._paths:
-                size = filesystem.size_of(path)
-                total += size
-                cached += min(page_cache.cached_bytes(path), size)
+            total, cached = self._resident_bytes(guest)
         except ReproError:
             return None
         if total <= 0:
@@ -367,6 +361,38 @@ class FluidHttperf:
             [cpu_s, mem_bytes, disk_bytes, payload],
             [float(machine.cpu.cores), mem_bw, disk_bw, nic_bw],
         )
+
+    def _resident_bytes(self, guest: typing.Any) -> tuple[int, int]:
+        """``(corpus bytes, cached corpus bytes)`` in the guest's image.
+
+        Kept until the guest's filesystem or page cache changes object
+        (compared with ``is``) or generation.  Every write to a size or a
+        cached byte count moves a generation, so a kept pair equals a
+        fresh one bit for bit.
+        """
+        filesystem = guest.filesystem
+        page_cache = guest.page_cache
+        kept = self._residency
+        if (
+            kept is not None
+            and kept[0] is filesystem
+            and kept[1] == filesystem.generation
+            and kept[2] is page_cache
+            and kept[3] == page_cache.generation
+        ):
+            return kept[4], kept[5]
+        total = 0
+        cached = 0
+        for path in self._paths:
+            size = filesystem.size_of(path)
+            total += size
+            cached += min(page_cache.cached_bytes(path), size)
+        self._residency = (
+            filesystem, filesystem.generation,
+            page_cache, page_cache.generation,
+            total, cached,
+        )
+        return total, cached
 
     def _warm(self, guest: typing.Any, budget_bytes: float) -> None:
         """Re-warm the page cache at the modeled miss rate.
@@ -440,76 +466,87 @@ class FluidHttperf:
     def bytes_served(self) -> float:
         return self._bytes
 
-    def _overlaps(
+    def _window(
         self, since: float, until: float
-    ) -> typing.Iterator[tuple[int, float]]:
-        """(row index, overlap seconds) for ticks intersecting a window."""
+    ) -> tuple[float, float, float, float]:
+        """``(covered, completed, failed, down)`` over a window, one pass.
+
+        Bisects once to the first tick ending at or after ``since``, then
+        walks left to right until a tick starts at or after ``until``,
+        adding each tick's overlap with the window: ``covered`` is the
+        overlap seconds, ``down`` the unreachable ones, ``completed`` and
+        ``failed`` the rates times the overlap.  Each sum starts at the
+        integer 0 and adds with ``+=`` in tick order, so an empty window
+        reads 0 and no summation order (``sum``'s compensation, numpy's
+        pairwise tree) can move a bit.
+        """
         ticks = self._tick_t
-        lo = bisect_left(ticks, since)
-        for i in range(lo, len(ticks)):
+        dts = self._tick_dt
+        rates = self._tick_rate
+        fails = self._tick_fail
+        ups = self._tick_up
+        covered = completed = failed = down = 0
+        for i in range(bisect_left(ticks, since), len(ticks)):
             end = ticks[i]
-            start = end - self._tick_dt[i]
+            start = end - dts[i]
             if start >= until:
-                return
-            overlap = min(end, until) - max(start, since)
+                break
+            overlap = (until if until < end else end) - (
+                since if since > start else start
+            )
             if overlap > 0:
-                yield i, overlap
+                covered += overlap
+                completed += rates[i] * overlap
+                failed += fails[i] * overlap
+                if not ups[i]:
+                    down += overlap
+        return covered, completed, failed, down
 
     def requests(
         self, since: float = float("-inf"), until: float = float("inf")
     ) -> float:
         """Modeled completions inside a window."""
-        return sum(self._tick_rate[i] * ov for i, ov in self._overlaps(since, until))
+        return self._window(since, until)[1]
 
     def failures_in(
         self, since: float = float("-inf"), until: float = float("inf")
     ) -> float:
         """Modeled failed requests inside a window."""
-        return sum(self._tick_fail[i] * ov for i, ov in self._overlaps(since, until))
+        return self._window(since, until)[2]
 
     def downtime(
         self, since: float = float("-inf"), until: float = float("inf")
     ) -> float:
         """Seconds inside a window the service was unreachable."""
-        return sum(
-            ov for i, ov in self._overlaps(since, until) if not self._tick_up[i]
-        )
+        return self._window(since, until)[3]
 
     def availability(
         self, since: float = float("-inf"), until: float = float("inf")
     ) -> float:
         """Reachable fraction of the accounted window (1.0 if empty)."""
-        total = 0.0
-        down = 0.0
-        for i, overlap in self._overlaps(since, until):
-            total += overlap
-            if not self._tick_up[i]:
-                down += overlap
-        return 1.0 - down / total if total > 0 else 1.0
+        covered, _, _, down = self._window(since, until)
+        return 1.0 - down / covered if covered > 0 else 1.0
 
     def mean_rate(
         self, since: float = float("-inf"), until: float = float("inf")
     ) -> float:
         """Mean completions/second over a window (downtime included)."""
-        total = 0.0
-        done = 0.0
-        for i, overlap in self._overlaps(since, until):
-            total += overlap
-            done += self._tick_rate[i] * overlap
-        return done / total if total > 0 else 0.0
+        covered, completed, _, _ = self._window(since, until)
+        return completed / covered if covered > 0 else 0.0
 
     def throughput_timeline(self) -> list[tuple[float, float]]:
         """Per-tick (end time, req/s) points — the fluid Figure 7 series."""
         return list(zip(self._tick_t, self._tick_rate))
 
     def window_summary(self, since: float, until: float) -> dict[str, float]:
-        """The cross-validation row for one observation window."""
+        """The cross-validation row for one observation window (one pass)."""
+        covered, completed, failed, down = self._window(since, until)
         return {
-            "requests": self.requests(since, until),
-            "failures": self.failures_in(since, until),
-            "mean_rate": self.mean_rate(since, until),
-            "downtime_s": self.downtime(since, until),
-            "availability": self.availability(since, until),
+            "requests": completed,
+            "failures": failed,
+            "mean_rate": completed / covered if covered > 0 else 0.0,
+            "downtime_s": down,
+            "availability": 1.0 - down / covered if covered > 0 else 1.0,
         }
 
 

@@ -1,4 +1,7 @@
-"""Shared fixtures: quickly built, fully started simulated hosts."""
+"""Shared fixtures: quickly built, fully started simulated hosts, and a
+result cache that never leaves pytest's temporary directory."""
+
+import os
 
 import pytest
 
@@ -6,6 +9,21 @@ from repro.config import paper_testbed
 from repro.core import Host, RootHammer, VMSpec
 from repro.simkernel import Simulator
 from repro.units import gib
+
+
+@pytest.fixture(scope="session", autouse=True)
+def private_result_cache(tmp_path_factory):
+    """Point ``REPRO_CACHE_DIR`` at a session temp dir, so no test reads or
+    writes the user's result cache (a CLI run with the default cache
+    would, and a later run would replay its payloads).  A test that sets
+    its own dir with ``monkeypatch`` keeps it for its duration."""
+    saved = os.environ.get("REPRO_CACHE_DIR")
+    os.environ["REPRO_CACHE_DIR"] = str(tmp_path_factory.mktemp("result-cache"))
+    yield
+    if saved is None:
+        del os.environ["REPRO_CACHE_DIR"]
+    else:
+        os.environ["REPRO_CACHE_DIR"] = saved
 
 
 @pytest.fixture()

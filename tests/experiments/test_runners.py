@@ -87,6 +87,14 @@ class TestCli:
         out = capsys.readouterr().out
         assert "SHAPE REPRODUCED" in out
 
+    def test_default_cache_is_under_pytest_temp(self, tmp_path_factory):
+        """The CLI's default cache (used by ``test_run_one``) is the
+        session's private one, never the user's ``~/.cache``."""
+        from repro.jobs import cache_dir
+
+        base = tmp_path_factory.getbasetemp().resolve()
+        assert cache_dir().resolve().is_relative_to(base)
+
     def test_trace_out_writes_one_trace_per_simulation(self, tmp_path, capsys):
         from repro.experiments.cli import main
 

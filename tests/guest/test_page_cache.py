@@ -7,6 +7,8 @@ from repro.errors import GuestError
 from repro.guest import PageCache
 from repro.units import mib
 
+from tests.guest.page_cache_oracle import ReferencePageCache
+
 
 class TestBasics:
     def test_empty_cache(self):
@@ -134,3 +136,51 @@ def test_cache_never_exceeds_capacity(ops):
             cache.touch(path)
         assert 0 <= cache.used_bytes <= capacity
         assert all(cache.cached_bytes(p) > 0 for p in cache.resident_files())
+
+
+def _call(cache, op, path, nbytes):
+    """One operation's return value, or its error type and message."""
+    try:
+        if op == "insert":
+            return cache.insert(path, nbytes)
+        if op == "read":
+            return cache.split_read(path, nbytes)
+        if op == "invalidate":
+            return cache.invalidate(path)
+        if op == "clear":
+            return cache.clear()
+        return cache.touch(path)
+    except GuestError as error:
+        return type(error), str(error)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    capacity=st.integers(min_value=1, max_value=64),
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(["insert", "read", "invalidate", "clear", "touch"]),
+            st.integers(min_value=0, max_value=5),
+            st.integers(min_value=-2, max_value=80),
+        ),
+        max_size=60,
+    ),
+)
+def test_running_total_matches_the_summing_oracle(capacity, ops):
+    """Property: the same returns, the same LRU order (so the same
+    evictions) and the same ``used_bytes`` as the summing cache after
+    every step; and ``generation`` moves whenever a byte count changed."""
+    cache, oracle = PageCache(capacity), ReferencePageCache(capacity)
+    for op, file_index, nbytes in ops:
+        path = f"/f{file_index}"
+        before = dict(cache._cached), cache.generation
+        assert _call(cache, op, path, nbytes) == _call(oracle, op, path, nbytes)
+        assert cache.resident_files() == oracle.resident_files()
+        assert cache._cached == oracle._cached
+        assert cache.used_bytes == oracle.used_bytes
+        assert cache.free_bytes == oracle.free_bytes
+        assert (cache.hits_bytes, cache.misses_bytes) == (
+            oracle.hits_bytes, oracle.misses_bytes,
+        )
+        if dict(cache._cached) != before[0]:
+            assert cache.generation != before[1]

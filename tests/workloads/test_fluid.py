@@ -15,6 +15,7 @@ import math
 import pytest
 
 from repro.errors import ReproError, ScenarioError
+from repro.guest import PageCache
 from repro.scenario import ScenarioSpec, run_scenario
 from repro.simkernel import Simulator
 from repro.units import kib
@@ -214,6 +215,31 @@ class TestFluidModel:
         rates = [rate for _, rate in client.throughput_timeline()]
         assert rates[0] < rates[-1]
         assert rates[-1] >= 190  # back in the cached, NIC-bound band
+
+    def test_kept_residency_follows_every_byte_count_write(self, sim, web):
+        """The kept (corpus, cached) pair is re-read after every write that
+        moves a byte count: page-cache invalidate and insert, a file
+        resize, and a fresh page cache with an equal generation."""
+        host, guest, paths = web
+        client = self._client(sim, host, paths)
+
+        def resident():
+            kept = client._probe()
+            client._residency = None
+            assert client._probe()[1:] == kept[1:]
+            return client._probe_ctx[2]
+
+        assert resident() == 1.0
+        guest.page_cache.invalidate(paths[0])
+        assert resident() == 7 / 8
+        guest.filesystem.create(paths[1], kib(1024))
+        assert resident() == 7 / 9
+        guest.page_cache.insert(paths[0], kib(512))
+        assert resident() == 8 / 9
+        fresh = PageCache(guest.page_cache.capacity_bytes)
+        fresh.generation = guest.page_cache.generation
+        guest.page_cache = fresh
+        assert resident() == 0.0
 
     def test_window_summary_full_run_consistency(self, sim, web):
         host, _, paths = web
