@@ -6,15 +6,6 @@
 # regressions beyond the tolerance against the committed BENCH_PERF.json
 # baseline.
 #
-# `make lint` runs incrementally by default: simlint keeps a per-file
-# content-hash cache at build/simlint-cache.json, so a warm run on an
-# unchanged tree re-analyzes nothing.  The cache self-invalidates when
-# any linter source, the rule-set version, or the trace/span/metric
-# schemas change, and per entry when a file's content or policy profile
-# changes — there is no rebaseline step, just delete the file (or set
-# LINT_NO_CACHE=1 for one run) if you suspect it anyway.  Cross-module
-# analysis (SL011-SL015) is recomputed on every run from the cached
-# per-file indexes, so warm findings are always identical to cold ones.
 # `make lint-stats` adds the suppression-debt report (waiver counts by
 # rule and by file, stale directives, layering exemptions).
 
@@ -26,15 +17,14 @@ export PYTHONPATH := src
 # Whole-program determinism & architecture analysis (rules SL001-SL015)
 # over src/ (strict profile) and tests/ + benchmarks/ (relaxed profile:
 # bare asserts and wall clock allowed; layering and frozen-spec rules
-# still enforced).  Incremental by default; LINT_NO_CACHE=1 escapes.
+# still enforced).
 LINT_PATHS := src/ tests/ benchmarks/
-LINT_FLAGS := $(if $(LINT_NO_CACHE),,--changed)
 lint:
-	$(PYTHON) -m repro.devtools.simlint $(LINT_FLAGS) $(LINT_PATHS)
+	$(PYTHON) -m repro.devtools.simlint $(LINT_PATHS)
 
 # Same run plus the suppression-debt report on stdout.
 lint-stats:
-	$(PYTHON) -m repro.devtools.simlint $(LINT_FLAGS) --stats $(LINT_PATHS)
+	$(PYTHON) -m repro.devtools.simlint --stats $(LINT_PATHS)
 
 test:
 	$(PYTHON) -m pytest -x -q

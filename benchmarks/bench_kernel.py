@@ -33,6 +33,7 @@ events/sec by the advertised factor.
 
 from __future__ import annotations
 
+import gc
 import json
 import pathlib
 import sys
@@ -141,9 +142,9 @@ def bench_trace_throughput(n: int = 1_000_000) -> float:
 def bench_select_throughput(n: int = 400_000, queries: int = 40) -> float:
     """Matched records materialized per second by windowed selects.
 
-    Fills the trace with ``n`` records over eight kinds (several sealed
-    chunks plus an active tail), then runs prefix+window+field queries —
-    the exact shape the downtime and timeline analyses use.
+    Fills the trace with ``n`` records over eight kinds, then runs
+    prefix+window+field queries — the exact shape the downtime and
+    timeline analyses use.
     """
     from repro.simkernel import Simulator
 
@@ -162,6 +163,18 @@ def bench_select_throughput(n: int = 400_000, queries: int = 40) -> float:
         matched += len(rows)
     elapsed = time.perf_counter() - started
     return matched / elapsed
+
+
+def _best_of_trace_runs(bench, repeats: int) -> float:
+    """Best of ``repeats`` runs of a trace bench.  A ``Simulator`` sits in
+    reference cycles, so a finished run's trace lives until a gc pass;
+    collecting between runs (outside the timed region) keeps one trace
+    alive at a time."""
+    best = 0.0
+    for _ in range(repeats):
+        best = max(best, bench())
+        gc.collect()
+    return best
 
 
 def bench_bucketize_throughput(n: int = 1_000_000, repeats: int = 5) -> float:
@@ -274,10 +287,10 @@ def measure(repeats: int = 3) -> dict[str, object]:
             2,
         ),
         "trace_records_per_sec": round(
-            max(bench_trace_throughput() for _ in range(repeats))
+            _best_of_trace_runs(bench_trace_throughput, repeats)
         ),
         "trace_select_rows_per_sec": round(
-            max(bench_select_throughput() for _ in range(repeats))
+            _best_of_trace_runs(bench_select_throughput, repeats)
         ),
         "bucketize_times_per_sec": round(
             max(bench_bucketize_throughput() for _ in range(repeats))

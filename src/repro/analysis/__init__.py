@@ -17,7 +17,6 @@ from repro.analysis.downtime_model import DowntimeModel, paper_model
 from repro.analysis.export import (
     result_to_json,
     rows_to_csv,
-    series_to_csv,
     write_result,
 )
 from repro.analysis.fitting import LinearFit, fit_constant, fit_line
@@ -81,7 +80,6 @@ __all__ = [
     "render_table",
     "result_to_json",
     "rows_to_csv",
-    "series_to_csv",
     "span_records",
     "sum_series",
     "write_perfetto",

@@ -2,8 +2,8 @@
 
 Downstream users want the reproduced series as data, not just rendered
 tables.  These helpers serialize :class:`~repro.experiments.common.ExperimentResult`
-comparison rows and arbitrary (x, y...) series to files, with no
-third-party dependencies.
+comparison rows and data to CSV and JSON files, with no third-party
+dependencies.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ import io
 import json
 import pathlib
 import typing
-
-from repro.errors import AnalysisError
 
 
 def rows_to_csv(rows: typing.Sequence[typing.Any]) -> str:
@@ -28,47 +26,6 @@ def rows_to_csv(rows: typing.Sequence[typing.Any]) -> str:
             [row.label, row.paper, row.measured, row.unit, row.ratio,
              row.within_tolerance]
         )
-    return out.getvalue()
-
-
-def series_to_csv(
-    series: typing.Mapping[str, typing.Sequence[typing.Sequence[float]]],
-    x_label: str = "x",
-) -> str:
-    """Serialize named series of equal-x tuples to one wide CSV.
-
-    ``series`` maps a name to a list of tuples whose first element is the
-    shared x value, e.g. ``{"warm": [(1, 42.0), (3, 41.2)], ...}``.
-    """
-    if not series:
-        raise AnalysisError("no series to export")
-    xs_reference: list[float] | None = None
-    for name, points in series.items():
-        xs = [p[0] for p in points]
-        if xs_reference is None:
-            xs_reference = xs
-        elif xs != xs_reference:
-            raise AnalysisError(
-                f"series {name!r} has a different x-axis; export separately"
-            )
-    if xs_reference is None:
-        raise AnalysisError("no series to export")
-    names = list(series)
-    widths = {name: len(series[name][0]) - 1 for name in names}
-    out = io.StringIO()
-    writer = csv.writer(out)
-    header = [x_label]
-    for name in names:
-        if widths[name] == 1:
-            header.append(name)
-        else:
-            header.extend(f"{name}.{i}" for i in range(widths[name]))
-    writer.writerow(header)
-    for index, x in enumerate(xs_reference):
-        row: list[float] = [x]
-        for name in names:
-            row.extend(series[name][index][1:])
-        writer.writerow(row)
     return out.getvalue()
 
 

@@ -65,13 +65,12 @@ SL015   stale ``# simlint: skip`` suppression that masks no finding
 ======  ==============================================================
 
 Run it as ``python -m repro.devtools.simlint src/`` (``--format=json`` or
-``--format=sarif`` for machine-readable output, ``--changed`` for the
-content-hash incremental cache, ``--stats`` for the suppression-debt
-report).  Suppress a finding with a trailing ``# simlint: skip`` or
-``# simlint: skip=SL003`` comment on the flagged line, or a
-``# simlint: skip-file[=RULES]`` comment anywhere in the file; CI treats
-suppressions in ``src/`` as a review flag, not a free pass, and ``--stats``
-totals them as suppression debt.
+``--format=sarif`` for machine-readable output, ``--stats`` for the
+suppression-debt report).  Suppress a finding with a trailing
+``# simlint: skip`` or ``# simlint: skip=SL003`` comment on the flagged
+line, or a ``# simlint: skip-file[=RULES]`` comment anywhere in the
+file; CI treats suppressions in ``src/`` as a review flag, not a free
+pass, and ``--stats`` totals them as suppression debt.
 """
 
 from repro.devtools.simlint.analyzer import (

@@ -2,15 +2,13 @@
 
 Phase 1 handles each file independently — parse, run the local rules
 (:mod:`.rules`), extract a :class:`~repro.devtools.simlint.index.ModuleIndex`,
-parse suppression comments.  Because phase 1 is per-file and pure, it is
-what the incremental cache (:mod:`.cache`) memoizes by content hash.
+parse suppression comments.
 
 Phase 2 merges the indices into a :class:`~repro.devtools.simlint.index.ProjectIndex`
 and runs the cross-module rules: SL011 layering/cycles (:mod:`.layers`),
 SL012 frozen-spec mutation, SL013 call-graph reachability
 (:mod:`.callgraph`), SL014 symbol-table privacy, and SL015 stale
-suppressions.  Phase 2 always recomputes — it is cheap graph work — so a
-cache-warmed run reports exactly what a cold run would.
+suppressions.
 
 Suppression grammar (comments only — string literals never suppress):
 
@@ -40,18 +38,15 @@ from repro.devtools.simlint.index import (
     ProjectIndex,
     build_module_index,
     package_of,
-    sha256_text,
 )
 from repro.devtools.simlint.layers import check_layers
 from repro.devtools.simlint.rules import (
     ModulePolicy,
+    RawFinding,
     RuleVisitor,
     privacy_code,
     privacy_message,
 )
-
-if typing.TYPE_CHECKING:  # pragma: no cover
-    from repro.devtools.simlint.cache import ResultCache
 
 
 @dataclasses.dataclass(frozen=True)
@@ -98,13 +93,6 @@ class Directive:
     def render(self) -> str:
         suffix = f"={','.join(self.rules)}" if self.rules else ""
         return f"# simlint: {self.keyword}{suffix}"
-
-    def to_dict(self) -> dict:
-        return {"line": self.line, "keyword": self.keyword, "rules": list(self.rules)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Directive":
-        return cls(data["line"], data["keyword"], tuple(data["rules"]))
 
 
 class _Suppressions:
@@ -188,11 +176,11 @@ def _metric_schema() -> typing.Mapping[str, typing.Any]:
 
 @dataclasses.dataclass
 class _FileRecord:
-    """One file's phase-1 output (computed or cache-loaded)."""
+    """One file's phase-1 output."""
 
     path: str
     policy: ModulePolicy
-    raw: list  # local findings as [rule, line, col, message] rows
+    raw: list[RawFinding]
     suppressions: _Suppressions
     index: ModuleIndex
 
@@ -202,21 +190,18 @@ def _analyze_source(
 ) -> _FileRecord:
     """Parse one file and run everything per-file (may raise SyntaxError)."""
     tree = ast.parse(source, filename=path)
-    raw = [
-        [f.rule, f.line, f.col, f.message]
-        for f in RuleVisitor(
-            policy,
-            _trace_schema(),
-            span_names=_span_names(),
-            metric_schema=_metric_schema(),
-        ).check(tree)
-    ]
+    raw = RuleVisitor(
+        policy,
+        _trace_schema(),
+        span_names=_span_names(),
+        metric_schema=_metric_schema(),
+    ).check(tree)
     return _FileRecord(
         path=path,
         policy=policy,
         raw=raw,
         suppressions=_Suppressions.parse(source),
-        index=build_module_index(tree, path, source),
+        index=build_module_index(tree, path),
     )
 
 
@@ -343,7 +328,6 @@ class Report:
 def _assemble_report(
     records: typing.Sequence[_FileRecord],
     errors: list[LintError],
-    cache: "ResultCache | None",
 ) -> Report:
     project = ProjectIndex()
     for record in records:
@@ -358,8 +342,8 @@ def _assemble_report(
 
     for record in records:
         items = [
-            Finding(row[0], record.path, row[1], row[2], row[3])
-            for row in record.raw
+            Finding(raw.rule, record.path, raw.line, raw.col, raw.message)
+            for raw in record.raw
         ] + phase2.get(record.path, [])
         # The alias half (SL009/SL010 in the local pass) and the symbol-
         # table half of the privacy rule can hit the same site: dedup.
@@ -412,8 +396,6 @@ def _assemble_report(
         "by_file": dict(sorted(by_file.items())),
         "exempt_imports": import_kinds,
     }
-    if cache is not None:
-        stats["cache"] = {"hits": cache.hits, "misses": cache.misses}
     return Report(findings, errors, suppressed_total, stats)
 
 
@@ -450,14 +432,11 @@ def iter_python_files(paths: typing.Iterable[str]) -> typing.Iterator[str]:
 def lint_project(
     paths: typing.Iterable[str],
     profile: str | None = None,
-    cache: "ResultCache | None" = None,
 ) -> Report:
     """Lint every python file under ``paths`` with both phases.
 
     ``profile`` forces ``"strict"``/``"relaxed"`` for every file (default:
-    derive per path — ``tests/``/``benchmarks/`` relax).  With ``cache``,
-    unchanged files load their phase-1 results instead of re-parsing; the
-    caller is responsible for :meth:`ResultCache.store` afterwards.
+    derive per path — ``tests/``/``benchmarks/`` relax).
     """
     records: list[_FileRecord] = []
     errors: list[LintError] = []
@@ -472,25 +451,6 @@ def lint_project(
             errors.append(LintError(path, "not utf-8 text"))
             continue
         policy = ModulePolicy.for_path(path, profile=profile)
-        # The cache token folds in the profile: the local rules gate on it
-        # at emission time, so findings cached under one profile are not
-        # valid under the other.
-        token = f"{sha256_text(source)}:{policy.profile}"
-        if cache is not None:
-            entry = cache.get(path, token)
-            if entry is not None:
-                records.append(
-                    _FileRecord(
-                        path=path,
-                        policy=policy,
-                        raw=entry["findings"],
-                        suppressions=_Suppressions(
-                            Directive.from_dict(d) for d in entry["directives"]
-                        ),
-                        index=ModuleIndex.from_dict(entry["index"]),
-                    )
-                )
-                continue
         try:
             record = _analyze_source(source, path, policy)
         except SyntaxError as exc:
@@ -502,25 +462,13 @@ def lint_project(
             errors.append(LintError(path, "not utf-8 text"))
             continue
         records.append(record)
-        if cache is not None:
-            cache.put(
-                path,
-                {
-                    "sha256": token,
-                    "findings": record.raw,
-                    "directives": [
-                        d.to_dict() for d in record.suppressions.directives
-                    ],
-                    "index": record.index.to_dict(),
-                },
-            )
-    return _assemble_report(records, errors, cache)
+    return _assemble_report(records, errors)
 
 
 def lint_paths(
     paths: typing.Iterable[str],
 ) -> tuple[list[Finding], list[LintError], int]:
-    """Lint every python file under ``paths`` (no cache).
+    """Lint every python file under ``paths``.
 
     Returns ``(findings, errors, suppressed_count)`` with findings ordered
     by (path, line, col, rule) for stable output.
@@ -545,7 +493,7 @@ def lint_source(
     if policy is None:
         policy = ModulePolicy.for_path(path)
     record = _analyze_source(source, path, policy)
-    report = _assemble_report([record], [], None)
+    report = _assemble_report([record], [])
     return report.findings, report.suppressed
 
 

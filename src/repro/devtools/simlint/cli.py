@@ -2,12 +2,6 @@
 
 Exit codes: 0 clean, 1 findings reported, 2 operational errors (bad
 arguments, unreadable or unparseable files).
-
-Incremental mode (``--changed``) loads the content-hash cache at
-``--cache-path`` (default ``build/simlint-cache.json``), re-analyzes only
-files whose hash or rule-set fingerprint changed, and writes the cache
-back.  Findings are always identical to a cold run: only phase 1 is
-cached; the cross-module phase recomputes every time.
 """
 
 from __future__ import annotations
@@ -19,7 +13,6 @@ import time
 import typing
 
 from repro.devtools.simlint.analyzer import Report, lint_project
-from repro.devtools.simlint.cache import DEFAULT_CACHE_PATH, ResultCache
 from repro.devtools.simlint.rules import RULES
 from repro.devtools.simlint.sarif import render_sarif
 
@@ -61,25 +54,9 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--changed",
-        action="store_true",
-        help="incremental mode: reuse cached results for unchanged files",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore and do not write the cache (overrides --changed)",
-    )
-    parser.add_argument(
-        "--cache-path",
-        default=DEFAULT_CACHE_PATH,
-        metavar="FILE",
-        help=f"cache location (default: {DEFAULT_CACHE_PATH})",
-    )
-    parser.add_argument(
         "--stats",
         action="store_true",
-        help="print the suppression-debt / cache report after linting",
+        help="print the suppression-debt report after linting",
     )
     parser.add_argument(
         "--list-rules", action="store_true", help="describe the rules and exit"
@@ -95,13 +72,6 @@ def _print_stats(report: Report, elapsed: float, out: typing.TextIO) -> None:
         f"  ({elapsed:.2f}s)",
         file=out,
     )
-    cache = stats.get("cache")
-    if cache is not None:
-        print(
-            f"cache                 {cache['hits']} hit(s), "
-            f"{cache['misses']} miss(es)",
-            file=out,
-        )
     print(f"findings              {stats['findings']}", file=out)
     print(
         f"suppressed findings   {stats['suppressed']}"
@@ -157,17 +127,10 @@ def main(argv: typing.Sequence[str] | None = None) -> int:
         if unknown:
             parser.error(f"unknown rule(s): {', '.join(sorted(unknown))}")
 
-    cache = None
-    if args.changed and not args.no_cache:
-        cache = ResultCache.load(args.cache_path)
-
     profile = None if args.profile == "auto" else args.profile
     started = time.perf_counter()
-    report = lint_project(args.paths, profile=profile, cache=cache)
+    report = lint_project(args.paths, profile=profile)
     elapsed = time.perf_counter() - started
-    if cache is not None:
-        cache.prune(set())
-        cache.store(args.paths)
 
     findings = report.findings
     if selected is not None:

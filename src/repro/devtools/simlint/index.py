@@ -5,9 +5,7 @@ module-level, lazy or typing-only), class facts (bases, frozen-dataclass
 flag), per-function call/sink facts for the call graph, and the candidate
 sites the cross-module rules resolve in phase 2 (frozen-spec mutations,
 cross-package private-attribute accesses, spawned coroutines).  Every
-fact is a plain dict/str/int so an index round-trips through JSON for the
-incremental cache: a file whose content hash is unchanged is never
-re-parsed, its index is loaded instead.
+fact is a plain dict/str/int.
 
 Resolution here is deliberately *local and confident*: a call/receiver is
 given a dotted ref only when this module's own imports, defs, parameter
@@ -20,18 +18,12 @@ from __future__ import annotations
 
 import ast
 import dataclasses
-import hashlib
 import os
 import typing
 
 from repro.devtools.simlint.rules import sink_kind
 
 _FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
-
-
-def sha256_text(source: str) -> str:
-    """Content hash used as the per-file cache key."""
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()
 
 
 def module_name_for(path: str) -> str:
@@ -71,7 +63,6 @@ class ModuleIndex:
 
     path: str
     module: str
-    sha256: str
     imports: list[dict] = dataclasses.field(default_factory=list)
     classes: dict[str, dict] = dataclasses.field(default_factory=dict)
     functions: dict[str, dict] = dataclasses.field(default_factory=dict)
@@ -83,19 +74,10 @@ class ModuleIndex:
     def package(self) -> str | None:
         return package_of(self.module)
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ModuleIndex":
-        return cls(**data)
-
-
-def build_module_index(tree: ast.AST, path: str, source: str) -> ModuleIndex:
+def build_module_index(tree: ast.AST, path: str) -> ModuleIndex:
     """Extract one file's index from its parsed AST."""
-    index = ModuleIndex(
-        path=path, module=module_name_for(path), sha256=sha256_text(source)
-    )
+    index = ModuleIndex(path=path, module=module_name_for(path))
     _IndexVisitor(index).visit(tree)
     return index
 

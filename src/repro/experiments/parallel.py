@@ -8,8 +8,8 @@ generic machinery — :class:`~repro.jobs.Cell`, the process pool, the
 content-addressed payload cache — lives in :mod:`repro.jobs` at the
 foundation layer (the fleet tier rides on it too); this module is the
 experiment-facing tier on top: it turns each runner module's
-``cells(full)`` into a cell plan, and scenario specs into another, and
-folds payloads back into results with the runner's ``assemble``.
+``cells(full)`` into a cell plan and folds payloads back into results
+with the runner's ``assemble``.
 
 Every experiment run goes through here, so serial (``jobs=1``), pooled
 and cached runs execute the *same* cells and the *same* ``assemble``;
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import typing
 
-from repro.errors import ReproError
 from repro.experiments import experiment_ids, runner_module
 from repro.experiments.common import ExperimentResult
 from repro.jobs import Cell, SweepStats, run_cells
@@ -32,60 +31,23 @@ from repro.jobs import Cell, SweepStats, run_cells
 
 
 def cells_for(experiment_id: str, full: bool = False) -> list[Cell]:
-    """The cell plan for one experiment: its runner module's ``cells(full)``."""
+    """The cell plan for one experiment: its runner module's ``cells(full)``.
+
+    Each cell names its function by the module that defines it, so a
+    function another runner imports (SEC53 measures with FIG6's
+    ``measure_downtime``) has one name, and equal calls one digest.
+    """
     key = experiment_id.upper()
     module = runner_module(key)
-    return [
-        Cell(key, tuple(cell_key), f"{module.__name__}:{fn_name}", dict(params))
-        for cell_key, fn_name, params in module.cells(full)
-    ]
-
-
-# -- the runners -------------------------------------------------------------------
-
-
-def scenario_cells(specs: typing.Sequence[typing.Any]) -> list[Cell]:
-    """The uniform spec-cell plan for a set of scenario specs.
-
-    A scenario cell is the same unit as an experiment cell — one function,
-    plain parameters, deterministic payload — so it pools, fans out and
-    caches through the exact same machinery.  The spec travels in its
-    canonical dict form (:meth:`~repro.scenario.spec.ScenarioSpec.to_dict`
-    is field-ordered, so the digest's ``repr`` material is stable).
-    """
-    seen: set[str] = set()
-    cells: list[Cell] = []
-    for spec in specs:
-        if spec.name in seen:
-            raise ReproError(
-                f"duplicate scenario name {spec.name!r} in one sweep; "
-                "cells are keyed by name"
-            )
-        seen.add(spec.name)
-        cells.append(
-            Cell(
-                "SCENARIO",
-                (spec.name,),
-                "repro.scenario.runner:run_scenario_cell",
-                {"spec_data": spec.to_dict()},
-            )
-        )
+    cells = []
+    for cell_key, fn_name, params in module.cells(full):
+        fn = getattr(module, fn_name)
+        ref = f"{fn.__module__}:{fn.__name__}"
+        cells.append(Cell(key, tuple(cell_key), ref, dict(params)))
     return cells
 
 
-def run_scenarios_parallel(
-    specs: typing.Sequence[typing.Any],
-    jobs: int | None = None,
-    use_cache: bool = True,
-    stats: SweepStats | None = None,
-) -> dict[str, dict]:
-    """Fan a set of :class:`~repro.scenario.spec.ScenarioSpec` runs across
-    worker processes; returns each scenario's report dict keyed by name."""
-    plan = scenario_cells(specs)
-    payloads = run_cells(plan, jobs, use_cache, stats)
-    return {
-        cell.key[0]: payloads[(cell.experiment_id, cell.key)] for cell in plan
-    }
+# -- the runners -------------------------------------------------------------------
 
 
 def run_all_parallel(

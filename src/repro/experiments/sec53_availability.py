@@ -35,12 +35,18 @@ def measure_os_rejuvenation_downtime(n_vms: int = 11) -> float:
 def cells(full: bool = False) -> list[tuple[tuple, str, dict]]:
     """Independent measurement cells for the parallel/serial runners:
     one guest's OS rejuvenation, then Figure 6's 11-VM JBoss downtime
-    per VMM reboot strategy."""
+    per VMM reboot strategy — FIG6's own cells, so a sweep of both runs
+    them once."""
     return [(("os",), "measure_os_rejuvenation_downtime", {"n_vms": _N_VMS})] + [
         (
             (strategy,),
             "measure_downtime",
-            {"n": _N_VMS, "service_kind": "jboss", "strategy": strategy},
+            {
+                "n": _N_VMS,
+                "service_kind": "jboss",
+                "strategy": strategy,
+                "with_session": False,
+            },
         )
         for strategy in _STRATEGIES
     ]

@@ -15,8 +15,8 @@ order.  This module is the tier-independent machinery that exploits that:
   recomputes only cells whose inputs actually changed.
 
 It lives at the foundation layer because every execution tier rides on
-it: experiment sweeps (:mod:`repro.experiments.parallel`), scenario
-sweeps, and fleet shards (:mod:`repro.fleet.runner`).  Nothing here knows
+it: experiment sweeps (:mod:`repro.experiments.parallel`) and fleet
+shards (:mod:`repro.fleet.runner`).  Nothing here knows
 what a cell *computes* — plan construction and payload assembly belong to
 the tiers.
 """
@@ -70,7 +70,7 @@ class Cell:
         payload: same function, same parameters, same timing profile and
         same package source.  ``repr`` of the sorted parameter items is
         stable because cell parameters are ints/floats/strs/bools (and,
-        for spec cells, canonically ordered dicts of those).
+        for fleet shard cells, canonically ordered dicts of those).
         """
         material = repr(
             (
@@ -210,11 +210,15 @@ def run_cells(
     """Execute a pooled cell list; returns payloads keyed by
     ``(experiment id, cell key)``.
 
-    Every tier fans its cells through here — experiment and scenario
-    sweeps (:mod:`repro.experiments.parallel`) and fleet shards
+    Every tier fans its cells through here — experiment sweeps
+    (:mod:`repro.experiments.parallel`) and fleet shards
     (:mod:`repro.fleet.runner`) — so they all pool, parallelise and
     content-address cache alike.  ``full`` joins the cache key: a
     full-workload experiment run never replays a quick one's payload.
+
+    A missed cell that repeats an earlier one's function and parameters
+    (SEC53 plans three of FIG6's cells) runs once and shares its payload;
+    ``total_cells`` and ``cache_hits`` still count every planned cell.
     """
     jobs = _resolve_jobs(jobs)
     if stats is None:
@@ -223,6 +227,8 @@ def run_cells(
 
     payloads: dict[tuple[str, tuple], typing.Any] = {}
     misses: list[tuple[Cell, str]] = []
+    repeats: list[tuple[Cell, Cell]] = []
+    first_of: dict[str, Cell] = {}
     for cell in cells:
         digest = cell.digest(full) if use_cache else ""
         if use_cache:
@@ -231,12 +237,14 @@ def run_cells(
                 payloads[(cell.experiment_id, cell.key)] = payload
                 stats.cache_hits += 1
                 continue
-        misses.append((cell, digest))
+        call = repr((cell.fn, sorted(cell.params.items())))
+        first = first_of.setdefault(call, cell)
+        if first is cell:
+            misses.append((cell, digest))
+        else:
+            repeats.append((cell, first))
 
     stats.executed += len(misses)
-    if not misses:
-        return payloads
-
     if jobs == 1:
         # In-process serial path: same cells, no pool overhead.
         for cell, digest in misses:
@@ -244,20 +252,22 @@ def run_cells(
             payloads[(cell.experiment_id, cell.key)] = payload
             if use_cache:
                 _cache_store(digest, payload)
-        return payloads
-
-    # More CPU-bound workers than cores only adds scheduler thrash, and
-    # idle workers beyond the miss count only add fork cost.
-    workers = min(jobs, len(misses), os.cpu_count() or 1)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures: list[tuple[Cell, str, Future]] = [
-            (cell, digest, pool.submit(_execute_cell, cell.fn, cell.params))
-            for cell, digest in misses
+    elif misses:
+        # More CPU-bound workers than cores only adds scheduler thrash, and
+        # idle workers beyond the miss count only add fork cost.
+        workers = min(jobs, len(misses), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures: list[tuple[Cell, str, Future]] = [
+                (cell, digest, pool.submit(_execute_cell, cell.fn, cell.params))
+                for cell, digest in misses
+            ]
+            for cell, digest, future in futures:
+                payload = future.result()
+                payloads[(cell.experiment_id, cell.key)] = payload
+                if use_cache:
+                    _cache_store(digest, payload)
+    for cell, first in repeats:
+        payloads[(cell.experiment_id, cell.key)] = payloads[
+            (first.experiment_id, first.key)
         ]
-        for cell, digest, future in futures:
-            payload = future.result()
-            payloads[(cell.experiment_id, cell.key)] = payload
-            if use_cache:
-                _cache_store(digest, payload)
     return payloads
-

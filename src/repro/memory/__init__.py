@@ -1,4 +1,4 @@
-"""Machine-memory substrate: frames, allocator, P2M tables, heap, balloon.
+"""Machine-memory substrate: frames, allocator, P2M tables, heap.
 
 This package models Xen's memory management at the granularity the
 warm-VM-reboot mechanisms operate on: frame *extents*, per-domain
@@ -7,14 +7,12 @@ preserved-image store.
 """
 
 from repro.memory.allocator import FrameAllocator
-from repro.memory.ballooning import Balloon
 from repro.memory.frames import Extent, MachineMemory
 from repro.memory.heap import HeapAllocation, VmmHeap
 from repro.memory.p2m import P2MSnapshot, P2MTable, table_bytes_for
 from repro.memory.preserved import PreservedStore, SuspendImage
 
 __all__ = [
-    "Balloon",
     "Extent",
     "FrameAllocator",
     "HeapAllocation",

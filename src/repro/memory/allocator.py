@@ -140,8 +140,9 @@ class FrameAllocator:
 
         The range may be any sub-range of — or even span several adjacent —
         allocated extents, as long as every page is owned by ``owner``
-        (ballooning releases arbitrary P2M-derived ranges).  Partial frees
-        split the surviving portions back into the allocated set.
+        (an extent :meth:`P2MTable.unmap_range` returns may cut through
+        an allocation).  Partial frees split the surviving portions back
+        into the allocated set.
 
         ``scrub=True`` (the default, matching Xen's scrub-on-free) clears
         content sentinels so freed memory cannot leak another domain's data.

@@ -4,8 +4,8 @@
 warm-up, optional fault injection, the maintenance schedule, an
 observation window — and folds the attached workloads' measurements into
 a :class:`ScenarioReport` of plain data (picklable, JSON-friendly), so
-the same function backs the ``scenario run`` CLI and the parallel sweep
-engine's scenario cells.
+the same function backs the ``scenario run`` CLI and EXT-AUTONOMIC's
+experiment cells.
 
 Experiments that need bespoke measurement (Figure 9's bucketized
 timelines, say) build through :class:`~repro.scenario.builder
@@ -294,14 +294,3 @@ def run_scenario(
         policy=control_loop.summary() if control_loop is not None else {},
         slo=slo_report,
     )
-
-
-def run_scenario_cell(spec_data: dict) -> dict:
-    """Parallel-sweep cell entry point: dict spec in, plain payload out.
-
-    The sweep engine content-addresses cells by their parameters, so the
-    spec travels as its canonical dict form (see
-    :meth:`ScenarioSpec.to_dict`) rather than as an object.
-    """
-    spec = ScenarioSpec.from_dict(spec_data)
-    return run_scenario(spec).to_dict()

@@ -6,9 +6,8 @@ exact reboot phase (and the exact domain's suspend) that produced it.
 The design deliberately adds no storage of its own:
 
 * a span is two ordinary trace records, ``span.begin`` and ``span.end``,
-  whose integer ``span``/``parent`` ids seal into typed ``int64`` columns
-  exactly like any other payload field (see
-  :mod:`repro.simkernel.tracing`);
+  whose integer ``span``/``parent`` ids are payload fields like any
+  other (see :mod:`repro.simkernel.tracing`);
 * nesting is tracked with **per-actor stacks** — concurrent processes
   (eleven domains suspending in parallel) each carry their own actor
   name, so interleaved begin/end pairs never mis-parent;

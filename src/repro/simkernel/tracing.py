@@ -8,25 +8,21 @@ them afterwards.
 
 Storage is *columnar* (struct-of-arrays), not a list of record objects:
 
-* the hot append path writes into plain-list columns of the **active
-  chunk** (one append per column: time, interned kind-id, payload dict);
-* when the active chunk reaches :data:`CHUNK_RECORDS` entries it is
-  **sealed**: times become a ``float64`` array, kind-ids an ``int32``
-  array, and the payload dicts are decomposed into per-field typed
-  columns (``int64`` / ``float64``) with an object-column fallback for
-  strings, bools and mixed-type fields;
+* the hot append path writes one entry into each of three plain-list
+  columns: time, interned kind-id and payload dict;
 * record *sequences* are never stored at all — ``record()`` bumps the
   sequence counter exactly once per stored record and :meth:`Tracer.clear`
   keeps the counter growing, so the sequence of the i-th stored record is
   always ``seq_base + i + 1`` (see :meth:`Tracer.clear` for the invariant).
 
 Queries (:meth:`Tracer.select`, :meth:`Tracer.times`, prefix matching)
-are mask operations over the kind-id arrays plus ``searchsorted`` over
-the (non-decreasing) time column, materializing a :class:`TraceRecord`
-view only for matching rows.  Live subscribers keep exact per-record
-callback semantics: a ``TraceRecord`` is built lazily, only when at least
-one subscription matches the kind being recorded, and all callbacks for
-that record share the same object.
+are mask operations over an ``int32`` view of the kind-id column plus
+``searchsorted`` over a ``float64`` view of the (non-decreasing) time
+column — both views rebuilt only after new records arrive — and
+materialize a :class:`TraceRecord` view only for matching rows.  Live
+subscribers keep exact per-record callback semantics: a ``TraceRecord``
+is built lazily, only when at least one subscription matches the kind
+being recorded, and all callbacks for that record share the same object.
 
 Records are strictly ordered by (time, sequence), matching the
 deterministic event order of the kernel.
@@ -42,11 +38,6 @@ from repro.errors import SimulationError
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.simkernel.kernel import Simulator
-
-CHUNK_RECORDS = 8192
-"""Records per sealed chunk: large enough to amortize sealing to noise,
-small enough that the active (list-backed) tail stays cache-friendly."""
-
 
 class TraceKindSpec(typing.NamedTuple):
     """Declared payload shape for one trace kind (see :data:`TRACE_SCHEMA`)."""
@@ -75,7 +66,6 @@ TRACE_SCHEMA: dict[str, TraceKindSpec] = {
     "vmm.dom0.created": _spec("vmm_generation"),
     "vmm.domain.created": _spec("vmm_generation", "domain", "domid"),
     "vmm.domain.destroyed": _spec("vmm_generation", "domain"),
-    "vmm.console": _spec("vmm_generation", "domain", "message"),
     "vmm.save.start": _spec("vmm_generation", "domain"),
     "vmm.save.done": _spec("vmm_generation", "domain"),
     "vmm.restore.done": _spec("vmm_generation", "domain"),
@@ -139,7 +129,7 @@ asking "what fields does this kind carry?".
 """
 
 _MISSING = object()
-"""Sentinel for 'this record has no such payload field' inside columns."""
+"""Sentinel for 'this record has no such payload field' in filters."""
 
 _NEG_INF = float("-inf")
 _POS_INF = float("inf")
@@ -194,131 +184,6 @@ class TraceRecord:
         )
 
 
-class _Chunk:
-    """One sealed block of records in struct-of-arrays layout.
-
-    ``cols`` maps field name -> ``(values, is_object)``:
-
-    * typed columns: ``values`` is an ``int64``/``float64`` array paired
-      with a presence mask (``None`` when the field is on every record);
-    * object columns: ``values`` is a plain list holding the original
-      Python objects, with :data:`_MISSING` where a record lacks the field.
-
-    Only fields whose present values are *uniformly* ``int`` or uniformly
-    ``float`` get a typed column — mixed ``int``/``float`` (and ``bool``,
-    which is an ``int`` subclass but semantically distinct) fall back to
-    the object column so reconstructed payloads round-trip exactly.
-    """
-
-    __slots__ = ("times", "kids", "seq0", "keys", "cols")
-
-    def __init__(
-        self,
-        times: np.ndarray,
-        kids: np.ndarray,
-        seq0: int,
-        payloads: list[dict[str, typing.Any]],
-    ) -> None:
-        self.times = times
-        self.kids = kids
-        self.seq0 = seq0
-        keys: list[str] = []
-        for fields in payloads:
-            for key in fields:
-                if key not in keys:
-                    keys.append(key)
-        self.keys = keys
-        cols: dict[str, tuple[typing.Any, typing.Any]] = {}
-        for key in keys:
-            values = [fields.get(key, _MISSING) for fields in payloads]
-            all_int = True
-            all_float = True
-            missing = False
-            for value in values:
-                if value is _MISSING:
-                    missing = True
-                    continue
-                cls = type(value)
-                if cls is not int:
-                    all_int = False
-                if cls is not float:
-                    all_float = False
-                if not (all_int or all_float):
-                    break
-            if all_int or all_float:
-                present = (
-                    np.array([v is not _MISSING for v in values])
-                    if missing
-                    else None
-                )
-                filled = (
-                    [0 if v is _MISSING else v for v in values]
-                    if missing
-                    else values
-                )
-                try:
-                    arr = np.array(
-                        filled, dtype=np.int64 if all_int else np.float64
-                    )
-                except OverflowError:  # ints beyond int64: keep as objects
-                    cols[key] = (values, True)
-                else:
-                    cols[key] = ((arr, present), False)
-            else:
-                cols[key] = (values, True)
-        self.cols = cols
-
-    def __len__(self) -> int:
-        return len(self.kids)
-
-    def fields_at(self, i: int) -> dict[str, typing.Any]:
-        """Rebuild the i-th record's payload dict from the columns."""
-        fields: dict[str, typing.Any] = {}
-        for key in self.keys:
-            values, is_object = self.cols[key]
-            if is_object:
-                value = values[i]
-                if value is not _MISSING:
-                    fields[key] = value
-            else:
-                arr, present = values
-                if present is None or present[i]:
-                    fields[key] = arr[i].item()
-        return fields
-
-    def filter_indices(
-        self, idx: np.ndarray, filters: list[tuple[str, typing.Any]]
-    ) -> np.ndarray | None:
-        """Narrow candidate row indices by field-equality filters."""
-        for key, wanted in filters:
-            if len(idx) == 0:
-                return None
-            col = self.cols.get(key)
-            if col is None:  # no record in this chunk has the field
-                return None
-            values, is_object = col
-            if is_object:
-                keep = [
-                    j
-                    for j, i in enumerate(idx)
-                    if values[i] is not _MISSING and values[i] == wanted
-                ]
-                if not keep:
-                    return None
-                idx = idx[keep]
-            else:
-                arr, present = values
-                if not isinstance(wanted, (bool, int, float)):
-                    return None  # a numeric column never equals a non-number
-                mask = arr[idx] == wanted
-                if present is not None:
-                    mask &= present[idx]
-                idx = idx[mask]
-                if len(idx) == 0:
-                    return None
-        return idx
-
-
 class Tracer:
     """Collects trace records for one simulation, columnar-style.
 
@@ -337,15 +202,13 @@ class Tracer:
         "_kind_ids",
         "_kind_names",
         "_prefix_cache",
-        "_chunks",
-        "_sealed_len",
         "_times",
         "_kids",
         "_payloads",
         "_tappend",
         "_kappend",
         "_pappend",
-        "_tail_cache",
+        "_array_cache",
         "_buckets",
         "_scan_all",
         "_nsubs",
@@ -360,26 +223,23 @@ class Tracer:
         self._kind_ids: dict[str, int] = {}
         self._kind_names: list[str] = []
         self._prefix_cache: dict[str, np.ndarray | None] = {}
-        self._chunks: list[_Chunk] = []
-        self._sealed_len = 0
-        self._new_active()
+        self._new_columns()
         self._buckets: dict[
             str, list[tuple[str, typing.Callable[[TraceRecord], None]]]
         ] = {}
         self._scan_all: list[tuple[str, typing.Callable[[TraceRecord], None]]] = []
         self._nsubs = 0
 
-    def _new_active(self) -> None:
-        """Fresh list-backed columns for the active chunk; the bound
-        ``append`` methods are cached so ``record()`` pays no attribute
-        lookups on them."""
+    def _new_columns(self) -> None:
+        """Fresh list-backed columns; the bound ``append`` methods are
+        cached so ``record()`` pays no attribute lookups on them."""
         self._times: list[float] = []
         self._kids: list[int] = []
         self._payloads: list[dict[str, typing.Any]] = []
         self._tappend = self._times.append
         self._kappend = self._kids.append
         self._pappend = self._payloads.append
-        self._tail_cache: tuple[np.ndarray, np.ndarray, int] | None = None
+        self._array_cache: tuple[np.ndarray, np.ndarray, int] | None = None
 
     # -- recording -------------------------------------------------------------
 
@@ -417,8 +277,6 @@ class Tracer:
                     if rec is None:
                         rec = TraceRecord(now, seq, kind, fields)
                     callback(rec)
-        if len(self._kids) >= CHUNK_RECORDS:
-            self._seal()
 
     def enable_schema_validation(self) -> None:
         """Check every future record's payload against :data:`TRACE_SCHEMA`.
@@ -457,20 +315,6 @@ class Tracer:
         self._kind_names.append(kind)
         self._prefix_cache.clear()  # a new kind may extend any prefix set
         return kid
-
-    def _seal(self) -> None:
-        """Convert the active chunk's list columns into a sealed
-        struct-of-arrays chunk and start a fresh active chunk."""
-        self._chunks.append(
-            _Chunk(
-                np.asarray(self._times, dtype=np.float64),
-                np.asarray(self._kids, dtype=np.int32),
-                self._seq_base + self._sealed_len + 1,
-                self._payloads,
-            )
-        )
-        self._sealed_len += len(self._kids)
-        self._new_active()
 
     def subscribe(
         self, prefix: str, callback: typing.Callable[[TraceRecord], None]
@@ -511,74 +355,19 @@ class Tracer:
         self._prefix_cache[prefix] = kids
         return kids
 
-    def _tail_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Array view of the active chunk, rebuilt only after appends."""
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Array views of the time and kind-id columns, rebuilt only
+        after appends."""
         n = len(self._kids)
-        cache = self._tail_cache
+        cache = self._array_cache
         if cache is None or cache[2] != n:
             cache = (
                 np.asarray(self._times, dtype=np.float64),
                 np.asarray(self._kids, dtype=np.int32),
                 n,
             )
-            self._tail_cache = cache
+            self._array_cache = cache
         return cache[0], cache[1]
-
-    def _blocks(self) -> typing.Iterator[tuple[np.ndarray, np.ndarray, int, typing.Any]]:
-        """Yield ``(times, kids, seq0, chunk_or_None)`` per storage block,
-        oldest first; ``None`` marks the active (list-backed) tail."""
-        for chunk in self._chunks:
-            yield chunk.times, chunk.kids, chunk.seq0, chunk
-        if self._kids:
-            times, kids = self._tail_arrays()
-            yield times, kids, self._seq_base + self._sealed_len + 1, None
-
-    def _candidates(
-        self,
-        times: np.ndarray,
-        kids: np.ndarray,
-        wanted: np.ndarray | None,
-        since: float,
-        until: float,
-    ) -> np.ndarray | None:
-        """Row indices inside one block matching kind set and window."""
-        lo, hi = 0, len(times)
-        if since != _NEG_INF:
-            lo = int(np.searchsorted(times, since, side="left"))
-        if until != _POS_INF:
-            hi = int(np.searchsorted(times, until, side="right"))
-        if lo >= hi:
-            return None
-        if wanted is None:
-            return np.arange(lo, hi)
-        window = kids[lo:hi]
-        if len(wanted) == 0:
-            return None
-        if len(wanted) == 1:
-            mask = window == wanted[0]
-        else:
-            mask = np.isin(window, wanted)
-        idx = np.flatnonzero(mask)
-        if len(idx) == 0:
-            return None
-        idx += lo
-        return idx
-
-    def _tail_filter(
-        self, idx: np.ndarray, filters: list[tuple[str, typing.Any]]
-    ) -> list[int]:
-        """Field-equality filtering over the active chunk's payload dicts."""
-        payloads = self._payloads
-        out = []
-        for i in idx:
-            fields = payloads[i]
-            for key, wanted in filters:
-                got = fields.get(key, _MISSING)
-                if got is _MISSING or got != wanted:
-                    break
-            else:
-                out.append(int(i))
-        return out
 
     def _matches(
         self,
@@ -586,45 +375,61 @@ class Tracer:
         since: float,
         until: float,
         filters: list[tuple[str, typing.Any]],
-    ) -> typing.Iterator[tuple[np.ndarray, np.ndarray, int, typing.Any, typing.Any]]:
-        """Yield ``(times, kids, seq0, block, matched_indices)`` per block
-        that has at least one matching row."""
+    ) -> typing.Sequence[int]:
+        """Row indices matching kind prefix, time window and fields."""
+        times, kids = self._arrays()
+        lo, hi = 0, len(times)
+        if since != _NEG_INF:
+            lo = int(np.searchsorted(times, since, side="left"))
+        if until != _POS_INF:
+            hi = int(np.searchsorted(times, until, side="right"))
+        if lo >= hi:
+            return []
         wanted = self._prefix_kids(prefix)
-        for times, kids, seq0, chunk in self._blocks():
-            idx = self._candidates(times, kids, wanted, since, until)
-            if idx is None:
-                continue
-            if filters:
-                if chunk is None:
-                    idx = self._tail_filter(idx, filters)
-                else:
-                    idx = chunk.filter_indices(idx, filters)
-                if idx is None or len(idx) == 0:
-                    continue
-            yield times, kids, seq0, chunk, idx
+        if wanted is None:
+            idx = np.arange(lo, hi)
+        elif len(wanted) == 0:
+            return []
+        else:
+            window = kids[lo:hi]
+            if len(wanted) == 1:
+                mask = window == wanted[0]
+            else:
+                mask = np.isin(window, wanted)
+            idx = np.flatnonzero(mask) + lo
+        if not filters:
+            return idx
+        payloads = self._payloads
+        out = []
+        for i in idx:
+            fields = payloads[i]
+            for key, value in filters:
+                got = fields.get(key, _MISSING)
+                if got is _MISSING or got != value:
+                    break
+            else:
+                out.append(int(i))
+        return out
 
     def _materialize(
-        self,
-        times: np.ndarray,
-        kids: np.ndarray,
-        seq0: int,
-        chunk: typing.Any,
-        i: int,
+        self, times: np.ndarray, kids: np.ndarray, i: int
     ) -> TraceRecord:
-        fields = self._payloads[i] if chunk is None else chunk.fields_at(i)
         return TraceRecord(
-            times[i].item(), seq0 + i, self._kind_names[kids[i]], fields
+            times[i].item(),
+            self._seq_base + i + 1,
+            self._kind_names[kids[i]],
+            self._payloads[i],
         )
 
     # -- querying -------------------------------------------------------------
 
     def __len__(self) -> int:
-        return self._sealed_len + len(self._kids)
+        return len(self._kids)
 
     def __iter__(self) -> typing.Iterator[TraceRecord]:
-        for times, kids, seq0, chunk in self._blocks():
-            for i in range(len(kids)):
-                yield self._materialize(times, kids, seq0, chunk, i)
+        times, kids = self._arrays()
+        for i in range(len(kids)):
+            yield self._materialize(times, kids, i)
 
     def select(
         self,
@@ -640,15 +445,10 @@ class Tracer:
         predicates are evaluated as vector operations over the columns;
         a :class:`TraceRecord` is materialized per *matching* row only.
         """
-        filters = list(field_filters.items())
-        out: list[TraceRecord] = []
+        idx = self._matches(prefix, since, until, list(field_filters.items()))
+        times, kids = self._arrays()
         materialize = self._materialize
-        for times, kids, seq0, chunk, idx in self._matches(
-            prefix, since, until, filters
-        ):
-            for i in idx:
-                out.append(materialize(times, kids, seq0, chunk, i))
-        return out
+        return [materialize(times, kids, i) for i in idx]
 
     def first(
         self,
@@ -658,12 +458,10 @@ class Tracer:
         **field_filters: typing.Any,
     ) -> TraceRecord | None:
         """The earliest record matching prefix, window and fields, or None."""
-        filters = list(field_filters.items())
-        for times, kids, seq0, chunk, idx in self._matches(
-            prefix, since, until, filters
-        ):
-            return self._materialize(times, kids, seq0, chunk, idx[0])
-        return None
+        idx = self._matches(prefix, since, until, list(field_filters.items()))
+        if len(idx) == 0:
+            return None
+        return self._materialize(*self._arrays(), idx[0])
 
     def last(
         self,
@@ -673,15 +471,10 @@ class Tracer:
         **field_filters: typing.Any,
     ) -> TraceRecord | None:
         """The latest record matching prefix, window and fields, or None."""
-        filters = list(field_filters.items())
-        hit = None
-        for times, kids, seq0, chunk, idx in self._matches(
-            prefix, since, until, filters
-        ):
-            hit = (times, kids, seq0, chunk, idx[-1])
-        if hit is None:
+        idx = self._matches(prefix, since, until, list(field_filters.items()))
+        if len(idx) == 0:
             return None
-        return self._materialize(*hit)
+        return self._materialize(*self._arrays(), idx[-1])
 
     def times(
         self,
@@ -691,11 +484,9 @@ class Tracer:
         **field_filters: typing.Any,
     ) -> list[float]:
         """Times of all matching records (vectorized; no record views)."""
-        filters = list(field_filters.items())
-        out: list[float] = []
-        for times, _, _, _, idx in self._matches(prefix, since, until, filters):
-            out.extend(times[idx].tolist())
-        return out
+        idx = self._matches(prefix, since, until, list(field_filters.items()))
+        times, _ = self._arrays()
+        return times[idx].tolist()
 
     def clear(self) -> None:
         """Drop all records (subscribers stay).
@@ -707,7 +498,5 @@ class Tracer:
         analyses rely on this to order observations across windows
         without keeping the records themselves.
         """
-        self._chunks = []
-        self._sealed_len = 0
         self._seq_base = self._sequence
-        self._new_active()
+        self._new_columns()

@@ -1,8 +1,9 @@
 """The hypervisor substrate: a Xen-3.0.0-alike VMM.
 
-Domain lifecycle, event channels, xenstore, hypercalls, ballooning, and
-disk-based save/restore.  The warm-VM-reboot mechanisms subclass
-:class:`Hypervisor` in :mod:`repro.core`.
+Domain lifecycle, event channels, grant tables, xenstore, the hypercall
+dispatcher and disk-based save/restore.  The warm-VM-reboot mechanisms
+subclass :class:`Hypervisor` in :mod:`repro.core`, which also registers
+the hypercalls they issue (``xexec`` and ``suspend``).
 """
 
 from repro.vmm.devices import DeviceSet, VirtualDevice

@@ -13,9 +13,6 @@ import dataclasses
 import itertools
 import typing
 
-from repro.errors import VMMError
-from repro.simkernel.metrics import NULL
-
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.simkernel.metrics import MetricsRegistry
 
@@ -29,59 +26,29 @@ class EventChannel:
     peer: str
     purpose: str
     pending: int = 0
-    """Notifications delivered but not yet consumed."""
+    """Notifications delivered but not yet consumed (carried through the
+    save area by :meth:`EventChannelTable.snapshot_domain`)."""
 
 
 class EventChannelTable:
     """All channels managed by one hypervisor instance.
 
-    ``metrics`` (the owning simulator's registry) backs the
-    ``vmm.event_channel_sends`` counter; the table is constructed by the
-    hypervisor, which passes its ``sim.metrics``.  Standalone tables
-    (tests) default to the no-op instrument.
+    ``metrics`` is the owning simulator's registry; the table is
+    constructed by the hypervisor, which passes its ``sim.metrics``.
     """
 
     def __init__(self, metrics: "MetricsRegistry | None" = None) -> None:
         self._channels: dict[int, EventChannel] = {}
         self._ports = itertools.count(1)
-        self.notifications_sent = 0
-        self._metric_sends = (
+        # Nothing sends, but metrics-on bundles and pinned digests list it.
+        if metrics is not None:
             metrics.counter("vmm.event_channel_sends")
-            if metrics is not None
-            else NULL
-        )
 
     def bind(self, owner: str, peer: str, purpose: str) -> EventChannel:
         """Allocate and bind a new channel between two domains."""
         channel = EventChannel(next(self._ports), owner, peer, purpose)
         self._channels[channel.port] = channel
         return channel
-
-    def lookup(self, port: int) -> EventChannel:
-        """The channel bound on ``port``; raises if unbound."""
-        try:
-            return self._channels[port]
-        except KeyError:
-            raise VMMError(f"no event channel on port {port}") from None
-
-    def notify(self, port: int) -> None:
-        """Raise a pending notification on a channel."""
-        channel = self.lookup(port)
-        channel.pending += 1
-        self.notifications_sent += 1
-        self._metric_sends.inc()
-
-    def consume(self, port: int) -> int:
-        """Drain pending notifications; returns how many there were."""
-        channel = self.lookup(port)
-        pending, channel.pending = channel.pending, 0
-        return pending
-
-    def close(self, port: int) -> None:
-        """Unbind one channel; raises if already closed."""
-        if port not in self._channels:
-            raise VMMError(f"closing unbound port {port}")
-        del self._channels[port]
 
     def channels_of(self, domain: str) -> list[EventChannel]:
         """All channels with ``domain`` on either end."""

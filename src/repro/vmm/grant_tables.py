@@ -126,18 +126,3 @@ class GrantTable:
         for reference in victims:
             del self._entries[reference]
         return len(victims)
-
-    def revoke_all(self, granter: str) -> int:
-        """Device-detach path: revoke every (unmapped) grant of a domain.
-
-        Returns how many were revoked; raises if any is still mapped.
-        """
-        entries = self.entries_of(granter)
-        for entry in entries:
-            if entry.mapped:
-                raise VMMError(
-                    f"grant {entry.reference} still mapped; I/O not drained"
-                )
-        for entry in entries:
-            del self._entries[entry.reference]
-        return len(entries)

@@ -10,8 +10,9 @@ successor can see, it sees through machine RAM (the preserved store) or
 the disk, never through Python references to the dead instance.
 
 The baseline hypervisor supports everything original Xen 3.0.0 does in
-this story: domain lifecycle, ballooning, event channels, and
-**save/restore through the disk** (the ``saved-VM reboot`` baseline).
+this story: domain lifecycle, event channels, grant tables, xenstore, the
+hypercall dispatcher and **save/restore through the disk** (the
+``saved-VM reboot`` baseline).
 The RootHammer mechanisms — on-memory suspend/resume and quick reload —
 live in :class:`repro.core.roothammer.RootHammerHypervisor`, a subclass,
 mirroring how the paper's system is a modified Xen.
@@ -32,7 +33,7 @@ from repro.errors import (
     VMMError,
 )
 from repro.hardware.machine import PhysicalMachine
-from repro.memory import Balloon, FrameAllocator, VmmHeap
+from repro.memory import FrameAllocator, VmmHeap
 from repro.simkernel import Resource
 from repro.units import GiB, KiB, MiB, pages
 from repro.vmm.domain import Domain, DomainState
@@ -305,15 +306,14 @@ class Hypervisor:
         self._membership_changed()
         self._trace("vmm.domain.destroyed", domain=name)
 
-    def balloon_for(self, name: str) -> Balloon:
-        """A balloon driver bound to the named domain."""
-        domain = self.domain(name)
-        return Balloon(self.allocator, domain.p2m, domain.name)
-
     # -- hypercalls ---------------------------------------------------------------------
 
     def hypercall(self, name: str, caller: Domain, **kwargs: typing.Any) -> typing.Any:
-        """Dispatch a synchronous hypercall from a domain."""
+        """Dispatch a synchronous hypercall to its ``_hc_<name>`` handler.
+
+        The baseline VMM defines no handlers; RootHammer adds ``xexec``
+        and ``suspend``.  An unknown name charges the error-path leak.
+        """
         self.require_running()
         handler = getattr(self, f"_hc_{name}", None)
         if handler is None:
@@ -322,18 +322,6 @@ class Hypervisor:
         self.hypercall_counts[name] = self.hypercall_counts.get(name, 0) + 1
         self.sim.metrics.counter("vmm.hypercalls", type=name).inc()
         return handler(caller, **kwargs)
-
-    def _hc_event_channel_notify(self, caller: Domain, port: int = 0) -> None:
-        self.event_channels.notify(port)
-
-    def _hc_memory_op(
-        self, caller: Domain, target_pages: int = 0
-    ) -> int:
-        """Balloon the calling domain toward ``target_pages``."""
-        return self.balloon_for(caller.name).set_target(target_pages)
-
-    def _hc_console_io(self, caller: Domain, message: str = "") -> None:
-        self._trace("vmm.console", domain=caller.name, message=message)
 
     def _record_error_path(self) -> None:
         """Charge the changeset-11752 error-path leak if active."""

@@ -50,10 +50,8 @@ class Xenstore:
         self.budget_bytes = budget_bytes
         self.faults = faults if faults is not None else AgingFaults.healthy()
         self._tree: dict[str, str] = {}
-        self._watches: dict[str, list[typing.Callable[[str], None]]] = {}
         self._leaked_bytes = 0
         self.transactions = 0
-        self.watch_events_fired = 0
         self._metric_used = (
             metrics.gauge("vmm.xenstore_used_bytes") if metrics is not None else NULL
         )
@@ -107,24 +105,10 @@ class Xenstore:
         return path
 
     def write(self, path: str, value: str) -> None:
-        """Create or update one entry (fires matching watches)."""
+        """Create or update one entry."""
         self._validate(path)
         self._charge_transaction()
         self._tree[path] = value
-        self._fire_watches(path)
-
-    def read(self, path: str) -> str:
-        """Read one entry; raises :class:`XenstoreError` if absent."""
-        self._validate(path)
-        self._charge_transaction()
-        try:
-            return self._tree[path]
-        except KeyError:
-            raise XenstoreError(f"no such path {path!r}") from None
-
-    def exists(self, path: str) -> bool:
-        """True if ``path`` holds a value (free: no transaction charged)."""
-        return path in self._tree
 
     def remove(self, path: str) -> int:
         """Remove a path and its whole subtree; returns entries removed."""
@@ -134,51 +118,7 @@ class Xenstore:
         victims = [p for p in self._tree if p == path or p.startswith(prefix)]
         for victim in victims:
             del self._tree[victim]
-        for victim in victims:
-            self._fire_watches(victim)
         return len(victims)
-
-    # -- watches (the toolstack's notification mechanism) --------------------------
-
-    def watch(
-        self, prefix: str, callback: typing.Callable[[str], None]
-    ) -> typing.Callable[[], None]:
-        """Invoke ``callback(path)`` whenever a path under ``prefix``
-        changes (write or removal) — xenstore's watch protocol, which
-        the toolstack and device frontends coordinate through.
-
-        Returns an unwatch callable.
-        """
-        self._validate(prefix)
-        self._watches.setdefault(prefix, []).append(callback)
-
-        def unwatch() -> None:
-            callbacks = self._watches.get(prefix, [])
-            if callback in callbacks:
-                callbacks.remove(callback)
-                if not callbacks:
-                    del self._watches[prefix]
-
-        return unwatch
-
-    def _fire_watches(self, path: str) -> None:
-        for prefix, callbacks in list(self._watches.items()):
-            if path == prefix or path.startswith(prefix.rstrip("/") + "/"):
-                for callback in list(callbacks):
-                    self.watch_events_fired += 1
-                    callback(path)
-
-    def list_dir(self, path: str) -> list[str]:
-        """Immediate children names of ``path``."""
-        self._validate(path)
-        self._charge_transaction()
-        prefix = path.rstrip("/") + "/" if path != "/" else "/"
-        children = {
-            p[len(prefix):].split("/", 1)[0]
-            for p in self._tree
-            if p.startswith(prefix)
-        }
-        return sorted(children)
 
     # -- toolstack helpers ------------------------------------------------------------------
 
@@ -192,11 +132,3 @@ class Xenstore:
     def unregister_domain(self, domid: int) -> None:
         """Remove a domain's whole subtree."""
         self.remove(f"/local/domain/{domid}")
-
-    def registered_domids(self) -> list[int]:
-        """Sorted domids currently introduced in the store."""
-        return sorted(
-            int(name)
-            for name in self.list_dir("/local/domain")
-            if name.isdigit()
-        )

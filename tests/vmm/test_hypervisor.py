@@ -4,6 +4,7 @@ save/restore, heap aging."""
 import pytest
 
 from repro.config import AgingFaults, paper_testbed, small_testbed
+from repro.core.roothammer import RootHammerHypervisor
 from repro.errors import (
     DomainError,
     HypercallError,
@@ -21,10 +22,10 @@ def sim():
     return Simulator()
 
 
-def booted_vmm(sim, profile=None, faults=None):
+def booted_vmm(sim, profile=None, faults=None, vmm_cls=Hypervisor):
     profile = profile or paper_testbed()
     machine = PhysicalMachine(sim, profile)
-    vmm = Hypervisor(machine, profile, faults=faults)
+    vmm = vmm_cls(machine, profile, faults=faults)
     sim.run(sim.spawn(vmm.boot()))
     vmm.create_dom0()
     return vmm
@@ -91,7 +92,8 @@ class TestDomainLifecycle:
         assert domain.is_running
         assert vmm.allocator.pages_of("vm1") == pages(gib(1))
         assert domain.p2m.mapped_pages == pages(gib(1))
-        assert vmm.xenstore.exists(f"/local/domain/{domain.domid}/name")
+        # name, memory and state were introduced in xenstore
+        assert vmm.xenstore.remove(f"/local/domain/{domain.domid}") == 3
 
     def test_creation_serialized_by_toolstack(self, sim):
         vmm = booted_vmm(sim)
@@ -131,14 +133,6 @@ class TestDomainLifecycle:
         assert [d.name for d in vmm.domus] == ["vm1"]
         assert vmm.domain_list[0].name == DOM0_NAME
 
-    def test_balloon_through_hypercall(self, sim):
-        vmm = booted_vmm(sim)
-        domain = sim.run(sim.spawn(vmm.create_domain("vm1", gib(1))))
-        target = pages(mib(512))
-        result = vmm.hypercall("memory_op", domain, target_pages=target)
-        assert result == target
-        assert vmm.allocator.pages_of("vm1") == target
-
 
 class TestHypercalls:
     def test_unknown_hypercall_raises(self, sim):
@@ -148,24 +142,19 @@ class TestHypercalls:
             vmm.hypercall("frobnicate", dom0)
 
     def test_hypercall_counting(self, sim):
-        vmm = booted_vmm(sim)
+        vmm = booted_vmm(sim, vmm_cls=RootHammerHypervisor)
         dom0 = vmm.domain(DOM0_NAME)
-        vmm.hypercall("console_io", dom0, message="hi")
-        vmm.hypercall("console_io", dom0, message="again")
-        assert vmm.hypercall_counts["console_io"] == 2
-
-    def test_event_channel_notify_hypercall(self, sim):
-        vmm = booted_vmm(sim)
-        domain = sim.run(sim.spawn(vmm.create_domain("vm1", mib(256))))
-        port = vmm.event_channels.channels_of("vm1")[0].port
-        vmm.hypercall("event_channel_notify", domain, port=port)
-        assert vmm.event_channels.consume(port) == 1
+        vmm.hypercall("xexec", dom0)
+        vmm.hypercall("xexec", dom0)
+        with pytest.raises(HypercallError):
+            vmm.hypercall("frobnicate", dom0)  # unknown: not counted
+        assert vmm.hypercall_counts == {"xexec": 2}
 
     def test_crashed_vmm_rejects_hypercalls(self, sim):
-        vmm = booted_vmm(sim)
+        vmm = booted_vmm(sim, vmm_cls=RootHammerHypervisor)
         vmm.crash("test")
         with pytest.raises(VMMCrashed):
-            vmm.hypercall("console_io", None)
+            vmm.hypercall("xexec", vmm.domain(DOM0_NAME))
 
 
 class TestHeapAging:
