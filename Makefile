@@ -14,7 +14,7 @@ export PYTHONPATH := src
 
 .PHONY: lint lint-stats test test-sanitize bench-selftest test-fleet test-control scenarios obs-check bench perf-check perf-write perf-ab profile ci
 
-# Whole-program determinism & architecture analysis (rules SL001-SL015)
+# Whole-program determinism & architecture analysis (rules SL001-SL016)
 # over src/ (strict profile) and tests/ + benchmarks/ (relaxed profile:
 # bare asserts and wall clock allowed; layering and frozen-spec rules
 # still enforced).
@@ -51,7 +51,7 @@ test-fleet:
 # edge cases (partial plans, never exceptions), executor audit, the
 # open-loop triggers (the periodic schedule and the rolling/migration
 # campaigns) that feed the same executor, and the closed loop's
-# plain == sanitized determinism pin, plus the aging monitor and
+# plain == sanitized determinism pin, plus the aging story and
 # watchdog tests.
 test-control:
 	$(PYTHON) -m pytest -x -q tests/control tests/aging

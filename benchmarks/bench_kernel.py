@@ -17,7 +17,7 @@ The numbers deliberately exercise the kernel's hottest paths:
   watchdog timer via ``Simulator.rearm_timer``, exercising lazy
   deletion, compaction and (on the batched scheduler) far-tier bulk
   absorption;
-* **records/sec** — ``Tracer.record`` with no subscribers, the
+* **records/sec** — ``Tracer.record`` appending to the trace log, the
   always-on instrumentation cost every simulated action pays;
 * **select rows/sec** — windowed prefix+field queries over a populated
   columnar trace, the read side every analysis pays;
@@ -127,7 +127,7 @@ def bench_timer_churn(
 
 
 def bench_trace_throughput(n: int = 1_000_000) -> float:
-    """Trace records per second with no subscribers attached."""
+    """Trace records appended per second."""
     from repro.simkernel import Simulator
 
     sim = Simulator()

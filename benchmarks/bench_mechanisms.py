@@ -9,7 +9,7 @@ milliseconds; P2M replay walks a handful of runs, not one entry per page.
 import pytest
 
 from repro.core import RootHammer, VMSpec
-from repro.memory import Extent, FrameAllocator, MachineMemory, P2MTable
+from repro.memory import FrameAllocator, MachineMemory, P2MTable
 from repro.units import gib, pages
 
 

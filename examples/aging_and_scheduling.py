@@ -3,18 +3,23 @@
 predict exhaustion, and rejuvenate on schedule.
 
 Recreates §2's motivation mechanically: the cited heap/xenstored leaks are
-switched on, VM churn drives consumption up, an aging monitor fits the
-trend and recommends a rejuvenation interval, and a time-based policy
-(§3.2) runs warm rejuvenations that demonstrably reset the damage.
+switched on, VM churn drives consumption up, the control plane's heap
+signal feeds an aging detector, a line fitted to its samples recommends
+a rejuvenation interval, and a time-based policy (§3.2) runs warm
+rejuvenations that demonstrably reset the damage.
 
 Run:  python examples/aging_and_scheduling.py
 """
 
-from repro.aging import AgingMonitor, RejuvenationPlan, format_availability
+from repro.aging import RejuvenationPlan, format_availability
+from repro.analysis.fitting import fit_line
 from repro.config import AgingFaults
-from repro.control import PlanExecutor, periodic
+from repro.control import Detector, PlanExecutor, heap_utilization_signal, periodic
 from repro.core import RootHammer, VMSpec
-from repro.units import DAY, HOUR, fmt_bytes, fmt_duration, gib
+from repro.units import DAY, fmt_bytes, fmt_duration, gib
+
+AGING_WATERMARK = 0.02
+"""Heap utilization at which the aging detector fires."""
 
 
 def main() -> None:
@@ -25,24 +30,37 @@ def main() -> None:
     )
     host = controller.host
     vmm = controller.vmm()
-    monitor = AgingMonitor(host, interval_s=6 * HOUR)
+    detector = Detector(
+        "aging", host.name, heap_utilization_signal(host), AGING_WATERMARK
+    )
+    samples: list[tuple[float, float]] = []
+
+    def sample() -> None:
+        detector.observe(controller.now)
+        samples.append((controller.now, detector.value))
 
     # Age the system: daily OS rejuvenations churn domains, and each
     # domain destroy leaks VMM heap (the changeset-9392 defect).
     print("aging the VMM with daily guest reboots (leaky Xen defects on)...")
     for day in range(6):
-        monitor.sample_once()
+        sample()
         controller.run_for(1 * DAY)
         controller.run_process(host.reboot_guest(f"vm{day % 3}"))
-    monitor.sample_once()
+    sample()
 
     print(f"  heap leaked so far : {fmt_bytes(vmm.heap.leaked_bytes)}")
-    print(f"  heap utilization   : {vmm.heap.utilization:.1%}")
-    slope, _ = monitor.heap_trend()
-    exhaustion = monitor.estimate_heap_exhaustion()
-    print(f"  leak trend         : {fmt_bytes(int(slope * DAY))}/day")
+    print(f"  heap utilization   : {detector.value:.1%}")
+    for trigger in detector.triggers:
+        print(f"  aging detector fired on day {trigger.time / DAY:.0f} "
+              f"({trigger.value:.2%} >= {AGING_WATERMARK:.0%})")
+    # Utilization is linear in time under a steady leak; exhaustion is
+    # where the fitted line reaches 1.0.
+    fit = fit_line([t for t, _ in samples], [u for _, u in samples])
+    print(f"  leak trend         : "
+          f"{fmt_bytes(int(fit.slope * vmm.heap.capacity_bytes * DAY))}/day")
+    exhaustion = (1.0 - fit.intercept) / fit.slope
     print(f"  predicted exhaustion in {fmt_duration(exhaustion - controller.now)}")
-    interval = monitor.recommended_rejuvenation_interval(safety=0.8)
+    interval = 0.8 * (exhaustion - samples[0][0])
     print(f"  recommended VMM rejuvenation interval: {fmt_duration(interval)}\n")
 
     # Hand control to the time-based policy with a warm strategy.

@@ -59,7 +59,7 @@ class HeapExhaustionCrasher:
                 continue  # mid-reboot or already crashed: nothing to leak
             vmm.heap.leak_bytes(leak_per_tick)
             if vmm.heap.available_bytes <= 0:
-                vmm.crash(reason="heap exhausted")
+                self.host.crash(reason="heap exhausted")
                 self.crashes.append(sim.now)
         return self.crashes
 
@@ -82,37 +82,26 @@ class CrashWatchdog:
         self.poll_interval_s = poll_interval_s
         self.recoveries: list[tuple[float, float]] = []
         """(crash detected at, recovery finished at) pairs."""
-        self._waiter: typing.Any = None
 
     def run(self, until: float) -> typing.Generator:
         """Wait for a crashed VMM and recover it (a process).
 
         Event-driven equivalent of a 10-second poll loop: simulating every
         idle tick over weeks of simulated time costs ~100k events per
-        simulated week, so the watchdog instead sleeps until a
-        ``vmm.crash`` trace record and then replays the poll-grid float
-        arithmetic to act at the exact tick the polling loop would have
-        noticed the crash on.
+        simulated week, so the watchdog instead sleeps on the host's
+        :meth:`~repro.core.host.Host.vmm_crashed` event and then replays
+        the poll-grid float arithmetic to act at the exact tick the
+        polling loop would have noticed the crash on.
         """
         sim = self.host.sim
         poll = self.poll_interval_s
-
-        def on_crash(record: typing.Any) -> None:
-            waiter = self._waiter
-            if waiter is not None:
-                self._waiter = None
-                waiter.succeed(record.time)
-
-        sim.trace.subscribe("vmm.crash", on_crash)
         anchor = sim.now
         while True:
             if anchor >= until:
                 return self.recoveries
             vmm = self.host.vmm
             if vmm is None or vmm.state is not VmmState.CRASHED:
-                self._waiter = crashed = sim.event(name="watchdog.wake")
-                yield crashed | sim.timeout(until - sim.now)
-                self._waiter = None
+                yield self.host.vmm_crashed() | sim.timeout(until - sim.now)
                 if sim.now >= until:
                     return self.recoveries
                 vmm = self.host.vmm

@@ -22,7 +22,7 @@ from repro.hardware.machine import PhysicalMachine
 from repro.simkernel import Event, RandomStreams, Simulator
 from repro.units import GiB
 from repro.vmm.domain import Domain, DomainState
-from repro.vmm.hypervisor import DOM0_NAME, Hypervisor
+from repro.vmm.hypervisor import DOM0_NAME, Hypervisor, VmmState
 
 
 @dataclasses.dataclass(frozen=True)
@@ -83,6 +83,7 @@ class Host:
         """True while a :meth:`reboot` or :meth:`reboot_guest` is in
         flight on this host."""
         self._reboot_waiters: list[Event] = []
+        self._crash_waiters: list[Event] = []
 
     # -- configuration ------------------------------------------------------------
 
@@ -242,6 +243,44 @@ class Host:
 
         self.sim.call_in(quirks.post_create_network_slump_s, restore)
 
+    def crash(self, reason: str = "aging") -> None:
+        """The failure rejuvenation exists to preempt: the VMM dies.
+
+        A crashed VMM freezes every domain: their services stop answering
+        instantly (recorded so downtime measurement sees the outage begin
+        at the crash, not at its later detection).  Then every event
+        :meth:`vmm_crashed` handed out fires.
+        """
+        vmm = self.require_vmm()
+        vmm.state = VmmState.CRASHED
+        self.sim.trace.record(
+            "vmm.crash", vmm_generation=vmm.generation, reason=reason
+        )
+        for domain in vmm.domus:
+            guest = domain.guest
+            if guest is None:
+                continue
+            for service in guest.services:
+                if service.is_up:
+                    self.sim.trace.record(
+                        "service.down",
+                        service=service.name,
+                        service_kind=service.kind,
+                        domain=domain.name,
+                        reason="vmm-crash",
+                    )
+        waiters, self._crash_waiters = self._crash_waiters, []
+        for waiter in waiters:
+            waiter.succeed()
+
+    def vmm_crashed(self) -> Event:
+        """An event that fires at this host's next :meth:`crash`, whatever
+        VMM generation it hits.  Like :meth:`reboot_finished`, only an
+        asked-for event is ever scheduled."""
+        waiter = self.sim.event(name=f"vmm-crashed:{self.name}")
+        self._crash_waiters.append(waiter)
+        return waiter
+
     def recover_from_crash(self) -> typing.Generator:
         """Unplanned recovery after a VMM crash (the reactive path that
         rejuvenation exists to preempt): no orderly shutdown is possible,
@@ -250,8 +289,6 @@ class Host:
         Returns the recovery duration.
         """
         vmm = self.require_vmm()
-        from repro.vmm.hypervisor import VmmState
-
         if vmm.state is not VmmState.CRASHED:
             raise RejuvenationError("recover_from_crash needs a crashed VMM")
         started = self.sim.now

@@ -33,7 +33,7 @@ from repro.core.roothammer import RootHammerHypervisor
 from repro.vmm.domain import DomainState
 
 if typing.TYPE_CHECKING:  # pragma: no cover
-    from repro.core.host import Host, VMSpec
+    from repro.core.host import Host
 
 
 class RebootStrategy(enum.Enum):

@@ -37,6 +37,9 @@ SL008   observability naming: span names outside
         :data:`repro.simkernel.metrics.METRIC_SCHEMA`, or
         hand-written ``span.*`` trace records outside
         ``simkernel/spans.py`` (unbalanced begin/end)
+SL016   module-level import whose name nothing in the module reads
+        (loads and whole words in string constants count as reads;
+        package ``__init__.py`` re-exports are exempt)
 ======  ==============================================================
 
 Cross-module rules (phase 2, over the project index):

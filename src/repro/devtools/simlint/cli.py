@@ -22,7 +22,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="simlint",
         description=(
             "Determinism & architecture static analysis for the "
-            "RootHammer reproduction (rules SL001-SL015)."
+            "RootHammer reproduction (rules SL001-SL016)."
         ),
     )
     parser.add_argument(

@@ -109,7 +109,7 @@ class _IndexVisitor(ast.NodeVisitor):
 
     def _local_qual(self, name: str) -> str:
         """Module-local qualname (no module prefix) for the class/function
-        tables, e.g. ``"AgingMonitor.sample_once"``."""
+        tables, e.g. ``"CrashWatchdog.run"``."""
         inner = [s.qualname for s in self._scopes[1:]]
         return ".".join(self._class_stack + inner + [name])
 

@@ -37,6 +37,7 @@ RULES: dict[str, str] = {
     "SL013": "wall-clock/unseeded-RNG sink reachable from the simulation",
     "SL014": "cross-package private-attribute access",
     "SL015": "stale simlint suppression (masks no finding)",
+    "SL016": "module-level import that nothing reads",
 }
 
 RELAXED_DISABLED: frozenset[str] = frozenset(
@@ -56,7 +57,7 @@ RELAXED_DISABLED: frozenset[str] = frozenset(
 """Rules the *relaxed* profile (tests/, benchmarks/) turns off.
 
 What stays enforced everywhere: SL004 (scheduler-storage pushes), SL011
-(layering/cycles), SL012 (frozen-spec mutation), SL007 and SL015.
+(layering/cycles), SL012 (frozen-spec mutation), SL007, SL015 and SL016.
 """
 
 # SL001 — anything that reads the host clock.  Simulated components must
@@ -197,6 +198,31 @@ def sink_kind(qual: str, has_args: bool) -> str | None:
 _STACK_ENTRYPOINTS = frozenset({"RootHammer", "Cluster", "Host"})
 
 
+# SL016 — identifier-shaped words inside string constants.  A name that
+# appears as a whole word in any string counts as read: that covers
+# ``__all__`` entries, string annotations on TYPE_CHECKING imports, and
+# names looked up by string (an experiment cell's ``"measure_downtime"``).
+_WORD_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def _module_statements(
+    body: typing.Sequence[ast.stmt],
+) -> typing.Iterator[ast.stmt]:
+    """Statements at module scope, through ``if``/``try`` blocks (an
+    ``if TYPE_CHECKING:`` import is module-level) but not into function
+    or class bodies."""
+    for node in body:
+        yield node
+        if isinstance(node, ast.If):
+            yield from _module_statements(node.body)
+            yield from _module_statements(node.orelse)
+        elif isinstance(node, ast.Try):
+            for block in (node.body, node.orelse, node.finalbody):
+                yield from _module_statements(block)
+            for handler in node.handlers:
+                yield from _module_statements(handler.body)
+
+
 _PACKAGE_RE = re.compile(r"(?:^|/)repro/(?:([a-z_]+)/|([a-z_0-9]+)\.py$)")
 
 _RELAXED_MARKERS = ("tests/", "benchmarks/")
@@ -228,6 +254,7 @@ class ModulePolicy:
     is_devtools: bool = False  # not simulation code: SL001-SL003 exempt
     is_experiment: bool = False  # repro/experiments/: SL007 applies
     is_span_owner: bool = False  # simkernel/spans.py: may write span.* records
+    is_reexport: bool = False  # package __init__.py: SL016 exempt
     package: str | None = None  # repro subpackage, for the privacy rule
     profile: str = "strict"
 
@@ -255,6 +282,7 @@ class ModulePolicy:
             is_devtools="repro/devtools/" in norm,
             is_experiment="repro/experiments/" in norm,
             is_span_owner=norm.endswith("simkernel/spans.py"),
+            is_reexport=norm.endswith("__init__.py"),
             package=package,
             profile=profile if profile is not None else profile_for_path(norm),
         )
@@ -414,6 +442,8 @@ class RuleVisitor(ast.NodeVisitor):
     def check(self, tree: ast.AST) -> list[RawFinding]:
         self.set_facts.visit(tree)
         self.visit(tree)
+        if isinstance(tree, ast.Module) and not self.policy.is_reexport:
+            self._check_unused_imports(tree)
         self.findings.sort(key=lambda f: (f.line, f.col, f.rule))
         return self.findings
 
@@ -677,6 +707,41 @@ class RuleVisitor(ast.NodeVisitor):
     def visit_comprehension(self, node: ast.comprehension) -> None:
         self._check_iteration(node.iter, node.iter)
         self.generic_visit(node)
+
+    # -- SL016: unused module-level imports --------------------------------
+
+    def _check_unused_imports(self, tree: ast.Module) -> None:
+        """Flag module-level imports whose bound name is never read.
+
+        A name is read if it is loaded anywhere in the module or is a
+        whole word in any string constant (see :data:`_WORD_RE`).
+        ``__future__`` imports and ``*`` imports bind nothing to check.
+        """
+        imported: list[tuple[str, ast.stmt]] = []
+        for node in _module_statements(tree.body):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    imported.append((bound, node))
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    if alias.name != "*":
+                        imported.append((alias.asname or alias.name, node))
+        if not imported:
+            return
+        read: set[str] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.update(_WORD_RE.findall(node.value))
+        for name, node in imported:
+            if name not in read:
+                self._emit(
+                    "SL016",
+                    node,
+                    f"{name!r} is imported but never read; delete the import",
+                )
 
     # -- SL005: bare asserts ----------------------------------------------
 

@@ -19,7 +19,7 @@ class SimulationError(ReproError):
 
 
 class ProcessKilled(SimulationError):
-    """A simulated process was forcibly killed (not a normal interrupt)."""
+    """A simulated process was forcibly killed (``Process.kill``)."""
 
 
 class HardwareError(ReproError):

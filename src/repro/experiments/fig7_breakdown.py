@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import typing
 
-from repro.analysis.report import ComparisonRow, render_table
+from repro.analysis.report import ComparisonRow
 from repro.analysis.timeline import AnnotatedTimeline, bucketize, zero_intervals
 from repro.experiments.common import ExperimentResult, build_testbed
 from repro.units import kib

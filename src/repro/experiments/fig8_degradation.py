@@ -13,7 +13,6 @@ from __future__ import annotations
 import typing
 
 from repro.analysis.report import ComparisonRow, render_table
-from repro.errors import ReproError
 from repro.experiments.common import (
     ExperimentResult,
     build_testbed,

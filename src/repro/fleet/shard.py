@@ -33,7 +33,7 @@ def _measure_window(
     """One client's cross-validation row over the observation window.
 
     Fluid clients integrate their tick log; exact clients window their
-    columnar completion log, and estimate downtime from the retry ledger
+    completion log, and estimate downtime from the retry ledger
     (each failure is one worker sleeping ``retry_interval_s``, so
     ``failures * retry / concurrency`` is wall-clock unreachable time —
     quantized exactly like the fluid model's tick sampling).

@@ -18,7 +18,6 @@ Invariants (property-tested):
 from __future__ import annotations
 
 import bisect
-import typing
 
 from repro.errors import FrameOwnershipError, OutOfMemoryError, MemoryError_
 from repro.memory.frames import Extent, MachineMemory

@@ -11,11 +11,11 @@ This subpackage is self-contained (no dependencies on the rest of
   diffed against);
 * :class:`~repro.simkernel.events.Event`, timeouts, all-of/any-of conditions;
 * :class:`~repro.simkernel.process.Process` — generator-based activities
-  with interrupts;
-* :class:`~repro.simkernel.resources.Resource` / ``Store`` — queued
-  contention points;
+  (ended by return, raise or :meth:`~repro.simkernel.process.Process.kill`);
+* :class:`~repro.simkernel.resources.Resource` — queued contention points;
 * :class:`~repro.simkernel.sharing.SharedPool` — fluid processor sharing;
-* :class:`~repro.simkernel.tracing.Tracer` — typed trace records;
+* :class:`~repro.simkernel.tracing.Tracer` — an append-only log of typed
+  trace records;
 * :class:`~repro.simkernel.rng.RandomStreams` — named seeded RNG streams;
 * :class:`~repro.simkernel.sanitizer.DeterminismSanitizer` — opt-in runtime
   determinism checks (``Simulator(sanitize=True)`` / ``REPRO_SANITIZE=1``);
@@ -28,7 +28,7 @@ This subpackage is self-contained (no dependencies on the rest of
 """
 
 from repro.simkernel.backends import BatchedBackend
-from repro.simkernel.events import AllOf, AnyOf, Event, Interrupt, Timeout
+from repro.simkernel.events import AllOf, AnyOf, Event, Timeout
 from repro.simkernel.kernel import Simulator, TimerHandle
 from repro.simkernel.metrics import (
     METRIC_SCHEMA,
@@ -38,7 +38,7 @@ from repro.simkernel.metrics import (
     MetricsRegistry,
 )
 from repro.simkernel.process import Process
-from repro.simkernel.resources import Request, Resource, Store
+from repro.simkernel.resources import Request, Resource
 from repro.simkernel.rng import RandomStreams
 from repro.simkernel.sanitizer import (
     DeterminismSanitizer,
@@ -59,7 +59,6 @@ __all__ = [
     "Event",
     "Gauge",
     "Histogram",
-    "Interrupt",
     "METRIC_SCHEMA",
     "MetricsRegistry",
     "Process",
@@ -72,7 +71,6 @@ __all__ = [
     "Simulator",
     "Span",
     "SpanTracker",
-    "Store",
     "TimerHandle",
     "TraceRecord",
     "Tracer",

@@ -104,9 +104,9 @@ class Event:
         self._ok = True
         self._value = value
         self._state = TRIGGERED
-        # sim._schedule is the backend's bound schedule() — one call,
-        # no Simulator._enqueue hop; succeed() runs once per completed
-        # unit of simulated work, everywhere.
+        # sim._schedule is the backend's bound schedule() — one call;
+        # succeed() runs once per completed unit of simulated work,
+        # everywhere.
         sim = self.sim
         sim._schedule(sim._now, PRIORITY_NORMAL, self)
         return self
@@ -147,15 +147,6 @@ class Event:
         sim = self.sim
         sim._schedule(sim._now, PRIORITY_NORMAL, self)
         return self
-
-    def trigger_from(self, other: "Event") -> None:
-        """Adopt the (already decided) outcome of ``other``."""
-        if not other.triggered:
-            raise SimulationError(f"{other!r} has no outcome to copy")
-        if other.ok:
-            self.succeed(other.value)
-        else:
-            self.fail(other.value)
 
     def defuse(self) -> None:
         """Mark a failure as handled so the simulator will not re-raise it."""
@@ -203,11 +194,8 @@ class Event:
         label = self.name or self.__class__.__name__
         return f"<{label} {self._state} at t={self.sim.now:.6g}>"
 
-    # Events compose with & and | like simpy's.
-    def __and__(self, other: "Event") -> "AllOf":
-        return AllOf(self.sim, [self, other])
-
     def __or__(self, other: "Event") -> "AnyOf":
+        """``a | b``: an :class:`AnyOf` over both events."""
         return AnyOf(self.sim, [self, other])
 
 
@@ -236,7 +224,7 @@ class Timeout(Event):
         self._defused = False
         self.delay = delay
         # The delay check above already rules out scheduling in the past,
-        # so this skips _enqueue_at's guard.
+        # so this needs no guard of its own.
         sim._schedule(sim._now + delay, PRIORITY_NORMAL, self)
 
     def __repr__(self) -> str:
@@ -300,17 +288,3 @@ class AnyOf(Condition):
     def _check(self, fired: int, total: int) -> bool:
         return fired >= 1 or total == 0
 
-
-class Interrupt(Exception):
-    """Raised inside a process when another process interrupts it.
-
-    ``cause`` carries arbitrary context from the interrupter (e.g. the
-    suspend request that preempted a service loop).
-    """
-
-    @property
-    def cause(self) -> typing.Any:
-        return self.args[0] if self.args else None
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Interrupt({self.cause!r})"

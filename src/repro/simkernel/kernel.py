@@ -178,9 +178,9 @@ class Simulator:
         created or destroyed, a guest bound to a domain, a service
         started.  Caches of that placement (the cluster's service index)
         compare it; the kernel never reads it."""
-        # Columnar: record() appends to typed column buffers and allocates
-        # no per-record object unless a live subscription matches, so
-        # always-on tracing stays off the event hot path's flamegraph.
+        # Columnar: record() appends to three list columns and allocates
+        # no per-record object, so always-on tracing stays off the event
+        # hot path's flamegraph.
         self.trace = trace if trace is not None else Tracer(self)
         self.spans = SpanTracker(self)
         if metrics is None:
@@ -330,17 +330,6 @@ class Simulator:
         self._schedule(self._now, PRIORITY_URGENT, handle)
 
     # -- scheduling internals -------------------------------------------------
-
-    def _enqueue(self, event: Event, priority: int) -> None:
-        # "Now" can never be in the past: skip _enqueue_at's guard.
-        self._schedule(self._now, priority, event)
-
-    def _enqueue_at(self, time: float, event: Event, priority: int) -> None:
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule at t={time} before now={self._now}"
-            )
-        self._schedule(time, priority, event)
 
     def _recycle_timer(self, handle: TimerHandle) -> None:
         """Return a dead, externally-unreferenced handle to the freelist."""

@@ -6,10 +6,8 @@ fires (or throws the event's exception into it).  A :class:`Process` is
 itself an event: it succeeds with the generator's return value, so processes
 can wait for each other simply by yielding them.
 
-Interrupts follow simpy semantics: :meth:`Process.interrupt` causes an
-:class:`~repro.simkernel.events.Interrupt` to be thrown into the generator at
-the current simulation time, detaching it from whatever event it was
-waiting on (that event stays valid and may be re-yielded later).
+A process runs until its generator returns or raises, or until
+:meth:`Process.kill` ends it; nothing else can break into its wait.
 """
 
 from __future__ import annotations
@@ -17,13 +15,7 @@ from __future__ import annotations
 import typing
 
 from repro.errors import ProcessKilled, SimulationError
-from repro.simkernel.events import (
-    Event,
-    Interrupt,
-    PENDING,
-    PRIORITY_URGENT,
-    PROCESSED,
-)
+from repro.simkernel.events import PENDING, PROCESSED, Event
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.simkernel.kernel import Simulator
@@ -56,7 +48,7 @@ class Process(Event):
     Do not instantiate directly; use :meth:`Simulator.spawn`.
     """
 
-    __slots__ = ("generator", "_target", "_interrupts")
+    __slots__ = ("generator", "_target")
 
     def __init__(
         self,
@@ -72,7 +64,6 @@ class Process(Event):
         super().__init__(sim, name=name or getattr(generator, "__name__", "process"))
         self.generator = generator
         self._target: Event | None = None
-        self._interrupts: list[Interrupt] = []
         # Kick off the generator at the current time, urgently so that a
         # freshly spawned process starts before ordinary events at this
         # instant are processed.
@@ -91,33 +82,6 @@ class Process(Event):
     def target(self) -> Event | None:
         """The event this process is currently waiting on, if any."""
         return self._target
-
-    def interrupt(self, cause: typing.Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        Interrupting a dead process is an error; interrupting a process that
-        has not yet started is allowed (the interrupt is delivered at its
-        first resumption point).
-        """
-        if not self.is_alive:
-            raise SimulationError(f"cannot interrupt dead process {self.name!r}")
-        if self.sim.active_process is self:
-            raise SimulationError("a process cannot interrupt itself")
-        interrupt = Interrupt(cause)
-        self._interrupts.append(interrupt)
-        if self._target is not None:
-            # Detach from the waited-on event; it stays valid.
-            self._target.remove_callback(self._resume)
-            self._target = None
-            carrier = Event(self.sim, name=f"interrupt:{self.name}")
-            carrier._ok = False
-            carrier._value = interrupt
-            carrier._state = "triggered"
-            carrier._defused = True
-            carrier.callbacks.append(self._resume)
-            self.sim._enqueue(carrier, PRIORITY_URGENT)
-        # If _target is None the process is mid-resume or about to start; the
-        # queued interrupt is delivered by _resume before the next wait.
 
     def kill(self) -> None:
         """Terminate the process immediately with :class:`ProcessKilled`.
@@ -142,15 +106,12 @@ class Process(Event):
         """Advance the generator with the outcome of ``trigger``."""
         sim = self.sim
         generator = self.generator
-        interrupts = self._interrupts
         sim._active_process = self
         self._target = None
         event: Event = trigger
         while True:
             try:
-                if interrupts:
-                    next_event = generator.throw(interrupts.pop(0))
-                elif event._ok:
+                if event._ok:
                     # _value, not the .value property: the trigger is always
                     # past PENDING here, so the property's guard is dead
                     # weight on the hottest resume path.
@@ -183,11 +144,6 @@ class Process(Event):
                 self.fail(SimulationError("yielded event belongs to another simulator"))
                 return
 
-            if interrupts:
-                # A queued interrupt beats waiting: loop and deliver it now,
-                # leaving next_event un-waited (the process may re-yield it).
-                event = next_event
-                continue
             if next_event._state == PROCESSED:
                 # Already done: consume its outcome synchronously.
                 event = next_event

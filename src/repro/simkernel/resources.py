@@ -1,8 +1,8 @@
-"""Queued resources: capacity-limited resources and item stores.
+"""Queued resources: capacity-limited contention points.
 
-These model *contention points* — a disk head, a serialized toolstack, a
-lock inside the hypervisor.  Requests queue FIFO (or by priority) and are
-granted as capacity frees up.
+A :class:`Resource` models a serialized toolstack or a lock inside the
+hypervisor.  Requests queue FIFO (or by priority) and are granted as
+capacity frees up.
 
 Usage from a process::
 
@@ -28,7 +28,7 @@ class Request(Event):
     """A pending or granted claim on a :class:`Resource`.
 
     Usable as a context manager so the resource is always released, even if
-    the holding process is interrupted.
+    the holding process is killed.
     """
 
     __slots__ = ("resource", "priority", "_order")
@@ -67,7 +67,7 @@ class Resource:
         self._queue: list[tuple[int, int, Request]] = []
         self._sequence = 0
         if sim.sanitizer is not None:
-            sim.sanitizer.register_waitable(self)
+            sim.sanitizer.register_resource(self)
 
     @property
     def count(self) -> int:
@@ -111,50 +111,3 @@ class Resource:
             self._users.add(req)
             req.succeed(req)
 
-
-class Store:
-    """An unbounded FIFO buffer of items; getters wait for items.
-
-    Models message queues: event-channel notifications, request inboxes of
-    daemons (xenstored), the load balancer's dispatch queue.
-    """
-
-    def __init__(self, sim: "Simulator", name: str = "store") -> None:
-        self.sim = sim
-        self.name = name
-        self._items: list[typing.Any] = []
-        self._getters: list[Event] = []
-        if sim.sanitizer is not None:
-            sim.sanitizer.register_waitable(self)
-
-    @property
-    def items(self) -> list[typing.Any]:
-        """A snapshot of buffered items (do not mutate)."""
-        return list(self._items)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: typing.Any) -> None:
-        """Add an item, waking the oldest waiting getter if any."""
-        if self._getters:
-            getter = self._getters.pop(0)
-            getter.succeed(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Event:
-        """Return an event that fires with the next available item."""
-        event = Event(self.sim, name=f"get:{self.name}")
-        if self._items:
-            event.succeed(self._items.pop(0))
-        else:
-            self._getters.append(event)
-        return event
-
-    def cancel_get(self, event: Event) -> None:
-        """Withdraw a waiting getter (no-op if already satisfied)."""
-        try:
-            self._getters.remove(event)
-        except ValueError:
-            pass

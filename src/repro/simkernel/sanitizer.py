@@ -30,8 +30,7 @@ see:
     not checked.
 ``undrained-waiters``
     After a run-to-exhaustion a :class:`~repro.simkernel.resources.Resource`
-    still has queued requests or a :class:`~repro.simkernel.resources.Store`
-    still has blocked getters.
+    still has queued requests.
 
 The sanitizer never perturbs the simulation: it draws no randomness,
 records nothing to the trace, and schedules nothing — a sanitized run
@@ -93,7 +92,7 @@ class DeterminismSanitizer:
         self.sim = sim
         self.reports: list[SanitizerReport] = []
         self._processes: list[typing.Any] = []
-        self._waitables: list[typing.Any] = []
+        self._resources: list[typing.Any] = []
         self._ctx: tuple[typing.Any, str] = _TOP_CONTEXT
         self._batch_key: tuple[float, int] | None = None
         # Entries: (receiver-identity, armed-at, arming-context, label).
@@ -116,9 +115,9 @@ class DeterminismSanitizer:
         """Track a Process for the end-of-run unfinished check."""
         self._processes.append(process)
 
-    def register_waitable(self, waitable: typing.Any) -> None:
-        """Track a Resource/Store for end-of-run drain checks."""
-        self._waitables.append(waitable)
+    def register_resource(self, resource: typing.Any) -> None:
+        """Track a Resource for the end-of-run drain check."""
+        self._resources.append(resource)
 
     # -- event-loop hooks --------------------------------------------------
 
@@ -165,16 +164,12 @@ class DeterminismSanitizer:
                     "unfinished-process",
                     f"process {process.name!r} never finished{waiting}",
                 )
-        for waitable in self._waitables:
-            queued = len(getattr(waitable, "_queue", ()))
-            getters = len(getattr(waitable, "_getters", ()))
-            if queued or getters:
-                kind = type(waitable).__name__
-                pending = queued or getters
+        for resource in self._resources:
+            if resource._queue:
                 self._report(
                     "undrained-waiters",
-                    f"{kind} {waitable.name!r} ended the run with "
-                    f"{pending} blocked waiter(s)",
+                    f"Resource {resource.name!r} ended the run with "
+                    f"{len(resource._queue)} blocked waiter(s)",
                 )
 
     # -- reporting ---------------------------------------------------------

@@ -19,10 +19,12 @@ Queries (:meth:`Tracer.select`, :meth:`Tracer.times`, prefix matching)
 are mask operations over an ``int32`` view of the kind-id column plus
 ``searchsorted`` over a ``float64`` view of the (non-decreasing) time
 column — both views rebuilt only after new records arrive — and
-materialize a :class:`TraceRecord` view only for matching rows.  Live
-subscribers keep exact per-record callback semantics: a ``TraceRecord``
-is built lazily, only when at least one subscription matches the kind
-being recorded, and all callbacks for that record share the same object.
+materialize a :class:`TraceRecord` view only for matching rows.
+
+The trace is an append-only log: nothing runs when a record is made,
+and code that must react to an occurrence waits on an event its owner
+hands out (the crash watchdog waits on
+:meth:`repro.core.host.Host.vmm_crashed`).
 
 Records are strictly ordered by (time, sequence), matching the
 deterministic event order of the kernel.
@@ -139,11 +141,10 @@ class TraceRecord:
     """One recorded occurrence (immutable by convention).
 
     This is a *view*: the engine stores columns, not record objects, and
-    builds a ``TraceRecord`` only when a query matches or a subscriber
-    must be called.  A plain ``__slots__`` class rather than a frozen
-    dataclass: the frozen-dataclass ``__init__`` (one
-    ``object.__setattr__`` per field) costs several times a direct
-    attribute store.
+    builds a ``TraceRecord`` only when a query matches.  A plain
+    ``__slots__`` class rather than a frozen dataclass: the
+    frozen-dataclass ``__init__`` (one ``object.__setattr__`` per field)
+    costs several times a direct attribute store.
 
     Attributes
     ----------
@@ -185,15 +186,7 @@ class TraceRecord:
 
 
 class Tracer:
-    """Collects trace records for one simulation, columnar-style.
-
-    Subscribers are bucketed by the first dotted segment of their prefix
-    (``"vmm.save."`` lives in the ``"vmm"`` bucket), so recording touches
-    only the handful of subscriptions that could possibly match instead of
-    scanning every registered prefix.  Prefixes without a dot (including
-    ``""``) cannot be bucketed soundly — ``"ne"`` matches ``"net.tx"`` —
-    and go to a catch-all list scanned on every record.
-    """
+    """Collects trace records for one simulation, columnar-style."""
 
     __slots__ = (
         "_sim",
@@ -209,9 +202,6 @@ class Tracer:
         "_kappend",
         "_pappend",
         "_array_cache",
-        "_buckets",
-        "_scan_all",
-        "_nsubs",
         "_schema",
     )
 
@@ -224,11 +214,6 @@ class Tracer:
         self._kind_names: list[str] = []
         self._prefix_cache: dict[str, np.ndarray | None] = {}
         self._new_columns()
-        self._buckets: dict[
-            str, list[tuple[str, typing.Callable[[TraceRecord], None]]]
-        ] = {}
-        self._scan_all: list[tuple[str, typing.Callable[[TraceRecord], None]]] = []
-        self._nsubs = 0
 
     def _new_columns(self) -> None:
         """Fresh list-backed columns; the bound ``append`` methods are
@@ -246,37 +231,19 @@ class Tracer:
     def record(self, kind: str, **fields: typing.Any) -> None:
         """Append a record stamped with the current simulated time.
 
-        One array store per column — no per-record object is allocated
-        unless a live subscription matches ``kind`` (then a single
-        :class:`TraceRecord` view is built and shared by all callbacks).
-        Unlike the pre-columnar engine this returns ``None``; use
-        :meth:`last` to inspect what was just recorded.
+        One list append per column and no per-record object; nothing
+        else runs.  Returns ``None``; use :meth:`last` to inspect what
+        was just recorded.
         """
         if self._schema is not None:
             self._check_schema(kind, fields)
-        self._sequence = seq = self._sequence + 1
+        self._sequence += 1
         kid = self._kind_ids.get(kind)
         if kid is None:
             kid = self._intern(kind)
-        now = self._sim._now
-        self._tappend(now)
+        self._tappend(self._sim._now)
         self._kappend(kid)
         self._pappend(fields)
-        if self._nsubs:
-            rec = None
-            dot = kind.find(".")
-            matches = self._buckets.get(kind if dot < 0 else kind[:dot])
-            if matches:
-                for prefix, callback in matches:
-                    if kind.startswith(prefix):
-                        if rec is None:
-                            rec = TraceRecord(now, seq, kind, fields)
-                        callback(rec)
-            for prefix, callback in self._scan_all:
-                if kind.startswith(prefix):
-                    if rec is None:
-                        rec = TraceRecord(now, seq, kind, fields)
-                    callback(rec)
 
     def enable_schema_validation(self) -> None:
         """Check every future record's payload against :data:`TRACE_SCHEMA`.
@@ -315,24 +282,6 @@ class Tracer:
         self._kind_names.append(kind)
         self._prefix_cache.clear()  # a new kind may extend any prefix set
         return kid
-
-    def subscribe(
-        self, prefix: str, callback: typing.Callable[[TraceRecord], None]
-    ) -> None:
-        """Invoke ``callback`` for every future record whose kind starts
-        with ``prefix`` (live monitoring, e.g. the downtime prober).
-
-        Callback order per record is deterministic: bucketed
-        subscriptions in subscription order, then catch-all (dotless
-        prefix) subscriptions in subscription order.
-        """
-        dot = prefix.find(".")
-        if dot < 0:
-            # "vmm" (or "") could match kinds in any bucket: scan always.
-            self._scan_all.append((prefix, callback))
-        else:
-            self._buckets.setdefault(prefix[:dot], []).append((prefix, callback))
-        self._nsubs += 1
 
     # -- columnar internals ----------------------------------------------------
 
@@ -489,14 +438,14 @@ class Tracer:
         return times[idx].tolist()
 
     def clear(self) -> None:
-        """Drop all records (subscribers stay).
+        """Drop all records.
 
         Invariant: the sequence counter is **not** reset — it keeps
         growing monotonically across clears, so records made after a
         ``clear()`` always carry strictly larger sequences than anything
-        recorded (or observed by a subscriber) before it.  Resumable
-        analyses rely on this to order observations across windows
-        without keeping the records themselves.
+        recorded before it.  Resumable analyses rely on this to order
+        observations across windows without keeping the records
+        themselves.
         """
         self._seq_base = self._sequence
         self._new_columns()

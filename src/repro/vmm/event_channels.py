@@ -25,9 +25,6 @@ class EventChannel:
     owner: str
     peer: str
     purpose: str
-    pending: int = 0
-    """Notifications delivered but not yet consumed (carried through the
-    save area by :meth:`EventChannelTable.snapshot_domain`)."""
 
 
 class EventChannelTable:
@@ -73,12 +70,11 @@ class EventChannelTable:
         """Re-establish channels from a saved snapshot (resume handler).
 
         Ports are reallocated — the new VMM instance assigns fresh port
-        numbers, as re-binding after reboot does — but peers, purposes and
-        pending counts are preserved.  Returns channels restored.
+        numbers, as re-binding after reboot does — but owners, peers and
+        purposes are preserved.  Returns channels restored.
         """
         for entry in snapshot:
-            channel = self.bind(entry["owner"], entry["peer"], entry["purpose"])
-            channel.pending = entry["pending"]
+            self.bind(entry["owner"], entry["peer"], entry["purpose"])
         return len(snapshot)
 
     def __len__(self) -> int:

@@ -465,7 +465,7 @@ class Hypervisor:
         for pfn, token in tokens_by_pfn.items():
             self.machine.memory.write_token(domain.p2m.mfn_of(pfn), token)
 
-    # -- shutdown / crash ------------------------------------------------------------------
+    # -- shutdown ------------------------------------------------------------------------
 
     def shutdown(self) -> typing.Generator:
         """Tear down this VMM instance (domains must already be gone or
@@ -478,26 +478,3 @@ class Hypervisor:
         )
         self.state = VmmState.DEAD
         self._trace("vmm.shutdown.done")
-
-    def crash(self, reason: str = "aging") -> None:
-        """The failure rejuvenation exists to preempt.
-
-        A crashed VMM freezes every domain: their services stop answering
-        instantly (recorded so downtime measurement sees the outage begin
-        at the crash, not at its later detection).
-        """
-        self.state = VmmState.CRASHED
-        self._trace("vmm.crash", reason=reason)
-        for domain in self.domus:
-            guest = domain.guest
-            if guest is None:
-                continue
-            for service in guest.services:
-                if service.is_up:
-                    self.sim.trace.record(
-                        "service.down",
-                        service=service.name,
-                        service_kind=service.kind,
-                        domain=domain.name,
-                        reason="vmm-crash",
-                    )

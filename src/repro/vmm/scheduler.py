@@ -15,7 +15,6 @@ request handling — without those call sites knowing about credits.
 from __future__ import annotations
 
 import dataclasses
-import typing
 
 from repro.errors import VMMError
 from repro.hardware.cpu import CpuPool

@@ -1,8 +1,8 @@
 """Client workloads: httperf-style HTTP load, downtime probing, file reads.
 
-These reproduce the paper's measurement methodology: windowed throughput
-(Fig. 7), packet probing for downtime (§5.3), and timed first/second file
-accesses (Fig. 8).
+These reproduce the paper's measurement methodology: request completion
+times binned into throughput (Fig. 7), packet probing for downtime
+(§5.3), and timed first/second file accesses (Fig. 8).
 """
 
 from repro.workloads.fileread import (
@@ -11,11 +11,10 @@ from repro.workloads.fileread import (
     first_and_second_read,
     timed_read,
 )
-from repro.workloads.httperf import Completion, Httperf
+from repro.workloads.httperf import Httperf
 from repro.workloads.prober import PingProber, ProbedOutage
 
 __all__ = [
-    "Completion",
     "Httperf",
     "PingProber",
     "ProbedOutage",

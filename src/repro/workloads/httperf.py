@@ -13,11 +13,10 @@ against an unreachable or missing service count as failures and are
 retried after a short back-off — which is exactly how a real client's
 throughput collapses to zero during downtime and recovers after it.
 
-Completions are stored columnar (parallel times/paths/nbytes/latency
-lists), mirroring the trace engine: the serving loop allocates no
-per-request object, analyses read :attr:`Httperf.completion_times`
-directly, and the classic list-of-:class:`Completion` view is
-materialized lazily on first access.
+A served request is one float appended to
+:attr:`Httperf.completion_times`, the only column any experiment,
+scenario or fleet reads; Figure 7's throughput series bins it with
+:func:`repro.analysis.timeline.bucketize`.
 
 Two client models live here:
 
@@ -34,38 +33,15 @@ Two client models live here:
 
 from __future__ import annotations
 
-import math
 import typing
 from bisect import bisect_left, bisect_right
 
 import numpy
 
+from repro.control.detectors import next_tick
 from repro.errors import ReproError, ServiceError
 from repro.guest.services import Service
 from repro.simkernel import Process, Simulator
-
-
-class Completion:
-    """One successfully served request (immutable by convention).
-
-    A plain ``__slots__`` class: views are materialized lazily from the
-    columnar store, and the frozen-dataclass ``__init__`` costs several
-    times a direct store.
-    """
-
-    __slots__ = ("time", "path", "nbytes", "latency")
-
-    def __init__(self, time: float, path: str, nbytes: int, latency: float) -> None:
-        self.time = time
-        self.path = path
-        self.nbytes = nbytes
-        self.latency = latency
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"Completion(time={self.time!r}, path={self.path!r}, "
-            f"nbytes={self.nbytes!r}, latency={self.latency!r})"
-        )
 
 
 class Httperf:
@@ -97,15 +73,11 @@ class Httperf:
         self._cursor = 0
         self._stopped = False
         self._workers: list[Process] = []
-        # Columnar completion log.  Times are non-decreasing: workers
-        # append at the simulated instant the reply lands, and the clock
-        # never runs backwards — which is what lets the window queries
-        # below use bisect instead of a full scan.
+        # Completion log.  Times are non-decreasing: workers append at
+        # the simulated instant the reply lands, and the clock never
+        # runs backwards — which is what lets the window queries below
+        # use bisect instead of a full scan.
         self._times: list[float] = []
-        self._req_paths: list[str] = []
-        self._nbytes: list[int] = []
-        self._latency: list[float] = []
-        self._view: list[Completion] = []
         self.failures = 0
         self._metric_latency = sim.metrics.histogram(
             "httperf.request_latency", client=name
@@ -131,11 +103,6 @@ class Httperf:
             if worker.is_alive:
                 worker.kill()
 
-    @property
-    def done(self) -> bool:
-        """True when every worker has finished (each-path-once mode)."""
-        return bool(self._workers) and all(not w.is_alive for w in self._workers)
-
     def wait(self) -> typing.Any:
         """An event that fires when all workers finish."""
         return self.sim.all_of(self._workers)
@@ -157,9 +124,6 @@ class Httperf:
         sim = self.sim
         lookup = self.lookup
         tappend = self._times.append
-        pappend = self._req_paths.append
-        nappend = self._nbytes.append
-        lappend = self._latency.append
         while not self._stopped:
             path = self._next_path()
             if path is None:
@@ -167,7 +131,7 @@ class Httperf:
             while not self._stopped:
                 issued = sim._now
                 try:
-                    nbytes = yield from lookup().handle_request(path=path)
+                    yield from lookup().handle_request(path=path)
                 except (ServiceError, ReproError):
                     self.failures += 1
                     self._metric_errors.inc()
@@ -175,41 +139,15 @@ class Httperf:
                     continue
                 now = sim._now
                 tappend(now)
-                pappend(path)
-                nappend(nbytes)
-                lappend(now - issued)
                 self._metric_latency.observe(now - issued)
                 break
 
     # -- measurement -----------------------------------------------------------------
 
     @property
-    def completions(self) -> list[Completion]:
-        """The served requests as :class:`Completion` views.
-
-        Materialized lazily from the columnar log and cached by length;
-        treat the returned list as read-only.
-        """
-        view = self._view
-        missing = len(self._times) - len(view)
-        if missing:
-            start = len(view)
-            times, paths = self._times, self._req_paths
-            nbytes, latency = self._nbytes, self._latency
-            view.extend(
-                Completion(times[i], paths[i], nbytes[i], latency[i])
-                for i in range(start, len(times))
-            )
-        return view
-
-    @property
     def completion_times(self) -> list[float]:
         """Raw non-decreasing completion timestamps (read-only)."""
         return self._times
-
-    @property
-    def bytes_served(self) -> int:
-        return sum(self._nbytes)
 
     def _window(self, since: float, until: float) -> tuple[int, int]:
         """Index range [lo, hi) of completions with since <= time <= until."""
@@ -224,27 +162,6 @@ class Httperf:
             return 0.0
         span = self._times[hi - 1] - self._times[lo]
         return (hi - lo - 1) / span if span > 0 else float("inf")
-
-    def mean_byte_rate(
-        self, since: float = float("-inf"), until: float = float("inf")
-    ) -> float:
-        """Mean payload bytes/second over a window."""
-        lo, hi = self._window(since, until)
-        if hi - lo < 2:
-            return 0.0
-        span = self._times[hi - 1] - self._times[lo]
-        return sum(self._nbytes[lo : hi - 1]) / span if span > 0 else float("inf")
-
-    def throughput_timeline(self, window: int = 50) -> list[tuple[float, float]]:
-        """The paper's Figure 7 series: at each completion, the average
-        throughput (req/s) of the last ``window`` completions."""
-        points: list[tuple[float, float]] = []
-        times = self._times
-        for i in range(window, len(times)):
-            span = times[i] - times[i - window]
-            if span > 0:
-                points.append((times[i], window / span))
-        return points
 
 
 # -- fluid mode --------------------------------------------------------------------
@@ -301,7 +218,6 @@ class FluidHttperf:
         self._tick_fail: list[float] = []
         self._tick_up: list[bool] = []
         self._completed = 0.0
-        self._bytes = 0.0
         self.failures = 0.0
         self.downtime_s = 0.0
         self._warm_cursor = 0
@@ -437,7 +353,6 @@ class FluidHttperf:
             context = self._probe_ctx
             if context is not None:
                 guest, payload, resident = context
-                self._bytes += done * payload
                 if resident < 1.0:
                     self._warm(guest, done * (1.0 - resident) * payload)
             self._metric_completed.inc(done)
@@ -461,10 +376,6 @@ class FluidHttperf:
     def total_completed(self) -> float:
         """Modeled request completions over the whole run (fractional)."""
         return self._completed
-
-    @property
-    def bytes_served(self) -> float:
-        return self._bytes
 
     def _window(
         self, since: float, until: float
@@ -502,24 +413,6 @@ class FluidHttperf:
                     down += overlap
         return covered, completed, failed, down
 
-    def requests(
-        self, since: float = float("-inf"), until: float = float("inf")
-    ) -> float:
-        """Modeled completions inside a window."""
-        return self._window(since, until)[1]
-
-    def failures_in(
-        self, since: float = float("-inf"), until: float = float("inf")
-    ) -> float:
-        """Modeled failed requests inside a window."""
-        return self._window(since, until)[2]
-
-    def downtime(
-        self, since: float = float("-inf"), until: float = float("inf")
-    ) -> float:
-        """Seconds inside a window the service was unreachable."""
-        return self._window(since, until)[3]
-
     def availability(
         self, since: float = float("-inf"), until: float = float("inf")
     ) -> float:
@@ -533,10 +426,6 @@ class FluidHttperf:
         """Mean completions/second over a window (downtime included)."""
         covered, completed, _, _ = self._window(since, until)
         return completed / covered if covered > 0 else 0.0
-
-    def throughput_timeline(self) -> list[tuple[float, float]]:
-        """Per-tick (end time, req/s) points — the fluid Figure 7 series."""
-        return list(zip(self._tick_t, self._tick_rate))
 
     def window_summary(self, since: float, until: float) -> dict[str, float]:
         """The cross-validation row for one observation window (one pass)."""
@@ -554,10 +443,13 @@ class FluidCoordinator:
     """Advances every registered :class:`FluidHttperf` at aggregation ticks.
 
     One per simulator.  Ticks land on the **absolute** grid (multiples of
-    ``tick_s``), not at offsets from when the coordinator started: two
-    simulations that build at different instants (a serial fleet vs. one
-    of its shards) therefore account the same wall-aligned intervals, and
-    windowed queries over a common span agree bit-for-bit.
+    ``tick_s``, via :func:`~repro.control.detectors.next_tick`), not at
+    offsets from when the coordinator started: two simulations that build
+    at different instants (a serial fleet vs. one of its shards) therefore
+    account the same wall-aligned intervals, and windowed queries over a
+    common span agree bit-for-bit.  ``next_tick`` steps past a grid point
+    that float rounding puts at or before ``now`` (``tick_s = 0.7`` at
+    t = 2.0999999999999996), so the clock always moves.
 
     Each tick solves a per-machine waterfill: clients demand their
     closed-loop rate; every machine scales its residents' demands by one
@@ -590,8 +482,7 @@ class FluidCoordinator:
         sim = self.sim
         tick = self.tick_s
         while not self._stopped:
-            target = (math.floor(sim.now / tick) + 1) * tick
-            yield sim.timeout(target - sim.now)
+            yield sim.timeout(next_tick(0.0, tick, sim.now) - sim.now)
             self._account(sim.now)
 
     def _account(self, until: float) -> None:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.aging import CrashWatchdog, HeapExhaustionCrasher
+from repro.aging.watchdog import CrashWatchdog, HeapExhaustionCrasher
 from repro.analysis import extract_downtimes
 from repro.errors import ConfigError, RejuvenationError
 from repro.units import HOUR, MiB, mib
@@ -14,7 +14,7 @@ from tests.conftest import build_started_host
 class TestCrash:
     def test_crash_marks_services_down(self, sim, started_host):
         t0 = sim.now
-        started_host.vmm.crash("test")
+        started_host.crash("test")
         downs = sim.trace.select("service.down", since=t0, reason="vmm-crash")
         assert len(downs) == 2  # one sshd per VM
 
@@ -26,7 +26,7 @@ class TestCrash:
 
     def test_recovery_restores_service(self, sim, started_host):
         t0 = sim.now
-        started_host.vmm.crash("test")
+        started_host.crash("test")
         duration = sim.run(sim.spawn(started_host.recover_from_crash()))
         assert started_host.vmm.state is VmmState.RUNNING
         assert started_host.machine.reset_count == 1
@@ -40,11 +40,43 @@ class TestCrash:
     def test_crash_loses_guest_state(self, sim, started_host):
         guest = started_host.guest("vm0")
         guest.page_cache.insert("/hot", mib(1))
-        started_host.vmm.crash("test")
+        started_host.crash("test")
         sim.run(sim.spawn(started_host.recover_from_crash()))
         fresh = started_host.guest("vm0")
         assert fresh is not guest
         assert fresh.page_cache.used_bytes == 0
+
+
+class TestCrashEvent:
+    def test_crash_fires_only_the_crashed_hosts_waiter(self, sim):
+        a = build_started_host(sim, n_vms=1, name="a")
+        b = build_started_host(sim, n_vms=1, name="b")
+        waiter_a, waiter_b = a.vmm_crashed(), b.vmm_crashed()
+        crash_at = sim.now + 5
+        sim.call_at(crash_at, lambda: a.crash("test"))
+        assert sim.run(sim.any_of([waiter_a, waiter_b])) == {waiter_a: None}
+        assert sim.now == crash_at
+        assert not waiter_b.triggered
+        assert b.vmm.state is VmmState.RUNNING
+
+    def test_waiter_asked_mid_reboot_fires_at_next_generations_crash(
+        self, sim, started_host
+    ):
+        old = started_host.vmm
+        sim.spawn(started_host.reboot("cold"))
+        for _ in range(10_000):
+            if old.state is VmmState.DEAD:
+                break
+            sim.step()
+        assert old.state is VmmState.DEAD
+        waiter = started_host.vmm_crashed()
+        sim.run(started_host.reboot_finished())
+        assert started_host.generation == 2 and not waiter.triggered
+        crash_at = sim.now + 5
+        sim.call_at(crash_at, lambda: started_host.crash("test"))
+        sim.run(waiter)
+        assert sim.now == crash_at
+        assert started_host.vmm.state is VmmState.CRASHED
 
 
 class TestCrasher:
@@ -85,7 +117,7 @@ class TestWatchdog:
         )
         sim.spawn(watchdog.run(sim.now + HOUR))
         crash_at = sim.now + 100
-        sim.call_at(crash_at, lambda: started_host.vmm.crash("injected"))
+        sim.call_at(crash_at, lambda: started_host.crash("injected"))
         sim.run(until=sim.now + HOUR)
         assert len(watchdog.recoveries) == 1
         detected, finished = watchdog.recoveries[0]
@@ -99,7 +131,7 @@ class TestWatchdog:
         )
         sim.spawn(watchdog.run(sim.now + HOUR))
         t0 = sim.now
-        sim.call_at(sim.now + 10, lambda: started_host.vmm.crash("injected"))
+        sim.call_at(sim.now + 10, lambda: started_host.crash("injected"))
         sim.run(until=sim.now + HOUR)
         intervals = [
             i for i in extract_downtimes(sim.trace, since=t0) if i.closed

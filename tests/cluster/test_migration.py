@@ -8,7 +8,7 @@ from repro.config import small_testbed
 from repro.core import Host, VMSpec
 from repro.errors import MigrationError
 from repro.simkernel import Simulator
-from repro.units import MiB, gib, mib
+from repro.units import gib, mib
 
 
 @pytest.fixture()

@@ -193,7 +193,7 @@ def _outage(extra_s):
     sim.run(until=sim.now + 10.0)
     built.stop_workloads()
     client, *others = (attached.client for attached in built.workloads)
-    return len(scans), client.downtime(), sum(o.downtime() for o in others)
+    return len(scans), client.downtime_s, sum(o.downtime_s for o in others)
 
 
 def test_a_down_host_costs_no_rescans():

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.config import paper_testbed
 from repro.errors import DomainError, HypercallError, RejuvenationError
 from repro.guest import GuestState
 from repro.memory import P2MSnapshot, P2MTable, SuspendImage

@@ -3,7 +3,6 @@ extension — including the paper's headline comparisons."""
 
 import pytest
 
-from repro.analysis import extract_downtimes, reboot_downtime_summary
 from repro.core import RebootStrategy, RootHammer, VMSpec
 from repro.errors import RejuvenationError
 from repro.guest import GuestState

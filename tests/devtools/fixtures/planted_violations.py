@@ -48,3 +48,6 @@ def poke_backend_internals(sim):
 
 def poke_shard_internals(fleet):
     return fleet._clients  # SL010: fleet/shard-private attr outside repro/fleet
+
+
+import json  # SL016: module-level import that nothing reads

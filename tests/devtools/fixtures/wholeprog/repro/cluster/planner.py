@@ -35,3 +35,6 @@ def rebalance(count):
     for _ in range(count):
         total += _jitter()
     return total
+
+
+LAYOUT = repro.experiments.layout  # read: only SL011 flags the import

@@ -559,6 +559,73 @@ class TestProfiles:
         assert not any(os.sep + "fixtures" + os.sep in f for f in files)
 
 
+class TestUnusedImports:
+    def test_unread_import_is_flagged_in_both_profiles(self):
+        source = "import json\nimport os\n\nprint(os.sep)\n"
+        for path in ("example/module.py", "tests/foo/test_x.py"):
+            findings, _ = lint_source(source, path)
+            assert [(f.rule, f.line) for f in findings] == [("SL016", 1)]
+            assert "'json'" in findings[0].message
+
+    def test_every_alias_of_one_statement_is_checked(self):
+        findings = _lint_snippet(
+            """
+            from os.path import join, sep as separator
+            import os.path
+
+            def f():
+                return os.path.basename(join("a", "b"))
+            """
+        )
+        assert [f.message.split()[0] for f in findings] == ["'separator'"]
+
+    def test_names_read_from_strings_count(self):
+        # __all__ entries, string annotations under TYPE_CHECKING and
+        # names looked up by string are all reads.
+        assert not _lint_snippet(
+            """
+            import typing
+            from os import sep
+            from os.path import join
+
+            if typing.TYPE_CHECKING:
+                from collections import OrderedDict
+
+            __all__ = ["sep"]
+
+            def f(table: "OrderedDict") -> str:
+                return "call join later"
+            """
+        )
+
+    def test_unread_type_checking_import_is_flagged(self):
+        (finding,) = _lint_snippet(
+            """
+            import typing
+
+            if typing.TYPE_CHECKING:
+                from collections import OrderedDict
+            """
+        )
+        assert finding.rule == "SL016" and "OrderedDict" in finding.message
+
+    def test_function_future_and_star_imports_are_not_checked(self):
+        assert not _lint_snippet(
+            """
+            from __future__ import annotations
+            from os.path import *
+
+            def f():
+                import json
+            """
+        )
+
+    def test_package_init_reexports_are_exempt(self):
+        assert not _lint_snippet(
+            "from os.path import join\n", "example/pkg/__init__.py"
+        )
+
+
 class TestSuppressions:
     def test_line_skip_suppresses_and_counts(self):
         findings, suppressed = lint_source(
@@ -667,7 +734,7 @@ class TestCli:
     def test_findings_exit_one_with_text_report(self, capsys):
         assert main(["--profile=strict", _FIXTURE]) == 1
         out = capsys.readouterr().out
-        assert "SL001" in out and "9 finding(s)" in out
+        assert "SL001" in out and "10 finding(s)" in out
 
     def test_json_format_is_machine_readable(self, capsys):
         assert main(["--format=json", "--profile=strict", _FIXTURE]) == 1

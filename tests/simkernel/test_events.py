@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.simkernel import Event, Simulator
+from repro.simkernel import Simulator
 
 
 @pytest.fixture()
@@ -49,28 +49,6 @@ class TestEventLifecycle:
         ev = sim.event()
         with pytest.raises(TypeError):
             ev.fail("not an exception")
-
-    def test_trigger_from_copies_success(self, sim):
-        a = sim.event().succeed("payload")
-        b = sim.event()
-        b.trigger_from(a)
-        assert b.ok and b.value == "payload"
-
-    def test_trigger_from_copies_failure(self, sim):
-        exc = ValueError("boom")
-        a = sim.event()
-        a.fail(exc)
-        a.defuse()
-        b = sim.event()
-        b.trigger_from(a)
-        b.defuse()
-        assert not b.ok and b.value is exc
-
-    def test_trigger_from_untriggered_raises(self, sim):
-        a = sim.event()
-        b = sim.event()
-        with pytest.raises(SimulationError):
-            b.trigger_from(a)
 
 
 class TestCallbacks:
@@ -161,11 +139,6 @@ class TestConditions:
         either = sim.any_of([a, b])
         sim.run(either)
         assert sim.now == 1
-
-    def test_and_operator(self, sim):
-        both = sim.timeout(1) & sim.timeout(3)
-        sim.run(both)
-        assert sim.now == 3
 
     def test_or_operator(self, sim):
         either = sim.timeout(1) | sim.timeout(3)

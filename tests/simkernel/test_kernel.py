@@ -93,7 +93,8 @@ class TestTimers:
         sim.run(until=5)
         ev = sim.event()
         with pytest.raises(SimulationError):
-            sim._enqueue_at(1.0, ev, 1)
+            ev.succeed_at(1.0)
+        assert not ev.triggered
 
 
 class TestDeterminism:

@@ -1,9 +1,9 @@
-"""Unit tests for generator-based processes and interrupts."""
+"""Unit tests for generator-based processes."""
 
 import pytest
 
 from repro.errors import ProcessKilled, SimulationError
-from repro.simkernel import Interrupt, Simulator
+from repro.simkernel import Simulator
 
 
 @pytest.fixture()
@@ -109,101 +109,6 @@ class TestBasicProcesses:
             ("a", 3.0),
             ("b", 4.5),
         ]
-
-
-class TestInterrupts:
-    def test_interrupt_wakes_waiting_process(self, sim):
-        def sleeper(sim):
-            try:
-                yield sim.timeout(100)
-                return "slept"
-            except Interrupt as i:
-                return ("interrupted", i.cause, sim.now)
-
-        p = sim.spawn(sleeper(sim))
-
-        def interrupter(sim):
-            yield sim.timeout(3)
-            p.interrupt("wake up")
-
-        sim.spawn(interrupter(sim))
-        assert sim.run(p) == ("interrupted", "wake up", 3.0)
-
-    def test_interrupted_event_stays_valid(self, sim):
-        def sleeper(sim):
-            nap = sim.timeout(10)
-            try:
-                yield nap
-            except Interrupt:
-                pass
-            yield nap  # re-wait on the same timeout
-            return sim.now
-
-        p = sim.spawn(sleeper(sim))
-
-        def interrupter(sim):
-            yield sim.timeout(1)
-            p.interrupt()
-
-        sim.spawn(interrupter(sim))
-        assert sim.run(p) == 10.0
-
-    def test_interrupt_dead_process_raises(self, sim):
-        def quick(sim):
-            yield sim.timeout(1)
-
-        p = sim.spawn(quick(sim))
-        sim.run()
-        with pytest.raises(SimulationError):
-            p.interrupt()
-
-    def test_self_interrupt_raises(self, sim):
-        def selfish(sim):
-            yield sim.timeout(0)
-            p.interrupt()
-
-        p = sim.spawn(selfish(sim))
-        p.defuse()
-        sim.run()
-        assert not p.ok
-
-    def test_multiple_interrupts_delivered_in_order(self, sim):
-        causes = []
-
-        def sleeper(sim):
-            for _ in range(2):
-                try:
-                    yield sim.timeout(100)
-                except Interrupt as i:
-                    causes.append(i.cause)
-            yield sim.timeout(0)
-
-        p = sim.spawn(sleeper(sim))
-
-        def interrupter(sim):
-            yield sim.timeout(1)
-            p.interrupt("first")
-            p.interrupt("second")
-
-        sim.spawn(interrupter(sim))
-        sim.run()
-        assert causes == ["first", "second"]
-
-    def test_uncaught_interrupt_fails_process(self, sim):
-        def sleeper(sim):
-            yield sim.timeout(100)
-
-        p = sim.spawn(sleeper(sim))
-
-        def interrupter(sim):
-            yield sim.timeout(1)
-            p.interrupt("fatal")
-
-        sim.spawn(interrupter(sim))
-        p.defuse()
-        sim.run()
-        assert not p.ok
-        assert isinstance(p.value, Interrupt)
 
 
 class TestKill:

@@ -1,9 +1,9 @@
-"""Unit tests for queued resources and stores."""
+"""Unit tests for queued resources."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.simkernel import Resource, Simulator, Store
+from repro.simkernel import Resource, Simulator
 
 
 @pytest.fixture()
@@ -92,81 +92,21 @@ class TestResource:
         sim.run()
         assert granted == ["high", "low"]
 
-    def test_context_manager_releases_on_interrupt(self, sim):
-        from repro.simkernel import Interrupt
-
+    def test_context_manager_releases_on_kill(self, sim):
         res = Resource(sim, capacity=1)
 
         def holder(sim):
             with res.request() as req:
                 yield req
-                try:
-                    yield sim.timeout(100)
-                except Interrupt:
-                    pass
+                yield sim.timeout(100)
 
         p = sim.spawn(holder(sim))
 
-        def interrupter(sim):
+        def killer(sim):
             yield sim.timeout(1)
-            p.interrupt()
+            assert res.count == 1
+            p.kill()
 
-        sim.spawn(interrupter(sim))
+        sim.spawn(killer(sim))
         sim.run()
         assert res.count == 0
-
-
-class TestStore:
-    def test_put_then_get(self, sim):
-        store = Store(sim)
-        store.put("x")
-        got = store.get()
-        assert got.triggered and got.value == "x"
-
-    def test_get_waits_for_put(self, sim):
-        store = Store(sim)
-
-        def consumer(sim):
-            item = yield store.get()
-            return (item, sim.now)
-
-        p = sim.spawn(consumer(sim))
-        sim.call_in(2.0, lambda: store.put("late"))
-        assert sim.run(p) == ("late", 2.0)
-
-    def test_fifo_order(self, sim):
-        store = Store(sim)
-        for i in range(3):
-            store.put(i)
-        assert [store.get().value for _ in range(3)] == [0, 1, 2]
-
-    def test_getters_fifo(self, sim):
-        store = Store(sim)
-        results = []
-
-        def consumer(sim, name):
-            item = yield store.get()
-            results.append((name, item))
-
-        sim.spawn(consumer(sim, "first"))
-        sim.spawn(consumer(sim, "second"))
-        sim.run(until=1)
-        store.put("a")
-        store.put("b")
-        sim.run()
-        assert results == [("first", "a"), ("second", "b")]
-
-    def test_len_and_items(self, sim):
-        store = Store(sim)
-        store.put(1)
-        store.put(2)
-        assert len(store) == 2
-        assert store.items == [1, 2]
-
-    def test_cancel_get(self, sim):
-        store = Store(sim)
-        ev = store.get()
-        store.cancel_get(ev)
-        store.put("x")
-        assert not ev.triggered
-        assert len(store) == 1

@@ -297,78 +297,6 @@ class TestSingleStore:
                 _check(trace, model, prefix, float("-inf"), edge, {})
 
 
-class TestSubscribers:
-    def test_subscribe_live(self, sim):
-        seen = []
-        sim.trace.subscribe("net.", lambda r: seen.append(r.kind))
-        sim.trace.record("net.tx")
-        sim.trace.record("disk.read")
-        sim.trace.record("net.rx")
-        assert seen == ["net.tx", "net.rx"]
-
-    def test_dotless_prefix_scans_all_buckets(self, sim):
-        seen = []
-        sim.trace.subscribe("ne", lambda r: seen.append(r.kind))
-        sim.trace.record("net.tx")
-        sim.trace.record("new.thing")
-        sim.trace.record("disk.read")
-        assert seen == ["net.tx", "new.thing"]
-
-    def test_empty_prefix_sees_everything(self, sim):
-        seen = []
-        sim.trace.subscribe("", lambda r: seen.append(r.kind))
-        sim.trace.record("a.b")
-        sim.trace.record("c")
-        assert seen == ["a.b", "c"]
-
-    def test_subscribing_mid_run_sees_only_future_records(self, sim):
-        sim.trace.record("x.before")
-        seen = []
-        sim.trace.subscribe("x.", lambda r: seen.append(r.kind))
-        sim.trace.record("x.after")
-        assert seen == ["x.after"]
-
-    def test_callback_ordering_bucketed_then_catch_all(self, sim):
-        """Per record: bucketed subscriptions fire in subscription order,
-        then dotless catch-all subscriptions in subscription order."""
-        order = []
-        sim.trace.subscribe("svc.", lambda r: order.append("bucket-1"))
-        sim.trace.subscribe("", lambda r: order.append("scan-1"))
-        sim.trace.subscribe("svc.up", lambda r: order.append("bucket-2"))
-        sim.trace.subscribe("svc", lambda r: order.append("scan-2"))
-        sim.trace.record("svc.up")
-        assert order == ["bucket-1", "bucket-2", "scan-1", "scan-2"]
-
-    def test_lazy_materialization_shares_one_record(self, sim):
-        """All callbacks for one record get the same TraceRecord view."""
-        got = []
-        sim.trace.subscribe("svc.", got.append)
-        sim.trace.subscribe("svc.up", got.append)
-        sim.trace.subscribe("", got.append)
-        sim.trace.record("svc.up", name="web")
-        assert len(got) == 3
-        assert got[0] is got[1] is got[2]
-        assert got[0].fields == {"name": "web"}
-        assert got[0].sequence == 1
-
-    def test_no_view_without_matching_subscription(self, sim):
-        """Non-matching records must not reach any callback."""
-        seen = []
-        sim.trace.subscribe("vmm.crash", seen.append)
-        sim.trace.record("vmm.reboot.start")  # same bucket, wrong prefix
-        sim.trace.record("service.test")  # different bucket (ad-hoc kind)
-        assert seen == []
-
-    def test_subscriber_sequence_matches_query_sequence(self, sim):
-        seen = []
-        sim.trace.subscribe("k", seen.append)
-        sim.trace.record("k.a")
-        sim.trace.record("k.b")
-        assert [r.sequence for r in seen] == [
-            r.sequence for r in sim.trace.select("k.")
-        ]
-
-
 class TestRandomStreams:
     def test_same_seed_same_sequence(self):
         from repro.simkernel import RandomStreams

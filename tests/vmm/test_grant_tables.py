@@ -5,8 +5,6 @@ import pytest
 from repro.errors import VMMError
 from repro.vmm.grant_tables import GrantTable
 
-from tests.conftest import build_started_host
-
 
 class TestGrantLifecycle:
     def test_grant_and_revoke(self):

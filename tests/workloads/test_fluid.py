@@ -144,10 +144,25 @@ class TestDeterminism:
         )
         sim.run(until=sim.now + 10.0)
         client.stop()
-        times = [t for t, _ in client.throughput_timeline()]
+        times = client._tick_t
         assert times == sorted(times)
         # Every tick boundary except a trailing partial is integral.
         assert all(t == int(t) for t in times[:-1])
+
+    @pytest.mark.parametrize("tick_s", [0.7, 0.1])
+    def test_tick_grid_advances_past_rounded_grid_points(self, tick_s):
+        # (floor(now / tick) + 1) * tick can round back to now itself
+        # (tick_s = 0.7 at t = 2.0999999999999996); the coordinator must
+        # still move the clock instead of re-arming zero-delay timeouts.
+        # The step bound keeps a stalled grid from hanging the test.
+        sim = Simulator()
+        coordinator = FluidCoordinator(sim, tick_s=tick_s)
+        sim.spawn(coordinator._run())
+        for _ in range(1000):
+            sim.step()
+            if sim.now > 10.0:
+                break
+        assert sim.now > 10.0
 
 
 class TestFluidModel:
@@ -177,7 +192,6 @@ class TestFluidModel:
         client.stop()
         assert 180 <= client.mean_rate() <= 260
         assert client.total_completed > 1000
-        assert client.bytes_served > 0
 
     def test_outage_zeroes_rate_and_paces_failures(self, sim, web):
         host, guest, paths = web
@@ -212,7 +226,7 @@ class TestFluidModel:
         client = self._client(sim, host, paths, warm=False)
         sim.run(until=sim.now + 30.0)
         client.stop()
-        rates = [rate for _, rate in client.throughput_timeline()]
+        rates = client._tick_rate
         assert rates[0] < rates[-1]
         assert rates[-1] >= 190  # back in the cached, NIC-bound band
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.timeline import bucketize
 from repro.errors import ReproError
 from repro.units import kib
 from repro.workloads import Httperf
@@ -49,18 +50,30 @@ class TestServing:
         client = make_client(sim, host, paths, concurrency=2).start()
         sim.run(until=sim.now + 5)
         client.stop()
-        assert len(client.completions) > 5
-        assert client.bytes_served == sum(c.nbytes for c in client.completions)
+        times = client.completion_times
+        assert len(times) > 5
+        assert times == sorted(times)
 
     def test_each_path_once_terminates(self, sim, web_host):
         host, paths = web_host
-        client = make_client(
-            sim, host, paths, concurrency=4, each_path_once=True
+        service = host.guest("vm0").service("apache")
+        requested = []
+
+        class Recording:
+            """Looks up the real service and records each path asked."""
+
+            def handle_request(self, path):
+                requested.append(path)
+                return service.handle_request(path=path)
+
+        recorder = Recording()
+        client = Httperf(
+            sim, lambda: recorder, paths, concurrency=4, each_path_once=True
         ).start()
         sim.run(client.wait())
-        assert len(client.completions) == len(paths)
-        assert {c.path for c in client.completions} == set(paths)
-        assert client.done
+        assert sorted(requested) == sorted(paths)
+        assert len(client.completion_times) == len(paths)
+        assert client.wait().triggered
 
     def test_nic_bound_rate(self, sim, web_host):
         """Cached 512 KiB files are NIC-bound: ~228 req/s on gigabit."""
@@ -79,10 +92,10 @@ class TestServing:
         sim.run(until=sim.now + 5)
         assert client.failures > 0
         sim.run(sim.spawn(guest.run_resume_handler()))
-        count_at_resume = len(client.completions)
+        count_at_resume = len(client.completion_times)
         sim.run(until=sim.now + 2)
         client.stop()
-        assert len(client.completions) > count_at_resume  # recovered
+        assert len(client.completion_times) > count_at_resume  # recovered
 
     def test_mean_rate_empty_window(self, sim, web_host):
         host, paths = web_host
@@ -90,12 +103,15 @@ class TestServing:
         assert client.mean_rate() == 0.0
 
     def test_throughput_timeline_windows(self, sim, web_host):
+        """Figure 7's series: completion times binned per window."""
         host, paths = web_host
+        start = sim.now
         client = make_client(sim, host, paths, concurrency=2).start()
         sim.run(until=sim.now + 10)
         client.stop()
-        timeline = client.throughput_timeline(window=50)
-        assert timeline
-        assert all(rate > 0 for _, rate in timeline)
+        timeline = bucketize(client.completion_times, 1.0, start=start)
+        assert len(timeline) >= 9
+        assert all(rate > 0 for _, rate in timeline[:-1])
+        assert sum(rate for _, rate in timeline) == len(client.completion_times)
         times = [t for t, _ in timeline]
         assert times == sorted(times)

@@ -11,8 +11,6 @@ from repro.workloads import (
     timed_read,
 )
 
-from tests.conftest import build_started_host
-
 
 class TestPingProber:
     def test_invalid_interval(self, sim, started_host):
