@@ -30,9 +30,11 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 # The same tier-1 suite with the runtime determinism sanitizer observing
-# every Simulator; results must be identical (the sanitizer never perturbs).
+# every Simulator; results must be identical (the sanitizer never perturbs),
+# and a DeterminismWarning that no test declares fails the lane.
 test-sanitize:
-	REPRO_SANITIZE=1 $(PYTHON) -m pytest -x -q
+	REPRO_SANITIZE=1 $(PYTHON) -m pytest -x -q \
+		-W error::repro.simkernel.sanitizer.DeterminismWarning
 
 # Self-tests of the end-to-end benchmark under perfbench/.  They pin the
 # benchmark's contract with src/ (entry points, keywords, the sweep and

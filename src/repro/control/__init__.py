@@ -1,9 +1,10 @@
 """Autonomic control plane: the one rejuvenation engine.
 
 The package splits the loop into three pure-ish parts — **detectors**
-(hysteresis gates over live metric signals), a **planner** (pluggable
-placement strategies mapping an inert fleet view to typed actions under
-SLA constraints), and an **executor** (applies actions through existing
+(hysteresis gates over live metric signals), a **planner** (two placement
+strategies, ``fleet-order`` and ``first-fit-decreasing``, mapping an
+inert fleet view to typed actions under SLA constraints), and an
+**executor** (applies actions through existing
 host/migration mechanisms, fully audited) — wired together by
 :class:`ControlLoop` on a drift-free sampling grid.  The open-loop
 triggers beside it — :func:`periodic` (the §3.2 time-based schedule)
@@ -31,18 +32,14 @@ from repro.control.detectors import (
     Hysteresis,
     Trigger,
     cpu_runnable_signal,
-    disk_busy_signal,
     heap_utilization_signal,
     next_tick,
-    nic_tx_signal,
     windowed_mean,
-    windowed_rate,
 )
 from repro.control.executor import PlanExecutor
 from repro.control.loop import ControlConfig, ControlLoop
 from repro.control.planner import (
-    AgingAwareStrategy,
-    ConsolidationStrategy,
+    STRATEGIES,
     Constraints,
     FirstFitDecreasingStrategy,
     FleetOrderStrategy,
@@ -50,9 +47,7 @@ from repro.control.planner import (
     HostView,
     PlacementStrategy,
     VMView,
-    register_strategy,
     resolve_strategy,
-    strategy_names,
     view_of_hosts,
 )
 from repro.control.schedule import campaign, periodic
@@ -60,8 +55,6 @@ from repro.control.schedule import campaign, periodic
 __all__ = [
     "Action",
     "ActionKind",
-    "AgingAwareStrategy",
-    "ConsolidationStrategy",
     "Constraints",
     "ControlConfig",
     "ControlLoop",
@@ -74,22 +67,18 @@ __all__ = [
     "PlacementStrategy",
     "Plan",
     "PlanExecutor",
+    "STRATEGIES",
     "Trigger",
     "VMView",
     "campaign",
     "cpu_runnable_signal",
-    "disk_busy_signal",
     "heap_utilization_signal",
     "migrate",
     "next_tick",
-    "nic_tx_signal",
     "periodic",
-    "register_strategy",
     "rejuvenate",
     "rejuvenate_os",
     "resolve_strategy",
-    "strategy_names",
     "view_of_hosts",
     "windowed_mean",
-    "windowed_rate",
 ]

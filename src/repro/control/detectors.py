@@ -233,97 +233,6 @@ def cpu_runnable_signal(
     return signal
 
 
-def nic_tx_signal(
-    sim: typing.Any,
-    host: typing.Any,
-    window_s: float,
-) -> typing.Callable[[], float | None]:
-    """Windowed transmit rate of a host's NIC, in bytes per second.
-
-    Reads the cumulative ``nic.tx_bytes`` counter the hardware layer
-    already publishes (labelled ``nic="<host>.nic"``) and differences it
-    over ``[now - window_s, now]``.  ``None`` when metrics are disabled.
-    """
-    if window_s <= 0:
-        raise ControlError(f"window must be positive, got {window_s}")
-
-    def signal() -> float | None:
-        if not sim.metrics.enabled:
-            return None
-        counter = sim.metrics.counter("nic.tx_bytes", nic=f"{host.name}.nic")
-        end = sim.now
-        start = max(end - window_s, 0.0)
-        return windowed_rate(
-            counter.series_times, counter.series_values, start, end
-        )
-
-    return signal
-
-
-def disk_busy_signal(
-    sim: typing.Any,
-    host: typing.Any,
-    window_s: float,
-) -> typing.Callable[[], float | None]:
-    """Windowed utilization of a host's disk, as a busy fraction in [0, 1].
-
-    Differences the cumulative ``disk.busy_seconds`` counter (labelled
-    ``disk="<host>.disk"``) over ``[now - window_s, now]``: the increase
-    is seconds the disk spent servicing transfers, so dividing by the
-    window length is exactly iostat's ``%util``.  ``None`` when metrics
-    are disabled.
-    """
-    if window_s <= 0:
-        raise ControlError(f"window must be positive, got {window_s}")
-
-    def signal() -> float | None:
-        if not sim.metrics.enabled:
-            return None
-        counter = sim.metrics.counter(
-            "disk.busy_seconds", disk=f"{host.name}.disk"
-        )
-        end = sim.now
-        start = max(end - window_s, 0.0)
-        return windowed_rate(
-            counter.series_times, counter.series_values, start, end
-        )
-
-    return signal
-
-
-def _series_level(
-    times: typing.Sequence[float],
-    values: typing.Sequence[float],
-    at: float,
-) -> float:
-    """The last-write-wins level of a sample series at time ``at``
-    (0 before the first sample)."""
-    i = bisect_right(times, at)
-    return float(values[i - 1]) if i > 0 else 0.0
-
-
-def windowed_rate(
-    times: typing.Sequence[float],
-    values: typing.Sequence[float],
-    start: float,
-    end: float,
-) -> float:
-    """Mean increase rate of a cumulative counter over ``[start, end]``.
-
-    The series is monotone samples of a counter's running total; the rate
-    is ``(level(end) - level(start)) / (end - start)``, with the level
-    before the first sample taken as 0.  A zero-length window returns 0
-    (no time has passed, so no rate is attributable).
-    """
-    if end < start:
-        raise ControlError(f"window end {end} before start {start}")
-    if end == start:
-        return 0.0
-    return (
-        _series_level(times, values, end) - _series_level(times, values, start)
-    ) / (end - start)
-
-
 def windowed_mean(
     times: typing.Sequence[float],
     values: typing.Sequence[float],

@@ -4,10 +4,12 @@
 seconds (on the drift-free grid from :func:`~repro.control.detectors
 .next_tick`) it samples three detectors per host — CPU overload, CPU
 underload, heap aging — snapshots the fleet into an inert
-:class:`~repro.control.planner.FleetView`, asks the configured
-:class:`~repro.control.planner.PlacementStrategy` for a
+:class:`~repro.control.planner.FleetView`, asks the configured placement
+strategy (one of :data:`~repro.control.planner.STRATEGIES`) for a
 :class:`~repro.control.actions.Plan`, and applies it through the
-:class:`~repro.control.executor.PlanExecutor`.
+:class:`~repro.control.executor.PlanExecutor`.  ``ControlLoop(strategy=...)``
+takes any :class:`~repro.control.planner.PlacementStrategy` instead,
+which is how tests script a plan.
 
 Determinism: the cycle grid is absolute (action durations never shift
 later cycles), detectors and strategies are pure over their inputs, and
@@ -24,14 +26,12 @@ from repro.config import Table
 from repro.control.detectors import (
     Detector,
     cpu_runnable_signal,
-    disk_busy_signal,
     heap_utilization_signal,
     next_tick,
-    nic_tx_signal,
 )
 from repro.control.executor import MigrateFn, PlanExecutor
 from repro.control.planner import (
-    STRATEGY_REGISTRY,
+    STRATEGIES,
     Constraints,
     PlacementStrategy,
     resolve_strategy,
@@ -49,7 +49,7 @@ class ControlConfig(Table):
     core over the trailing ``window_s`` (the CPU gauge the hardware
     layer already publishes); ``aging_threshold``/``aging_rearm`` are
     VMM heap utilization.  ``cooldown_s`` applies to every detector.
-    ``strategy`` names a :data:`~repro.control.planner.STRATEGY_REGISTRY`
+    ``strategy`` names a :data:`~repro.control.planner.STRATEGIES`
     entry.  Invalid values raise :class:`~repro.errors.ControlError`
     (``interval_s: must be positive, got 0``).
     """
@@ -66,18 +66,11 @@ class ControlConfig(Table):
     migration_budget: int = 4
     min_hosts_up: int = 1
     rejuvenate: str = "warm"
-    net_overload_bps: float = 0.0
-    """NIC transmit rate (bytes/s over the trailing window) above which a
-    host counts as overloaded; 0 disables the network detector."""
-    disk_overload: float = 0.0
-    """Disk busy fraction (iostat %util over the trailing window, in
-    [0, 1]) above which a host counts as overloaded; 0 disables the
-    disk detector."""
 
     def __post_init__(self) -> None:
-        if self.strategy not in STRATEGY_REGISTRY:
+        if self.strategy not in STRATEGIES:
             raise ControlError(
-                f"strategy: must be one of {', '.join(STRATEGY_REGISTRY)}, "
+                f"strategy: must be one of {', '.join(STRATEGIES)}, "
                 f"got {self.strategy!r}"
             )
         if self.interval_s <= 0:
@@ -99,16 +92,6 @@ class ControlConfig(Table):
             )
         if self.cooldown_s < 0:
             raise ControlError(f"cooldown_s: must be >= 0, got {self.cooldown_s}")
-        if self.net_overload_bps < 0:
-            raise ControlError(
-                "net_overload_bps: must be >= 0 (0 disables), "
-                f"got {self.net_overload_bps}"
-            )
-        if not 0 <= self.disk_overload <= 1:
-            raise ControlError(
-                "disk_overload: must be a busy fraction in [0, 1] (0 disables), "
-                f"got {self.disk_overload}"
-            )
         self.constraints()  # checks migration_budget, min_hosts_up and rejuvenate
 
     def constraints(self) -> Constraints:
@@ -142,7 +125,7 @@ class ControlLoop:
         self._detectors: dict[str, list[Detector]] = {}
         for host in self._hosts:
             cpu = cpu_runnable_signal(sim, host, self.config.window_s)
-            detectors = [
+            self._detectors[host.name] = [
                 Detector(
                     "overload", host.name, cpu,
                     threshold=self.config.overload,
@@ -163,27 +146,6 @@ class ControlLoop:
                     direction="above",
                 ),
             ]
-            if self.config.net_overload_bps > 0:
-                detectors.append(
-                    Detector(
-                        "net", host.name,
-                        nic_tx_signal(sim, host, self.config.window_s),
-                        threshold=self.config.net_overload_bps,
-                        cooldown_s=self.config.cooldown_s,
-                        direction="above",
-                    )
-                )
-            if self.config.disk_overload > 0:
-                detectors.append(
-                    Detector(
-                        "disk", host.name,
-                        disk_busy_signal(sim, host, self.config.window_s),
-                        threshold=self.config.disk_overload,
-                        cooldown_s=self.config.cooldown_s,
-                        direction="above",
-                    )
-                )
-            self._detectors[host.name] = detectors
         self.plans: list = []
         self.cycles = 0
 
@@ -216,7 +178,7 @@ class ControlLoop:
                     underloaded.add(name)
                 elif detector.name == "aging":
                     aging.add(name)
-                else:  # overload / net / disk: all pressure signals
+                else:
                     overloaded.add(name)
         view = view_of_hosts(
             self._hosts,

@@ -1,4 +1,4 @@
-"""Pluggable placement strategies over an inert fleet view.
+"""Placement strategies over an inert fleet view.
 
 The planner side of the control plane is pure: a
 :class:`PlacementStrategy` maps a :class:`FleetView` (plain frozen data
@@ -8,7 +8,7 @@ strategy touches simulation state, draws randomness, or iterates a set —
 given the same view they emit the same plan, which is what makes the
 closed loop deterministic across seeds, run loops and shardings.
 
-Four strategies ship:
+Two strategies ship, named in :data:`STRATEGIES`:
 
 =====================  ========================================================
 name                   policy
@@ -16,14 +16,8 @@ name                   policy
 fleet-order            no migrations; rejuvenate aging hosts in fleet order
 first-fit-decreasing   classic bin-packing: evacuate underloaded hosts,
                        largest VM first, first host it fits on; rejuvenate
-                       hosts emptied by the packing
-consolidation          migration-count-minimizing (à la OpenStack Watcher's
-                       BasicConsolidation): evacuate the fewest-VM donors
-                       first, whole hosts atomically, onto the most-loaded
-                       receivers
-aging-aware            rejuvenation ordered most-aged-first; migrations
-                       steered onto the least-aged hosts (they will not be
-                       disturbed by rejuvenation soon)
+                       hosts emptied by the packing, then aging hosts in
+                       fleet order
 =====================  ========================================================
 
 Constraint violations degrade, never raise: actions past the migration
@@ -168,7 +162,7 @@ def view_of_hosts(
 
 
 class PlacementStrategy:
-    """Base class: a pure (view, constraints) -> plan function pair."""
+    """Base class: a pure (view, constraints) -> plan function."""
 
     name: typing.ClassVar[str] = ""
 
@@ -264,69 +258,7 @@ class PlacementStrategy:
                 )
         return actions, deferred
 
-    def _consolidate(
-        self,
-        view: FleetView,
-        constraints: Constraints,
-        receivers: typing.Sequence[HostView],
-        move_reason: str,
-    ) -> Plan:
-        """The shared consolidate-then-rejuvenate-emptied-hosts shape."""
-        donors = [h for h in view.hosts if h.underloaded and h.vms]
-        receiver_names = {r.name for r in receivers}
-        donors = [d for d in donors if d.name not in receiver_names]
-        moves, deferred, evacuated = self._pack(
-            view, constraints, donors, receivers, move_reason
-        )
-        candidates = [(name, "evacuated underloaded host") for name in evacuated]
-        evacuated_set = set(evacuated)
-        candidates.extend(
-            (h.name, "heap aging past threshold")
-            for h in self._aging_order(view)
-            if h.name not in evacuated_set
-        )
-        rejuvs, over = self._rejuvenations(view, constraints, candidates)
-        return Plan(
-            strategy=self.name,
-            actions=tuple(moves) + tuple(rejuvs),
-            deferred=tuple(deferred) + tuple(over),
-        )
 
-    def _aging_order(self, view: FleetView) -> list[HostView]:
-        """Aging hosts in the order this strategy rejuvenates them."""
-        return [h for h in view.hosts if h.aging]
-
-
-STRATEGY_REGISTRY: dict[str, type[PlacementStrategy]] = {}
-
-
-def register_strategy(
-    cls: type[PlacementStrategy],
-) -> type[PlacementStrategy]:
-    """Class decorator adding a strategy to the named registry."""
-    if not cls.name:
-        raise ControlError(f"{cls.__name__} declares no strategy name")
-    STRATEGY_REGISTRY[cls.name] = cls
-    return cls
-
-
-def strategy_names() -> tuple[str, ...]:
-    """Registered strategy names, sorted."""
-    return tuple(sorted(STRATEGY_REGISTRY))
-
-
-def resolve_strategy(name: str) -> PlacementStrategy:
-    """A fresh instance of the named strategy."""
-    cls = STRATEGY_REGISTRY.get(name)
-    if cls is None:
-        raise ControlError(
-            f"unknown placement strategy {name!r}; "
-            f"known: {', '.join(strategy_names())}"
-        )
-    return cls()
-
-
-@register_strategy
 class FleetOrderStrategy(PlacementStrategy):
     """The default: no migrations; ``plan`` rejuvenates the hosts the
     aging detector flagged, in fleet (build) order."""
@@ -343,97 +275,35 @@ class FleetOrderStrategy(PlacementStrategy):
         )
 
 
-@register_strategy
 class FirstFitDecreasingStrategy(PlacementStrategy):
-    """Bin-pack underloaded hosts empty: largest VM first, first fit."""
+    """Bin-pack underloaded hosts empty: largest VM first, first fit.
+
+    Receivers are the hosts not flagged underloaded (or, in a fully idle
+    fleet, the first ``max(min_hosts_up, 1)`` hosts, which keep the SLA
+    floor serving).  Hosts the packing empties are rejuvenated first,
+    then the aging hosts in fleet order.
+    """
 
     name = "first-fit-decreasing"
 
     def plan(self, view: FleetView, constraints: Constraints) -> Plan:
-        receivers = self._receivers(view, constraints)
-        return self._consolidate(
-            view, constraints, receivers, "consolidate onto loaded host"
-        )
-
-    def _receivers(
-        self, view: FleetView, constraints: Constraints
-    ) -> list[HostView]:
         receivers = [h for h in view.hosts if not h.underloaded]
         if not receivers:
-            # A fully idle fleet still keeps the SLA floor serving.
-            keep = max(constraints.min_hosts_up, 1)
-            receivers = list(view.hosts[:keep])
-        return receivers
-
-
-@register_strategy
-class ConsolidationStrategy(FirstFitDecreasingStrategy):
-    """Migration-count-minimizing consolidation (Watcher-shaped).
-
-    Donors are evacuated whole or not at all, fewest-VM donors first —
-    each completed evacuation buys one rejuvenable host for the minimum
-    number of migrations — and land on the most-loaded receivers first,
-    concentrating the fleet on the fewest hosts.
-    """
-
-    name = "consolidation"
-
-    def plan(self, view: FleetView, constraints: Constraints) -> Plan:
-        receivers = sorted(
-            self._receivers(view, constraints),
-            key=lambda h: (-h.load, view.index_of(h.name)),
-        )
+            receivers = list(view.hosts[: max(constraints.min_hosts_up, 1)])
         receiver_names = {r.name for r in receivers}
-        donors = sorted(
-            (
-                h for h in view.hosts
-                if h.underloaded and h.vms and h.name not in receiver_names
-            ),
-            key=lambda h: (len(h.vms), view.index_of(h.name)),
+        donors = [
+            h for h in view.hosts
+            if h.underloaded and h.vms and h.name not in receiver_names
+        ]
+        moves, deferred, evacuated = self._pack(
+            view, constraints, donors, receivers, "consolidate onto loaded host"
         )
-        free = {r.name: r.free_bytes for r in receivers}
-        budget = constraints.migration_budget
-        moves: list[Action] = []
-        deferred: list[Action] = []
-        evacuated: list[str] = []
-        for donor in donors:
-            placed = self._place_whole(donor, receivers, free)
-            if placed is None:
-                deferred.extend(
-                    Action(
-                        ActionKind.MIGRATE,
-                        vm=vm.name,
-                        source=vm.host,
-                        reason="no receiver fits this donor's VMs",
-                    )
-                    for vm in donor.vms
-                )
-                continue
-            if len(donor.vms) > budget:
-                deferred.extend(
-                    migrate(
-                        vm.name, donor.name, destination,
-                        reason="migration budget exhausted",
-                    )
-                    for vm, destination in placed
-                )
-                continue
-            for vm, destination in placed:
-                free[destination] -= vm.memory_bytes
-                moves.append(
-                    migrate(
-                        vm.name, donor.name, destination,
-                        reason="consolidate donor emptied atomically",
-                    )
-                )
-            budget -= len(donor.vms)
-            evacuated.append(donor.name)
         candidates = [(name, "evacuated underloaded host") for name in evacuated]
         evacuated_set = set(evacuated)
         candidates.extend(
             (h.name, "heap aging past threshold")
-            for h in self._aging_order(view)
-            if h.name not in evacuated_set
+            for h in view.hosts
+            if h.aging and h.name not in evacuated_set
         )
         rejuvs, over = self._rejuvenations(view, constraints, candidates)
         return Plan(
@@ -442,55 +312,21 @@ class ConsolidationStrategy(FirstFitDecreasingStrategy):
             deferred=tuple(deferred) + tuple(over),
         )
 
-    def _place_whole(
-        self,
-        donor: HostView,
-        receivers: typing.Sequence[HostView],
-        free: dict[str, int],
-    ) -> list[tuple[VMView, str]] | None:
-        """A full placement of the donor's VMs, or ``None`` if any fails."""
-        trial = dict(free)
-        placed: list[tuple[VMView, str]] = []
-        for vm in sorted(
-            donor.vms, key=lambda v: (-v.memory_bytes, v.name)
-        ):
-            destination = None
-            for receiver in receivers:
-                if vm.memory_bytes <= trial[receiver.name]:
-                    destination = receiver.name
-                    break
-            if destination is None:
-                return None
-            trial[destination] -= vm.memory_bytes
-            placed.append((vm, destination))
-        return placed
+
+STRATEGIES: dict[str, type[PlacementStrategy]] = {
+    FleetOrderStrategy.name: FleetOrderStrategy,
+    FirstFitDecreasingStrategy.name: FirstFitDecreasingStrategy,
+}
+"""Every shipped strategy by name: the values ``[policy] strategy`` and
+``--policy`` accept."""
 
 
-@register_strategy
-class AgingAwareStrategy(FirstFitDecreasingStrategy):
-    """Placement that minds the rejuvenation schedule.
-
-    Aging hosts are rejuvenated most-aged-first (heap utilization
-    descending, fleet order breaking ties), and migrations land on the
-    *least*-aged receivers: a long-lived VM placed there will not be
-    disturbed by a rejuvenation again soon.  (The Watcher-style
-    refinement of steering short-lived VMs *toward* soon-to-rejuvenate
-    hosts needs lifetime forecasts the simulation does not model.)
-    """
-
-    name = "aging-aware"
-
-    def plan(self, view: FleetView, constraints: Constraints) -> Plan:
-        receivers = sorted(
-            self._receivers(view, constraints),
-            key=lambda h: (h.heap_utilization, view.index_of(h.name)),
+def resolve_strategy(name: str) -> PlacementStrategy:
+    """A fresh instance of the named strategy."""
+    cls = STRATEGIES.get(name)
+    if cls is None:
+        raise ControlError(
+            f"unknown placement strategy {name!r}; "
+            f"known: {', '.join(STRATEGIES)}"
         )
-        return self._consolidate(
-            view, constraints, receivers, "steer VM onto least-aged host"
-        )
-
-    def _aging_order(self, view: FleetView) -> list[HostView]:
-        return sorted(
-            (h for h in view.hosts if h.aging),
-            key=lambda h: (-h.heap_utilization, view.index_of(h.name)),
-        )
+    return cls()

@@ -39,10 +39,6 @@ class VMSpec:
     services: tuple[str, ...] = ("ssh",)
     vcpus: int = 1
     driver_domain: bool = False
-    cpu_weight: int = 256
-    """Credit-scheduler weight (Xen default 256)."""
-    cpu_cap_cores: float | None = None
-    """Credit-scheduler cap in cores (None = work-conserving)."""
 
     def build_guest(
         self, profile: TimingProfile, filesystem: Filesystem
@@ -204,25 +200,9 @@ class Host:
             guest.rebind(vmm, domain)
             boots.append(self.sim.spawn(guest.boot(), name=f"boot:{spec.name}"))
         self.apply_creation_quirk(len(specs))
-        self.apply_scheduler_params()
         if boots:
             yield self.sim.all_of(boots)
         return [proc.value for proc in boots]
-
-    def apply_scheduler_params(self) -> None:
-        """Configure the credit scheduler from each VM's spec (applied
-        after any path that (re)creates domains: boot, resume, restore)."""
-        from repro.vmm.scheduler import SchedulerParams
-
-        vmm = self.require_vmm()
-        for spec in self.vm_specs.values():
-            if spec.name in vmm.domains:
-                vmm.scheduler.set_params(
-                    spec.name,
-                    SchedulerParams(
-                        weight=spec.cpu_weight, cap_cores=spec.cpu_cap_cores
-                    ),
-                )
 
     def apply_creation_quirk(self, created_count: int) -> None:
         """The Xen 3.0.0 artifact behind Figure 7's post-resume dip:
@@ -236,12 +216,15 @@ class Host:
             return
         self.machine.nic.set_degradation(quirks.post_create_network_factor)
         self.sim.trace.record("host.quirk.slump.start", host=self.name)
+        self.sim.call_in(
+            quirks.post_create_network_slump_s, self._end_network_slump
+        )
 
-        def restore() -> None:
-            self.machine.nic.clear_degradation()
-            self.sim.trace.record("host.quirk.slump.end", host=self.name)
-
-        self.sim.call_in(quirks.post_create_network_slump_s, restore)
+    def _end_network_slump(self) -> None:
+        """The slump timer: bound to this host, so the sanitizer treats
+        hosts whose slumps end at the same instant as independent."""
+        self.machine.nic.clear_degradation()
+        self.sim.trace.record("host.quirk.slump.end", host=self.name)
 
     def crash(self, reason: str = "aging") -> None:
         """The failure rejuvenation exists to preempt: the VMM dies.
@@ -395,7 +378,6 @@ class Host:
                 yield from service.start_from_checkpoint(guest, saved.pop(0))
             else:
                 yield from service.start(guest)
-        self.apply_scheduler_params()
         return guest
 
     def restart_service(self, vm_name: str, service_name: str) -> typing.Generator:

@@ -235,7 +235,6 @@ def warm_reboot(host: "Host") -> typing.Generator:
                 )
             resumed = yield from new_vmm.resume_all_preserved()
             host.apply_creation_quirk(len(resumed))
-            host.apply_scheduler_params()
 
         if driver_specs:
             with clock.phase("driver-domain-boot"):
@@ -307,7 +306,6 @@ def saved_reboot(host: "Host", variant: typing.Any = None) -> typing.Generator:
             if restores:
                 yield sim.all_of(restores)
             host.apply_creation_quirk(len(restores))
-            host.apply_scheduler_params()
 
     return _finish(host, report)
 

@@ -19,11 +19,7 @@ import typing
 from repro.jobs import Cell, SweepStats, run_cells
 from repro.fleet.spec import FleetSpec
 from repro.obs.bundle import TelemetryBundle
-from repro.obs.slo import (
-    evaluate_slo,
-    merge_latency_histogram,
-    outage_intervals,
-)
+from repro.obs.slo import evaluate_slo, outage_intervals
 
 _FLEET = "FLEET"
 """Cell experiment-id namespace for fleet shards."""
@@ -173,15 +169,6 @@ def merge_shards(spec: FleetSpec, payloads: typing.Sequence[dict]) -> FleetRepor
                 rows=bundle.sli_rows(),
                 outages=outage_intervals(
                     bundle.all_records(), spec.warmup_s, spec.horizon_s
-                ),
-                latency=merge_latency_histogram(
-                    [
-                        entry
-                        for shard in bundle.shards
-                        for entry in shard.metrics.get(
-                            "httperf.request_latency", ()
-                        )
-                    ]
                 ),
             )
     return FleetReport(

@@ -119,13 +119,12 @@ class GuestKernel:
         return self.machine.duration(f"{self.name}.{stream}", base)
 
     def cpu_execute(self, core_seconds: float):
-        """Run guest CPU work under the VMM's credit scheduler, so this
-        domain's configured weight/cap governs its progress."""
+        """Run guest CPU work on the machine's shared CPU pool, as one
+        single-threaded context with an equal share of the cores."""
         vmm = self.vmm
-        domain = self.domain
-        if vmm is None or domain is None:
+        if vmm is None or self.domain is None:
             raise GuestError(f"guest {self.name!r} is not bound to a domain")
-        return vmm.scheduler.execute(domain.name, core_seconds)
+        return vmm.machine.cpu.execute(core_seconds)
 
     # -- grant tables (split-driver I/O rings) ---------------------------------------
 

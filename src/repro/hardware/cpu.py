@@ -3,9 +3,10 @@
 Work is measured in *core-seconds*.  Each runnable context (a booting
 guest, a service handling a request, dom0's shutdown scripts) is a job in
 a fluid-sharing pool capped at one core — so four cores run up to four
-jobs at full speed and degrade everyone fairly beyond that.  This is the
-contention that makes shutting down / booting many guests in parallel
-slower per-guest (§2, §5.1).
+jobs at full speed and degrade everyone fairly beyond that.  Guests
+submit their work here directly, and every context gets the same share.
+This is the contention that makes shutting down / booting many guests in
+parallel slower per-guest (§2, §5.1).
 """
 
 from __future__ import annotations
@@ -38,33 +39,12 @@ class CpuPool:
     def cores(self) -> int:
         return self.spec.cores
 
-    @property
-    def runnable(self) -> int:
-        """Number of contexts currently consuming CPU."""
-        return self._pool.active_jobs
-
-    def execute(self, core_seconds: float, weight: float = 1.0) -> Event:
+    def execute(self, core_seconds: float) -> Event:
         """Run ``core_seconds`` of single-threaded work; event fires when done."""
         if core_seconds < 0:
             raise HardwareError(f"negative CPU work {core_seconds}")
-        return self._pool.execute(core_seconds, weight=weight)
-
-    def execute_shared(
-        self, core_seconds: float, weight: float = 1.0, cap: float | None = None
-    ) -> Event:
-        """Weighted, optionally capped execution (credit-scheduler path)."""
-        if core_seconds < 0:
-            raise HardwareError(f"negative CPU work {core_seconds}")
-        return self._pool.execute(core_seconds, weight=weight, cap=cap)
-
-    def cancel(self, event: Event) -> None:
-        """Abort a running job (its event fails, pre-defused)."""
-        self._pool.cancel(event)
+        return self._pool.execute(core_seconds)
 
     def drain(self) -> None:
         """Fail all running jobs (machine reset)."""
         self._pool.drain()
-
-    def busy_fraction(self) -> float:
-        """Instantaneous utilization in [0, 1]."""
-        return min(1.0, self._pool.active_jobs / self.spec.cores)

@@ -120,10 +120,3 @@ class Disk:
                 else:
                     self.stats.bytes_written += take
         return None
-
-    def sequential_duration(self, nbytes: int, op: str = "read") -> float:
-        """Analytic time for an uncontended transfer (for tests/models)."""
-        bandwidth = self.spec.read_bw if op == "read" else self.spec.write_bw
-        if nbytes == 0:
-            return 0.0
-        return self.spec.seek_s + nbytes / bandwidth

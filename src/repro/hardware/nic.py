@@ -40,10 +40,6 @@ class NetworkLink:
     def degradation_factor(self) -> float:
         return self._factor
 
-    @property
-    def active_transfers(self) -> int:
-        return self._pool.active_jobs
-
     def set_degradation(self, factor: float) -> None:
         """Scale effective bandwidth by ``factor`` (0 < factor <= 1)."""
         if not 0 < factor <= 1:
@@ -99,8 +95,3 @@ class NetworkLink:
 
         self._pool.execute(float(nbytes)).callbacks.append(finish)
         return done
-
-    def transfer_duration(self, nbytes: int, concurrent: int = 1) -> float:
-        """Analytic duration with ``concurrent`` equal sharers (for models)."""
-        rate = self.spec.bandwidth * self._factor / max(concurrent, 1)
-        return nbytes / rate + self.spec.latency_s

@@ -23,8 +23,6 @@ from repro.obs.slo import (
     SLOSpec,
     burn_rate_series,
     evaluate_slo,
-    histogram_quantile,
-    merge_latency_histogram,
     outage_intervals,
     render_slo,
 )
@@ -43,8 +41,6 @@ __all__ = [
     "capture_shard",
     "decision_timelines",
     "evaluate_slo",
-    "histogram_quantile",
-    "merge_latency_histogram",
     "outage_intervals",
     "render_slo",
     "render_timelines",

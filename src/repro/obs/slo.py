@@ -1,13 +1,12 @@
 """Declarative SLOs evaluated over telemetry: targets, burn rates, verdicts.
 
 An :class:`SLOSpec` states what the paper's availability story promises
-in machine-checkable form — an availability target, a downtime budget,
-a latency quantile bound — and :func:`evaluate_slo` turns measured
-telemetry (per-workload SLI rows, service outage intervals, the merged
-request-latency histogram) into a plain-data **SLO report**: one verdict
-per objective plus a windowed **burn-rate series** in the SRE sense
-(error budget consumed per window, normalized so ``burn == 1.0`` means
-"exactly on budget").
+in machine-checkable form — an availability target and a downtime
+budget — and :func:`evaluate_slo` turns measured telemetry (per-workload
+SLI rows and service outage intervals) into a plain-data **SLO report**:
+one verdict per objective plus a windowed **burn-rate series** in the
+SRE sense (error budget consumed per window, normalized so ``burn ==
+1.0`` means "exactly on budget").
 
 The spec is TOML-shaped and attaches to scenario and fleet specs as an
 ``[slo]`` table (see :class:`repro.scenario.spec.ScenarioSpec` /
@@ -18,10 +17,11 @@ telemetry (scenario runner) and over a merged cross-shard
 :class:`~repro.obs.bundle.TelemetryBundle` (fleet runner) — the fleet
 path never needs the simulators back.
 
-Verdicts are strict: an objective whose input data is missing (latency
-target without a latency histogram, say) **fails** with ``measured:
-None`` rather than passing vacuously — a silently unmeasurable SLO is an
-instrumentation bug, not a healthy fleet.
+Verdicts are strict: an objective whose input data is missing (an
+availability target over rows that carry no availability, say)
+**fails** with ``measured: None`` rather than passing vacuously — a
+silently unmeasurable SLO is an instrumentation bug, not a healthy
+fleet.
 """
 
 from __future__ import annotations
@@ -45,30 +45,21 @@ class SLOSpec(Table):
     ``downtime_budget_s``
         Total measured downtime summed across SLI rows must not exceed
         this many seconds.
-    ``latency_target_s`` / ``latency_quantile``
-        The ``latency_quantile``-th quantile of the request-latency
-        histogram must not exceed ``latency_target_s`` seconds.
 
     ``window_s`` sets the burn-rate tile width; the burn series always
-    accompanies the verdicts when an availability or downtime objective
-    is stated.
+    accompanies the verdicts.
     """
 
     TABLE = "slo"
     availability: float | None = None
     downtime_budget_s: float | None = None
-    latency_target_s: float | None = None
-    latency_quantile: float = 0.99
     window_s: float = 60.0
 
     def __post_init__(self) -> None:
         require(
-            self.availability is not None
-            or self.downtime_budget_s is not None
-            or self.latency_target_s is not None,
+            self.availability is not None or self.downtime_budget_s is not None,
             "slo",
-            "needs at least one objective (availability, "
-            "downtime_budget_s, or latency_target_s)",
+            "needs at least one objective (availability or downtime_budget_s)",
         )
         if self.availability is not None:
             require(
@@ -82,17 +73,6 @@ class SLOSpec(Table):
                 "slo.downtime_budget_s",
                 f"must be >= 0, got {self.downtime_budget_s}",
             )
-        if self.latency_target_s is not None:
-            require(
-                self.latency_target_s > 0,
-                "slo.latency_target_s",
-                f"must be positive, got {self.latency_target_s}",
-            )
-        require(
-            0 < self.latency_quantile < 1,
-            "slo.latency_quantile",
-            f"must be in (0, 1), got {self.latency_quantile}",
-        )
         require(
             self.window_s > 0,
             "slo.window_s",
@@ -143,71 +123,6 @@ def outage_intervals(
     return intervals
 
 
-def merge_latency_histogram(
-    entries: typing.Sequence[dict],
-) -> dict | None:
-    """Fold snapshot histogram entries (possibly from many label sets and
-    shards) into one ``{"count", "sum", "buckets"}`` histogram.
-
-    Entries must share bucket bounds (they do: bounds come from the
-    closed METRIC_SCHEMA).  Returns ``None`` for an empty entry list.
-    """
-    merged: dict | None = None
-    for entry in entries:
-        if merged is None:
-            merged = {
-                "count": entry["count"],
-                "sum": entry["sum"],
-                "buckets": [list(pair) for pair in entry["buckets"]],
-            }
-            continue
-        if len(entry["buckets"]) != len(merged["buckets"]):
-            raise AnalysisError(
-                "latency histograms have mismatched bucket counts"
-            )
-        merged["count"] += entry["count"]
-        merged["sum"] += entry["sum"]
-        for pair, (le, n) in zip(merged["buckets"], entry["buckets"]):
-            if pair[0] != le:
-                raise AnalysisError(
-                    f"latency histogram bound mismatch: {pair[0]!r} vs {le!r}"
-                )
-            pair[1] += n
-    return merged
-
-
-def histogram_quantile(histogram: dict, quantile: float) -> float | None:
-    """The ``quantile``-th value of a cumulative-bucket histogram.
-
-    Prometheus ``histogram_quantile`` semantics: linear interpolation
-    inside the bucket the rank lands in, 0 as the first bucket's lower
-    bound, and the last *finite* bound when the rank lands in +Inf.
-    ``None`` for an empty histogram.
-    """
-    count = histogram["count"]
-    if count <= 0:
-        return None
-    rank = quantile * count
-    lower = 0.0
-    for le, cumulative in histogram["buckets"]:
-        if le == "+Inf":
-            return lower  # beyond the last finite bound: report that bound
-        bound = float(le)
-        if cumulative >= rank:
-            # previous cumulative: cumulative of the bucket below
-            below = 0
-            for le2, c2 in histogram["buckets"]:
-                if le2 == le:
-                    break
-                below = c2
-            in_bucket = cumulative - below
-            if in_bucket <= 0:
-                return bound
-            return lower + (bound - lower) * (rank - below) / in_bucket
-        lower = bound
-    return lower  # pragma: no cover - "+Inf" bucket is always present
-
-
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
@@ -225,20 +140,18 @@ def burn_rate_series(
     rows): the budget per tile is ``tile_length * units * budget_fraction``
     where the budget fraction comes from the availability target (or,
     with only a downtime budget stated, from spreading that budget evenly
-    over the evaluation span).  ``burn`` is outage-seconds over budget —
-    ``1.0`` means exactly on budget — or ``None`` where the budget is 0
-    (a 100% availability target burns infinitely on any outage; strict
-    JSON has no Infinity).
+    over the evaluation span; the spec states one or the other).
+    ``burn`` is outage-seconds over budget — ``1.0`` means exactly on
+    budget — or ``None`` where the budget is 0 (a 100% availability
+    target burns infinitely on any outage; strict JSON has no Infinity).
     """
     if end <= start:
         raise AnalysisError(f"empty SLO window [{start}, {end}]")
     units = max(units, 1)
     if spec.availability is not None:
         budget_fraction = 1.0 - spec.availability
-    elif spec.downtime_budget_s is not None:
-        budget_fraction = spec.downtime_budget_s / ((end - start) * units)
     else:
-        return []
+        budget_fraction = spec.downtime_budget_s / ((end - start) * units)
     tiles: list[dict] = []
     cursor = start
     while cursor < end:
@@ -270,14 +183,12 @@ def evaluate_slo(
     end: float,
     rows: typing.Sequence[dict],
     outages: typing.Sequence[dict] = (),
-    latency: dict | None = None,
 ) -> dict:
     """Evaluate one SLO spec into a plain-data report.
 
     ``rows`` are SLI rows: dicts carrying ``availability`` and/or a
     downtime field (``downtime_s`` or ``total_downtime_s``) per measured
-    workload.  ``outages`` are :func:`outage_intervals`; ``latency`` is a
-    merged histogram (:func:`merge_latency_histogram`).  The report is
+    workload.  ``outages`` are :func:`outage_intervals`.  The report is
     JSON-safe and travels inside scenario/fleet reports.
     """
     objectives: list[dict] = []
@@ -317,23 +228,6 @@ def evaluate_slo(
             }
         )
 
-    if spec.latency_target_s is not None:
-        measured = (
-            histogram_quantile(latency, spec.latency_quantile)
-            if latency is not None
-            else None
-        )
-        objectives.append(
-            {
-                "kind": "latency",
-                "quantile": spec.latency_quantile,
-                "target": spec.latency_target_s,
-                "measured": measured,
-                "passed": measured is not None
-                and measured <= spec.latency_target_s,
-            }
-        )
-
     return {
         "start": start,
         "end": end,
@@ -352,11 +246,8 @@ def render_slo(report: dict) -> str:
     for objective in report["objectives"]:
         measured = objective["measured"]
         shown = "unmeasured" if measured is None else f"{measured:.6g}"
-        kind = objective["kind"]
-        if kind == "latency":
-            kind = f"latency p{objective['quantile'] * 100:g}"
         lines.append(
-            f"  {kind}: measured {shown} vs target "
+            f"  {objective['kind']}: measured {shown} vs target "
             f"{objective['target']:.6g} -> "
             f"{'ok' if objective['passed'] else 'VIOLATED'}"
         )

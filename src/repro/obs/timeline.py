@@ -37,14 +37,14 @@ from repro.obs.bundle import ShardTelemetry, TelemetryBundle
 from repro.obs.slo import outage_intervals
 
 TRIGGER_DETECTORS: dict[str, frozenset[str]] = {
-    "migrate": frozenset({"overload", "underload", "net", "disk"}),
+    "migrate": frozenset({"overload", "underload"}),
     "rejuvenate-warm": frozenset({"aging"}),
     "rejuvenate-cold": frozenset({"aging"}),
     "no-op": frozenset(),
 }
 """Which detector kinds can motivate each action kind: migrations answer
-pressure signals (CPU load, NIC rate, disk busy), rejuvenations answer
-the aging detector, and a no-op answers nothing."""
+the CPU load detectors, rejuvenations answer the aging detector, and a
+no-op answers nothing."""
 
 MECHANISM_SPANS = frozenset({"reboot", "migration.vm"})
 """Span names that are *mechanisms* — the simulation activity an applied

@@ -172,7 +172,7 @@ class ScenarioBuilder:
             return self.metrics
         if self.spec.policy is not None or self.spec.slo is not None:
             # A control policy needs the metric series its detectors
-            # read; an SLO needs the latency histograms it prices.
+            # read, and an SLO implies metrics just as a policy does.
             return True
         return None
 
@@ -306,8 +306,7 @@ class ScenarioBuilder:
             if workload.kind == "fileread":
                 path = workload.path.format(host=host.name, vm=vm_name)
                 guest.filesystem.create(path, workload.file_bytes)
-                if workload.warm_cache:
-                    sim.run(sim.spawn(guest.read_file(path)))
+                sim.run(sim.spawn(guest.read_file(path)))
                 built.workloads.append(
                     AttachedWorkload(workload, host, vm_name, [path], None)
                 )
@@ -328,8 +327,7 @@ class ScenarioBuilder:
             paths = guest.filesystem.create_many(
                 directory, workload.files, workload.file_bytes
             )
-            if workload.warm_cache:
-                sim.run(sim.spawn(guest.warm_file_cache(paths)))
+            sim.run(sim.spawn(guest.warm_file_cache(paths)))
             client_name = (
                 f"lb-{host.name}" if built.cluster is not None
                 else f"httperf-{vm_name}"
@@ -366,8 +364,6 @@ def _core_vm(name: str, vm: VMSpec) -> CoreVMSpec:
         services=vm.services,
         vcpus=vm.vcpus,
         driver_domain=vm.driver_domain,
-        cpu_weight=vm.cpu_weight,
-        cpu_cap_cores=vm.cpu_cap_cores,
     )
 
 

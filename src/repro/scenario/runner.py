@@ -20,7 +20,7 @@ import typing
 
 from repro.aging.watchdog import CrashWatchdog, HeapExhaustionCrasher
 from repro.control import ControlLoop, PlanExecutor, periodic
-from repro.obs.slo import evaluate_slo, merge_latency_histogram, outage_intervals
+from repro.obs.slo import evaluate_slo, outage_intervals
 from repro.scenario.builder import AttachedWorkload, BuiltScenario, build_scenario
 from repro.scenario.spec import ScenarioSpec
 from repro.units import KiB
@@ -264,7 +264,6 @@ def run_scenario(
     slo_report: dict[str, typing.Any] = {}
     window_start = run_start + spec.warmup_s
     if spec.slo is not None and sim.now > window_start:
-        snapshot = sim.metrics.snapshot() if sim.metrics.enabled else {}
         slo_report = evaluate_slo(
             spec.slo,
             start=window_start,
@@ -277,9 +276,6 @@ def run_scenario(
                 ],
                 window_start,
                 sim.now,
-            ),
-            latency=merge_latency_histogram(
-                snapshot.get("httperf.request_latency", ())
             ),
         )
     return ScenarioReport(

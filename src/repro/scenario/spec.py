@@ -109,8 +109,6 @@ class VMSpec(Table):
     services: tuple[str, ...] = ("ssh",)
     vcpus: int = 1
     driver_domain: bool = False
-    cpu_weight: int = 256
-    cpu_cap_cores: float | None = None
 
     def __post_init__(self) -> None:
         require(self.count >= 1, "vm.count", f"must be >= 1, got {self.count}")
@@ -119,21 +117,11 @@ class VMSpec(Table):
                 self.name, self.count, "vm.name", host=HOST_TEMPLATE.format(i=0)
             )
         require(
-            self.cpu_weight >= 1,
-            "vm.cpu_weight",
-            f"must be >= 1, got {self.cpu_weight}",
-        )
-        require(
             0 < self.memory_gib * GiB < math.inf,
             "vm.memory_gib",
             f"must be positive and finite in bytes, got {self.memory_gib}",
         )
         require(self.vcpus >= 1, "vm.vcpus", f"must be >= 1, got {self.vcpus}")
-        require(
-            self.cpu_cap_cores is None or self.cpu_cap_cores > 0,
-            "vm.cpu_cap_cores",
-            f"must be positive, got {self.cpu_cap_cores}",
-        )
         for service in self.services:
             require_one_of(service, SERVICE_FACTORIES, "vm.services")
 
@@ -236,7 +224,6 @@ class WorkloadSpec(Table):
     files: int = 30
     file_kib: float = 2048.0
     concurrency: int = 2
-    warm_cache: bool = True
     path: str = "/data/file"
     interval_s: float = 0.5
     mode: str = "exact"
@@ -318,8 +305,7 @@ class FaultSpec(Table):
     """Injected software aging: the §2 leak defects plus a heap-leak rate.
 
     ``preset`` selects a named :class:`~repro.config.AgingFaults`
-    catalogue entry; the explicit ``*_kib`` knobs override individual
-    magnitudes.  ``heap_leak_kib_per_hour`` additionally runs a
+    catalogue entry.  ``heap_leak_kib_per_hour`` additionally runs a
     :class:`~repro.aging.watchdog.HeapExhaustionCrasher` (plus a crash
     watchdog) during scenario runs, so aging scenarios can reach the crash
     that rejuvenation preempts.
@@ -327,49 +313,22 @@ class FaultSpec(Table):
 
     TABLE = "faults"
     preset: str | None = None
-    domain_destroy_leak_kib: float = 0.0
-    error_path_leak_kib: float = 0.0
-    xenstore_leak_per_txn_kib: float = 0.0
     heap_leak_kib_per_hour: float = 0.0
 
     def __post_init__(self) -> None:
         if self.preset is not None:
             require_one_of(self.preset, FAULT_PRESETS, "faults.preset")
-        for field in (
-            "domain_destroy_leak_kib",
-            "error_path_leak_kib",
-            "xenstore_leak_per_txn_kib",
-            "heap_leak_kib_per_hour",
-        ):
-            value = getattr(self, field)
-            require(
-                0 <= value * KiB < math.inf,
-                f"faults.{field}",
-                f"must be >= 0 and finite in bytes, got {value}",
-            )
-
-    def to_aging_faults(self):
-        """The :class:`~repro.config.AgingFaults` this spec asks for."""
-
-        base = (
-            AgingFaults.paper_bugs()
-            if self.preset == "paper-bugs"
-            else AgingFaults.healthy()
+        require(
+            0 <= self.heap_leak_kib_per_hour * KiB < math.inf,
+            "faults.heap_leak_kib_per_hour",
+            f"must be >= 0 and finite in bytes, got {self.heap_leak_kib_per_hour}",
         )
-        overrides = {}
-        if self.domain_destroy_leak_kib:
-            overrides["leak_on_domain_destroy_bytes"] = int(
-                self.domain_destroy_leak_kib * KiB
-            )
-        if self.error_path_leak_kib:
-            overrides["leak_on_error_path_bytes"] = int(
-                self.error_path_leak_kib * KiB
-            )
-        if self.xenstore_leak_per_txn_kib:
-            overrides["xenstore_leak_per_txn_bytes"] = int(
-                self.xenstore_leak_per_txn_kib * KiB
-            )
-        return dataclasses.replace(base, **overrides) if overrides else base
+
+    def to_aging_faults(self) -> AgingFaults:
+        """The :class:`~repro.config.AgingFaults` preset this spec names."""
+        if self.preset == "paper-bugs":
+            return AgingFaults.paper_bugs()
+        return AgingFaults.healthy()
 
 
 @dataclasses.dataclass(frozen=True)

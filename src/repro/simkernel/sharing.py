@@ -4,9 +4,9 @@ A :class:`SharedPool` models a resource whose total capacity is divided
 *simultaneously* among all active jobs — the right model for CPU cores
 executing many runnable vCPUs, or a bus shared by several DMA streams.
 Unlike :class:`~repro.simkernel.resources.Resource`, jobs do not queue: all
-active jobs progress at once, each at::
+active jobs progress at once, at one shared rate::
 
-    rate = min(per_job_cap, total_capacity / active_jobs)
+    rate = min(per_job_cap, capacity * (1.0 / active_jobs))
 
 which for CPU means "a single-threaded boot cannot use more than one core,
 and with more runnable contexts than cores everyone slows down equally" —
@@ -16,7 +16,9 @@ with the number of VMs in the paper's Figure 5.
 The implementation keeps per-job *remaining work* and, whenever membership
 changes, advances everyone's progress and reschedules the single pending
 completion timer.  This is exact for piecewise-constant rates (no numerical
-integration error beyond float arithmetic).
+integration error beyond float arithmetic).  The rate is computed as
+written above, not as ``capacity / active_jobs``, which differs in the
+last place for some job counts; every pinned row was computed this way.
 """
 
 from __future__ import annotations
@@ -33,21 +35,12 @@ _EPSILON = 1e-9
 
 
 class _Job:
-    __slots__ = ("job_id", "remaining", "event", "weight", "cap")
+    __slots__ = ("job_id", "remaining", "event")
 
-    def __init__(
-        self,
-        job_id: int,
-        work: float,
-        event: Event,
-        weight: float,
-        cap: float | None,
-    ) -> None:
+    def __init__(self, job_id: int, work: float, event: Event) -> None:
         self.job_id = job_id
         self.remaining = work
         self.event = event
-        self.weight = weight
-        self.cap = cap
 
 
 class SharedPool:
@@ -86,12 +79,6 @@ class SharedPool:
         self._ids = itertools.count(1)
         self._last_update = sim.now
         self._timer: "TimerHandle | None" = None
-        self._total_weight = 0.0
-        """Sum of active jobs' weights, recomputed on membership change so
-        the per-event hot paths need no per-call ``sum()``."""
-        self._nonunit_jobs = 0
-        """How many active jobs have weight != 1.0 — when zero (the common
-        case) the total weight is exactly ``len(self._jobs)``."""
         self.on_jobs_change: typing.Callable[[int], None] | None = None
         """Observer called with ``active_jobs`` after every membership
         change (submit, completion, cancel, drain).  Synchronous and
@@ -110,27 +97,14 @@ class SharedPool:
         """Number of jobs currently consuming capacity."""
         return len(self._jobs)
 
-    def current_rate(self) -> float:
-        """Per-job progress rate right now (0 if idle)."""
-        return self._rate(len(self._jobs)) if self._jobs else 0.0
-
-    def execute(
-        self, work: float, weight: float = 1.0, cap: float | None = None
-    ) -> Event:
+    def execute(self, work: float) -> Event:
         """Submit ``work`` units; the returned event fires on completion.
 
-        ``weight`` scales this job's share relative to others (default
-        equal shares); ``cap`` further limits this job's rate (e.g. a
-        scheduler cap of half a core), on top of the pool's global
-        ``per_job_cap``.  Zero work completes immediately (at this
-        instant, via the normal event queue, preserving determinism).
+        Zero work completes immediately (at this instant, via the normal
+        event queue, preserving determinism).
         """
         if work < 0:
             raise SimulationError(f"negative work {work!r}")
-        if weight <= 0:
-            raise SimulationError(f"weight must be positive, got {weight}")
-        if cap is not None and cap <= 0:
-            raise SimulationError(f"cap must be positive, got {cap}")
         event = Event(self.sim, name=self._work_name)
         if work == 0:
             event.succeed()
@@ -143,17 +117,12 @@ class SharedPool:
             sim = self.sim
             now = sim._now
             self._last_update = now
-            job = _Job(next(self._ids), float(work), event, float(weight), cap)
+            job = _Job(next(self._ids), float(work), event)
             jobs[job.job_id] = job
-            if job.weight != 1.0:
-                self._nonunit_jobs += 1
-            self._total_weight = job.weight
             self._notify()
             share = self.capacity
             if self.per_job_cap is not None and share > self.per_job_cap:
                 share = self.per_job_cap
-            if cap is not None and share > cap:
-                share = cap
             dt = job.remaining / share
             deadline = now + dt
             if deadline > now:
@@ -166,24 +135,17 @@ class SharedPool:
         if (
             timer is not None
             and per_job_cap is not None
-            and self._nonunit_jobs == 0
-            and weight == 1.0
             and self.capacity >= per_job_cap * (len(jobs) + 1)
         ):
             # Saturated-uncontended shortcut (CPU-style pools with spare
             # capacity): every job, old and new, runs at its per-job cap,
             # so existing deadlines are unaffected by the newcomer and the
             # pending timer stays valid unless the new job finishes first.
-            # The share arithmetic mirrors the clamps in :meth:`_job_rate`
-            # exactly, so the computed deadline is bit-identical.
             self._advance()
-            job = _Job(next(self._ids), float(work), event, 1.0, cap)
+            job = _Job(next(self._ids), float(work), event)
             jobs[job.job_id] = job
-            self._total_weight = float(len(jobs))
             self._notify()
             share = per_job_cap
-            if cap is not None and share > cap:
-                share = cap
             now = self.sim._now
             deadline = now + job.remaining / share
             if deadline >= timer.time and deadline > now:
@@ -191,11 +153,8 @@ class SharedPool:
             self._reschedule()
             return event
         self._advance()
-        job = _Job(next(self._ids), float(work), event, float(weight), cap)
+        job = _Job(next(self._ids), float(work), event)
         jobs[job.job_id] = job
-        if job.weight != 1.0:
-            self._nonunit_jobs += 1
-        self._recount_weight()
         self._notify()
         self._reschedule()
         return event
@@ -222,9 +181,6 @@ class SharedPool:
             if job.event is event:
                 self._advance()
                 del self._jobs[job_id]
-                if job.weight != 1.0:
-                    self._nonunit_jobs -= 1
-                self._recount_weight()
                 self._notify()
                 error = SimulationError(f"job cancelled on {self.name}")
                 job.event.defuse()
@@ -236,8 +192,6 @@ class SharedPool:
         """Cancel every active job (used when a machine loses power)."""
         self._advance()
         jobs, self._jobs = list(self._jobs.values()), {}
-        self._total_weight = 0.0
-        self._nonunit_jobs = 0
         self._notify()
         for job in jobs:
             job.event.defuse()
@@ -246,37 +200,13 @@ class SharedPool:
 
     # -- fluid-model internals -------------------------------------------------
 
-    def _recount_weight(self) -> None:
-        """Refresh the cached total weight after a membership change.
-
-        All-unit-weight pools (the common case) cost O(1): a sum of 1.0s
-        is exactly ``float(len(jobs))``.  Otherwise a fresh ``sum`` (not an
-        incremental +=/-=) so the cached value is bit-identical to what
-        recomputing on every use would give.
-        """
-        if self._nonunit_jobs:
-            self._total_weight = sum(job.weight for job in self._jobs.values())
-        else:
-            self._total_weight = float(len(self._jobs))
-
-    def _rate(self, n: int, weight: float = 1.0, total_weight: float | None = None) -> float:
-        """Progress rate for one uncapped job of ``weight`` among ``n``."""
-        if n == 0:
-            return 0.0
-        if total_weight is None:
-            total_weight = self._total_weight or weight
-        share = self.capacity * (weight / total_weight)
-        if self.per_job_cap is not None:
-            share = min(share, self.per_job_cap)
-        return share
-
-    def _job_rate(self, job: _Job, total_weight: float) -> float:
-        """Progress rate of one specific job (weight share, both caps)."""
-        share = self.capacity * (job.weight / total_weight)
-        if self.per_job_cap is not None:
-            share = min(share, self.per_job_cap)
-        if job.cap is not None:
-            share = min(share, job.cap)
+    def _share(self) -> float:
+        """Every active job's progress rate: ``capacity * (1.0 / n)``,
+        clamped at ``per_job_cap``.  Call only with jobs active."""
+        share = self.capacity * (1.0 / len(self._jobs))
+        per_job_cap = self.per_job_cap
+        if per_job_cap is not None and share > per_job_cap:
+            share = per_job_cap
         return share
 
     def _advance(self) -> None:
@@ -287,17 +217,9 @@ class SharedPool:
         jobs = self._jobs
         if dt <= 0 or not jobs:
             return
-        total_weight = self._total_weight
-        capacity = self.capacity
-        per_job_cap = self.per_job_cap
+        done = self._share() * dt
         for job in jobs.values():
-            share = capacity * (job.weight / total_weight)
-            if per_job_cap is not None and share > per_job_cap:
-                share = per_job_cap
-            cap = job.cap
-            if cap is not None and share > cap:
-                share = cap
-            job.remaining -= share * dt
+            job.remaining -= done
 
     def _reschedule(self) -> None:
         """Re-plan the single next-completion timer after any change.
@@ -315,15 +237,13 @@ class SharedPool:
         # take no scheduling sequence number.
         old_timer, self._timer = self._timer, None
         jobs = self._jobs
-        capacity = self.capacity
-        per_job_cap = self.per_job_cap
         while True:
             # One pass: collect numerically-finished jobs and find the
             # next completion among the rest.
             finished = None
             nearest = None
             nearest_dt = float("inf")
-            total_weight = self._total_weight
+            share = self._share() if jobs else 0.0
             for job in jobs.values():
                 if job.remaining <= _EPSILON:
                     if finished is None:
@@ -331,12 +251,6 @@ class SharedPool:
                     else:
                         finished.append(job)
                     continue
-                share = capacity * (job.weight / total_weight)
-                if per_job_cap is not None and share > per_job_cap:
-                    share = per_job_cap
-                cap = job.cap
-                if cap is not None and share > cap:
-                    share = cap
                 dt = job.remaining / share
                 if dt < nearest_dt:
                     nearest_dt = dt
@@ -344,14 +258,11 @@ class SharedPool:
             if finished:
                 for job in finished:
                     del jobs[job.job_id]
-                    if job.weight != 1.0:
-                        self._nonunit_jobs -= 1
-                self._recount_weight()
                 self._notify()
                 for job in finished:
                     job.event.succeed()
                 if jobs:
-                    # Weights changed: recompute the nearest completion.
+                    # The share changed: recompute the nearest completion.
                     continue
             if nearest is None:
                 if old_timer is not None:
@@ -373,28 +284,22 @@ class SharedPool:
             # Single-job fast path (the dominant case for bus/NIC/disk
             # style pools): the timer nearly always fires exactly when its
             # sole job completes, so charge it and finish without the
-            # generic advance/reschedule double pass.  The share arithmetic
-            # mirrors :meth:`_advance` operation-for-operation so the float
-            # results are bit-identical.
+            # generic advance/reschedule double pass.  With one job the
+            # share is ``capacity * (1.0 / 1)``, which is ``capacity``
+            # exactly, so the float results match :meth:`_advance`.
             sim = self.sim
             now = sim._now
             dt = now - self._last_update
             self._last_update = now
             job = next(iter(jobs.values()))
             if dt > 0:
-                share = self.capacity * (job.weight / self._total_weight)
+                share = self.capacity
                 per_job_cap = self.per_job_cap
                 if per_job_cap is not None and share > per_job_cap:
                     share = per_job_cap
-                cap = job.cap
-                if cap is not None and share > cap:
-                    share = cap
                 job.remaining -= share * dt
             if job.remaining <= _EPSILON:
                 del jobs[job.job_id]
-                if job.weight != 1.0:
-                    self._nonunit_jobs -= 1
-                self._recount_weight()
                 self._notify()
                 job.event.succeed()
                 return

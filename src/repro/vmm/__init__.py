@@ -11,15 +11,11 @@ from repro.vmm.domain import Domain, DomainState
 from repro.vmm.event_channels import EventChannel, EventChannelTable
 from repro.vmm.grant_tables import GrantEntry, GrantTable
 from repro.vmm.hypervisor import DOM0_NAME, Hypervisor, VmmState
-from repro.vmm.scheduler import DEFAULT_WEIGHT, CreditScheduler, SchedulerParams
 from repro.vmm.xenstore import Xenstore
 
 __all__ = [
-    "CreditScheduler",
-    "DEFAULT_WEIGHT",
     "DOM0_NAME",
     "DeviceSet",
-    "SchedulerParams",
     "Domain",
     "DomainState",
     "EventChannel",

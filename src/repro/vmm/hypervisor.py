@@ -39,7 +39,6 @@ from repro.units import GiB, KiB, MiB, pages
 from repro.vmm.domain import Domain, DomainState
 from repro.vmm.event_channels import EventChannelTable
 from repro.vmm.grant_tables import GrantTable
-from repro.vmm.scheduler import CreditScheduler, SchedulerParams
 from repro.vmm.xenstore import Xenstore
 
 _VMM_OWN_BYTES = 32 * MiB
@@ -84,7 +83,6 @@ class Hypervisor:
         self.domains: dict[str, Domain] = {}
         self.event_channels = EventChannelTable(metrics=self.sim.metrics)
         self.grant_table = GrantTable()
-        self.scheduler = CreditScheduler(machine.cpu)
         self.xenstore: Xenstore | None = None
         self.toolstack = Resource(self.sim, capacity=1, name="toolstack")
         self.hypercall_counts: dict[str, int] = {}
@@ -263,7 +261,6 @@ class Hypervisor:
         if bind_channels:
             self.event_channels.bind(domain.name, DOM0_NAME, "console")
             self.event_channels.bind(domain.name, DOM0_NAME, "xenstore")
-        self.scheduler.set_params(domain.name, SchedulerParams())
         self.domains[domain.name] = domain
         self._membership_changed()
 
@@ -298,7 +295,6 @@ class Hypervisor:
                 self.heap.release(allocation)
         self.event_channels.close_domain(name)
         self.grant_table.purge(name)
-        self.scheduler.remove_domain(name)
         if self.xenstore is not None:
             self.xenstore.unregister_domain(domain.domid)
         domain.transition(DomainState.DEAD)

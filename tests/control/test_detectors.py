@@ -14,16 +14,12 @@ import types
 import pytest
 
 from repro.control import (
-    ControlConfig,
-    ControlLoop,
     Detector,
     Hysteresis,
     Trigger,
-    disk_busy_signal,
+    cpu_runnable_signal,
     next_tick,
-    nic_tx_signal,
     windowed_mean,
-    windowed_rate,
 )
 from repro.errors import ControlError
 from repro.simkernel import Simulator
@@ -130,136 +126,40 @@ class TestWindowedMean:
             windowed_mean([], [], 10.0, 5.0)
 
 
-class TestWindowedRate:
-    def test_empty_series_is_zero(self):
-        assert windowed_rate([], [], 0.0, 10.0) == 0.0
-
-    def test_counter_increase_over_the_window(self):
-        times, values = [0.0, 30.0, 60.0], [100.0, 400.0, 700.0]
-        assert windowed_rate(times, values, 0.0, 60.0) == pytest.approx(10.0)
-        # A window starting before the first sample counts from level 0.
-        assert windowed_rate(times, values, -40.0, 60.0) == pytest.approx(7.0)
-
-    def test_zero_length_window_is_zero(self):
-        assert windowed_rate([0.0], [100.0], 5.0, 5.0) == 0.0
-
-    def test_window_end_before_start_raises(self):
-        with pytest.raises(ControlError):
-            windowed_rate([], [], 10.0, 5.0)
-
-
-def _instrumented_host(name: str) -> types.SimpleNamespace:
-    """The duck-typed host shape the hardware signals and the planner
-    view need: a name, empty VM inventory, a machine with CPU/memory."""
+def _instrumented_host(name: str, cores: int = 1) -> types.SimpleNamespace:
+    """The duck-typed host shape the CPU signal reads: a name and a
+    machine whose CPU spec has a core count."""
     return types.SimpleNamespace(
         name=name,
-        vm_specs={},
-        vmm=None,
         machine=types.SimpleNamespace(
-            cpu=types.SimpleNamespace(spec=types.SimpleNamespace(cores=1)),
-            memory=types.SimpleNamespace(total_bytes=2**31),
+            cpu=types.SimpleNamespace(spec=types.SimpleNamespace(cores=cores)),
         ),
     )
 
 
 class TestHardwareSignals:
-    def test_nic_tx_signal_is_the_windowed_byte_rate(self):
+    def test_cpu_runnable_signal_is_the_windowed_mean_per_core(self):
         sim = Simulator(metrics=True)
-        host = _instrumented_host("h0")
-        counter = sim.metrics.counter("nic.tx_bytes", nic="h0.nic")
-        signal = nic_tx_signal(sim, host, window_s=60.0)
+        host = _instrumented_host("h0", cores=4)
+        gauge = sim.metrics.gauge("cpu.runnable", cpu="h0.cpu")
+        signal = cpu_runnable_signal(sim, host, window_s=60.0)
 
-        def traffic():
-            # Samples land strictly inside the window: a sample at
-            # exactly the window start belongs to the start level (it is
-            # the counter's value *at* that instant, not an increase).
+        def load():
             yield sim.timeout(30.0)
-            counter.inc(30_000_000.0)
+            gauge.set(8.0)  # 8 runnable jobs for the window's second half
             yield sim.timeout(30.0)
-            counter.inc(30_000_000.0)
 
-        sim.run(sim.spawn(traffic()))
-        assert sim.now == 60.0
-        assert signal() == pytest.approx(1_000_000.0)
-
-    def test_disk_busy_signal_is_a_busy_fraction(self):
-        sim = Simulator(metrics=True)
-        host = _instrumented_host("h0")
-        counter = sim.metrics.counter("disk.busy_seconds", disk="h0.disk")
-        signal = disk_busy_signal(sim, host, window_s=100.0)
-
-        def transfers():
-            yield sim.timeout(50.0)
-            counter.inc(90.0)
-            yield sim.timeout(50.0)
-
-        sim.run(sim.spawn(transfers()))
-        assert signal() == pytest.approx(0.9)
+        sim.run(sim.spawn(load()))
+        assert signal() == pytest.approx(1.0)  # mean 4 jobs over 4 cores
 
     def test_signals_are_none_when_metrics_are_disabled(self):
         sim = Simulator(metrics=False)
-        host = _instrumented_host("h0")
-        assert nic_tx_signal(sim, host, 60.0)() is None
-        assert disk_busy_signal(sim, host, 60.0)() is None
+        assert cpu_runnable_signal(sim, _instrumented_host("h0"), 60.0)() is None
 
     def test_window_must_be_positive(self):
         sim = Simulator(metrics=True)
-        host = _instrumented_host("h0")
         with pytest.raises(ControlError):
-            nic_tx_signal(sim, host, 0.0)
-        with pytest.raises(ControlError):
-            disk_busy_signal(sim, host, -1.0)
-
-
-class TestHardwareDetectorWiring:
-    """The satellite wiring: ``net_overload_bps``/``disk_overload`` turn
-    the published NIC/disk counters into planner pressure signals."""
-
-    def test_loop_fires_net_and_disk_triggers_once(self):
-        sim = Simulator(metrics=True)
-        host = _instrumented_host("h0")
-        nic = sim.metrics.counter("nic.tx_bytes", nic="h0.nic")
-        disk = sim.metrics.counter("disk.busy_seconds", disk="h0.disk")
-
-        def pressure():
-            while True:  # both increments land mid-window, off the grid
-                yield sim.timeout(10.0)
-                nic.inc(60_000_000.0)  # 1 MB/s over any 60 s window
-                yield sim.timeout(25.0)
-                disk.inc(54.0)  # 0.9 busy fraction
-                yield sim.timeout(25.0)
-
-        sim.spawn(pressure())
-        loop = ControlLoop(
-            sim, [host],
-            config=ControlConfig(
-                interval_s=60.0,
-                window_s=60.0,
-                net_overload_bps=500_000.0,
-                disk_overload=0.8,
-                cooldown_s=0.0,
-            ),
-        )
-        sim.run(sim.spawn(loop.run(240.0)))
-        summary = loop.summary()
-        # Sustained pressure, single-fire gates: one trigger each.
-        assert summary["triggers"]["net"] == 1
-        assert summary["triggers"]["disk"] == 1
-        fired = {
-            entry["detector"]: entry
-            for entry in summary["trigger_log"]
-            if entry["detector"] in ("net", "disk")
-        }
-        assert fired["net"]["host"] == "h0"
-        assert fired["net"]["value"] >= 500_000.0
-        assert fired["disk"]["value"] >= 0.8
-
-    def test_zero_thresholds_leave_the_detectors_out(self):
-        sim = Simulator(metrics=True)
-        loop = ControlLoop(sim, [_instrumented_host("h0")])
-        sim.run(sim.spawn(loop.run(120.0)))
-        assert "net" not in loop.summary()["triggers"]
-        assert "disk" not in loop.summary()["triggers"]
+            cpu_runnable_signal(sim, _instrumented_host("h0"), 0.0)
 
 
 class TestDetector:

@@ -9,21 +9,19 @@ every strategy deterministic over a fixed view.
 import pytest
 
 from repro.control import (
+    STRATEGIES,
     ActionKind,
     Constraints,
     FleetView,
     HostView,
     VMView,
     resolve_strategy,
-    strategy_names,
     view_of_hosts,
 )
 from repro.errors import ControlError
 from repro.units import gib
 
-ALL_STRATEGIES = (
-    "aging-aware", "consolidation", "first-fit-decreasing", "fleet-order",
-)
+ALL_STRATEGIES = ("first-fit-decreasing", "fleet-order")
 
 
 def vm(name: str, host: str, mem_gib: float = 1.0) -> VMView:
@@ -140,56 +138,26 @@ class TestStrategies:
         # Aging hosts rejuvenate in build order, not most-aged first.
         assert [a.target for a in plan.actions] == ["h1", "h3"]
 
-    def test_consolidation_evacuates_whole_donors_or_not_at_all(self):
-        view = FleetView((
-            hv("recv", capacity_gib=3.0, vms=(vm("web", "recv"),)),
-            hv("d0", vms=(vm("a", "d0"), vm("b", "d0", 1.5)),
-               underloaded=True),
-        ))
-        # First-fit-decreasing would move "b" (1.5 GiB fits in the 2 GiB
-        # hole) and strand "a"; consolidation refuses the partial move.
-        constraints = Constraints(migration_budget=8)
-        ffd = resolve_strategy("first-fit-decreasing").plan(view, constraints)
-        assert ffd.migrations == 1
-        plan = resolve_strategy("consolidation").plan(view, constraints)
-        assert plan.migrations == 0
-        assert {a.vm for a in plan.deferred} == {"a", "b"}
-        assert all(
-            a.reason == "no receiver fits this donor's VMs"
-            for a in plan.deferred
-        )
-
-    def test_consolidation_spends_budget_on_cheapest_donor_first(self):
-        view = FleetView((
-            hv("recv", load=1.0),
-            hv("d0", vms=(vm("a", "d0"), vm("b", "d0")), underloaded=True),
-            hv("d1", vms=(vm("c", "d1"),), underloaded=True),
-        ))
-        plan = resolve_strategy("consolidation").plan(
-            view, Constraints(migration_budget=2)
-        )
-        moves = [a for a in plan.actions if a.kind is ActionKind.MIGRATE]
-        # Fewest-VM donor first: d1 costs one migration and frees a whole
-        # host; d0 (2 VMs) then exceeds the remaining budget atomically.
-        assert [(a.vm, a.source) for a in moves] == [("c", "d1")]
-        assert [a.target for a in plan.actions if a.kind is not ActionKind.MIGRATE] == ["d1"]
-        assert {a.vm for a in plan.deferred} == {"a", "b"}
-
-    def test_aging_aware_orders_by_heap_and_steers_to_least_aged(self):
+    def test_first_fit_decreasing_rejuvenates_emptied_then_aging_hosts(self):
         view = FleetView((
             hv("h0", heap_utilization=0.5, aging=True),
             hv("h1", heap_utilization=0.9, aging=True),
             hv("h2", heap_utilization=0.1),
-            hv("idle", vms=(vm("a", "idle"),), underloaded=True,
-               heap_utilization=0.3),
+            hv("idle", vms=(vm("a", "idle"),), underloaded=True),
         ))
-        plan = resolve_strategy("aging-aware").plan(view, Constraints())
+        plan = resolve_strategy("first-fit-decreasing").plan(view, Constraints())
         (move,) = [a for a in plan.actions if a.kind is ActionKind.MIGRATE]
-        assert move.target == "h2"  # the least-aged receiver
-        # The emptied host first, then the aging hosts most-aged first.
+        assert (move.vm, move.target) == ("a", "h0")  # the first host it fits
+        assert move.reason == "consolidate onto loaded host"
+        # The emptied host first, then the aging hosts in fleet order.
         assert [
-            a.target for a in plan.actions if a.kind is not ActionKind.MIGRATE
-        ] == ["idle", "h1", "h0"]
+            (a.target, a.reason)
+            for a in plan.actions if a.kind is not ActionKind.MIGRATE
+        ] == [
+            ("idle", "evacuated underloaded host"),
+            ("h0", "heap aging past threshold"),
+            ("h1", "heap aging past threshold"),
+        ]
 
     def test_all_idle_fleet_keeps_the_sla_floor_serving(self):
         view = FleetView((
@@ -207,7 +175,9 @@ class TestStrategies:
 
 class TestRegistryAndHelpers:
     def test_registry_lists_the_shipped_strategies(self):
-        assert strategy_names() == ALL_STRATEGIES  # sorted
+        assert tuple(STRATEGIES) == ("fleet-order", "first-fit-decreasing")
+        for name, cls in STRATEGIES.items():
+            assert cls.name == name
 
     def test_unknown_strategy_raises(self):
         with pytest.raises(ControlError, match="unknown placement strategy"):

@@ -76,11 +76,6 @@ class TestSingleStream:
         sim.run(sim.spawn(reader(sim)))
         assert disk.stats.seeks == 1
 
-    def test_sequential_duration_helper(self, sim):
-        disk = make_disk(sim)
-        assert disk.sequential_duration(0) == 0.0
-        assert disk.sequential_duration(88 * MiB) == pytest.approx(1.008)
-
 
 class TestInterleaving:
     def test_stream_switch_costs_seek(self, sim):

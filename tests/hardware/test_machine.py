@@ -33,12 +33,6 @@ class TestCpuPool:
         with pytest.raises(HardwareError):
             CpuPool(sim, paper_testbed().cpu).execute(-1)
 
-    def test_busy_fraction(self, sim):
-        cpu = CpuPool(sim, paper_testbed().cpu)
-        assert cpu.busy_fraction() == 0.0
-        cpu.execute(10)
-        assert cpu.busy_fraction() == pytest.approx(0.25)
-
     def test_drain_fails_jobs(self, sim):
         cpu = CpuPool(sim, paper_testbed().cpu)
         job = cpu.execute(10)

@@ -116,8 +116,3 @@ class TestLinkState:
         done = link.transmit(mib(1))
         sim.run(done)
         assert done.ok
-
-    def test_transfer_duration_helper(self, sim):
-        link = make_link(sim, latency_s=0)
-        assert link.transfer_duration(117 * MiB) == pytest.approx(1.0)
-        assert link.transfer_duration(117 * MiB, concurrent=2) == pytest.approx(2.0)

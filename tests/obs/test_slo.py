@@ -1,7 +1,7 @@
 """SLO engine unit tests: spec validation, SLI derivation, verdicts.
 
-The engine consumes only plain data (rows, outage intervals, merged
-histograms), so everything here runs without a simulator — the shapes
+The engine consumes only plain data (rows and outage intervals), so
+everything here runs without a simulator — the shapes
 are exactly what a telemetry blob carries.
 """
 
@@ -12,8 +12,6 @@ from repro.obs import (
     SLOSpec,
     burn_rate_series,
     evaluate_slo,
-    histogram_quantile,
-    merge_latency_histogram,
     outage_intervals,
     render_slo,
 )
@@ -30,8 +28,8 @@ class TestSLOSpec:
             ({"availability": 0.0}, "availability"),
             ({"availability": 1.5}, "availability"),
             ({"downtime_budget_s": -1.0}, "downtime_budget_s"),
-            ({"latency_target_s": 0.0}, "latency_target_s"),
-            ({"availability": 0.9, "latency_quantile": 1.0}, "quantile"),
+            ({"availability": 0.9, "downtime_budget_s": -1.0}, "downtime_budget_s"),
+            ({"downtime_budget_s": 10.0, "window_s": -60.0}, "window_s"),
             ({"availability": 0.9, "window_s": 0.0}, "window_s"),
         ],
     )
@@ -100,41 +98,6 @@ class TestOutageIntervals:
         assert outage_intervals(records, 30.0, 100.0) == []
 
 
-class TestLatencyHistograms:
-    def _histogram(self, buckets, count, total):
-        return {"count": count, "sum": total, "buckets": buckets}
-
-    def test_merge_of_nothing_is_none(self):
-        assert merge_latency_histogram([]) is None
-
-    def test_merge_adds_counts_and_buckets(self):
-        a = self._histogram([[0.1, 2], [1.0, 5], ["+Inf", 5]], 5, 1.2)
-        b = self._histogram([[0.1, 1], [1.0, 2], ["+Inf", 3]], 3, 0.9)
-        merged = merge_latency_histogram([a, b])
-        assert merged["count"] == 8
-        assert merged["sum"] == pytest.approx(2.1)
-        assert merged["buckets"] == [[0.1, 3], [1.0, 7], ["+Inf", 8]]
-
-    def test_merge_rejects_mismatched_bounds(self):
-        a = self._histogram([[0.1, 1], ["+Inf", 1]], 1, 0.1)
-        b = self._histogram([[0.2, 1], ["+Inf", 1]], 1, 0.1)
-        with pytest.raises(AnalysisError, match="mismatch"):
-            merge_latency_histogram([a, b])
-
-    def test_quantile_of_empty_histogram_is_none(self):
-        empty = self._histogram([[1.0, 0], ["+Inf", 0]], 0, 0.0)
-        assert histogram_quantile(empty, 0.99) is None
-
-    def test_quantile_interpolates_inside_the_bucket(self):
-        # 10 samples all inside (0, 1]: the median interpolates to 0.5.
-        histogram = self._histogram([[1.0, 10], ["+Inf", 10]], 10, 5.0)
-        assert histogram_quantile(histogram, 0.5) == pytest.approx(0.5)
-
-    def test_quantile_in_the_overflow_reports_the_last_finite_bound(self):
-        histogram = self._histogram([[1.0, 1], ["+Inf", 10]], 10, 50.0)
-        assert histogram_quantile(histogram, 0.99) == 1.0
-
-
 class TestBurnRateSeries:
     def test_empty_window_raises(self):
         spec = SLOSpec(availability=0.9)
@@ -173,17 +136,10 @@ class TestBurnRateSeries:
         # 120 s budget over a 120 s x 2-unit span: 60 s per 60 s tile.
         assert [t["budget_s"] for t in tiles] == [60.0, 60.0]
 
-    def test_latency_only_slo_has_no_burn_series(self):
-        assert burn_rate_series(
-            SLOSpec(latency_target_s=1.0), [], 0.0, 60.0, units=1
-        ) == []
-
 
 class TestEvaluateSLO:
     def test_all_objectives_pass(self):
-        spec = SLOSpec(
-            availability=0.9, downtime_budget_s=50.0, latency_target_s=1.0
-        )
+        spec = SLOSpec(availability=0.9, downtime_budget_s=50.0)
         report = evaluate_slo(
             spec,
             start=0.0,
@@ -192,14 +148,11 @@ class TestEvaluateSLO:
                 {"availability": 0.95, "downtime_s": 6.0},
                 {"availability": 0.93, "downtime_s": 8.4},
             ],
-            latency={"count": 4, "sum": 0.8,
-                     "buckets": [[1.0, 4], ["+Inf", 4]]},
         )
         assert report["passed"] is True
         kinds = {o["kind"]: o for o in report["objectives"]}
         assert kinds["availability"]["measured"] == pytest.approx(0.94)
         assert kinds["downtime"]["measured"] == pytest.approx(14.4)
-        assert kinds["latency"]["passed"] is True
 
     def test_violations_fail_the_report(self):
         spec = SLOSpec(availability=0.99)
@@ -210,9 +163,9 @@ class TestEvaluateSLO:
         assert report["objectives"][0]["passed"] is False
 
     def test_unmeasurable_objectives_fail_not_pass(self):
-        # Strict verdicts: no latency histogram, no availability rows —
+        # Strict verdicts: rows without availability or downtime fields —
         # every stated objective fails with measured None.
-        spec = SLOSpec(availability=0.9, latency_target_s=1.0)
+        spec = SLOSpec(availability=0.9, downtime_budget_s=10.0)
         report = evaluate_slo(spec, start=0.0, end=60.0, rows=[{}])
         assert report["passed"] is False
         for objective in report["objectives"]:
@@ -228,13 +181,13 @@ class TestEvaluateSLO:
         assert report["passed"] is True
 
     def test_render_mentions_every_verdict(self):
-        spec = SLOSpec(availability=0.9, latency_target_s=1.0)
+        spec = SLOSpec(availability=0.9, downtime_budget_s=10.0)
         text = render_slo(
             evaluate_slo(spec, start=0.0, end=60.0, rows=[{}])
         )
         assert "slo FAIL" in text
         assert "availability: measured unmeasured" in text
-        assert "latency p99" in text
+        assert "downtime: measured unmeasured" in text
 
     def test_render_includes_the_burn_summary(self):
         spec = SLOSpec(availability=0.5, window_s=60.0)

@@ -58,6 +58,14 @@ class TestRegistry:
 
 
 class TestRunScenario:
+    @pytest.mark.parametrize("name", registry.names())
+    @pytest.mark.filterwarnings(
+        "error::repro.simkernel.sanitizer.DeterminismWarning"
+    )
+    def test_builtin_runs_sanitized_without_hazards(self, name, monkeypatch):
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        assert run_scenario(registry.get(name)).name == name
+
     def test_warm_reboot_run_reports_probed_downtime(self):
         report = run_scenario(_quick_spec())
         assert report.hosts == 1 and report.vms == 2

@@ -8,6 +8,7 @@ import textwrap
 
 import pytest
 
+from repro.config import AgingFaults
 from repro.errors import ScenarioError
 from repro.scenario import (
     FaultSpec,
@@ -163,9 +164,54 @@ class TestTypedLoading:
                 id="services-unknown",
             ),
             pytest.param(
-                {"hosts": [{"vms": [{"cpu_cap_cores": -1.0}]}]},
-                "scenario.hosts[0].vms[0].cpu_cap_cores: must be positive",
+                {"hosts": [{"vms": [{"cpu_cap_cores": 0.5}]}]},
+                "scenario.hosts[0].vms[0]: unknown key(s) 'cpu_cap_cores';",
                 id="cpu_cap_cores",
+            ),
+            pytest.param(
+                {"hosts": [{"vms": [{"cpu_weight": 512}]}]},
+                "scenario.hosts[0].vms[0]: unknown key(s) 'cpu_weight';",
+                id="cpu_weight",
+            ),
+            pytest.param(
+                {"workloads": [{"warm_cache": False}]},
+                "scenario.workloads[0]: unknown key(s) 'warm_cache';",
+                id="warm_cache",
+            ),
+            pytest.param(
+                {"faults": {"domain_destroy_leak_kib": 8.0}},
+                "scenario.faults: unknown key(s) 'domain_destroy_leak_kib';",
+                id="faults-domain_destroy_leak_kib",
+            ),
+            pytest.param(
+                {"faults": {"error_path_leak_kib": 8.0}},
+                "scenario.faults: unknown key(s) 'error_path_leak_kib';",
+                id="faults-error_path_leak_kib",
+            ),
+            pytest.param(
+                {"faults": {"xenstore_leak_per_txn_kib": 1.0}},
+                "scenario.faults: unknown key(s) 'xenstore_leak_per_txn_kib';",
+                id="faults-xenstore_leak_per_txn_kib",
+            ),
+            pytest.param(
+                {"policy": {"net_overload_bps": 1e6}},
+                "scenario.policy: unknown key(s) 'net_overload_bps';",
+                id="policy-net_overload_bps",
+            ),
+            pytest.param(
+                {"policy": {"disk_overload": 0.8}},
+                "scenario.policy: unknown key(s) 'disk_overload';",
+                id="policy-disk_overload",
+            ),
+            pytest.param(
+                {"slo": {"availability": 0.9, "latency_target_s": 0.5}},
+                "scenario.slo: unknown key(s) 'latency_target_s';",
+                id="slo-latency_target_s",
+            ),
+            pytest.param(
+                {"slo": {"availability": 0.9, "latency_quantile": 0.99}},
+                "scenario.slo: unknown key(s) 'latency_quantile';",
+                id="slo-latency_quantile",
             ),
             pytest.param(
                 {"hosts": [{"vms": [{"memory_gib": 1e308}]}]},
@@ -190,7 +236,7 @@ class TestTypedLoading:
             pytest.param(
                 {"policy": {"strategy": "bogus"}},
                 "scenario.policy.strategy: must be one of fleet-order, "
-                "first-fit-decreasing, consolidation, aging-aware, got 'bogus'",
+                "first-fit-decreasing, got 'bogus'",
                 id="policy-strategy",
             ),
             pytest.param(
@@ -297,11 +343,11 @@ class TestRoundTrip:
         assert isinstance(data["hosts"][0]["vms"][0], dict)
         assert data["hosts"][0]["vms"][0]["services"] == ["apache"]
 
-    def test_faults_spec_materializes_aging_overrides(self):
-        faults = FaultSpec(
-            preset="paper-bugs", domain_destroy_leak_kib=8.0
-        ).to_aging_faults()
-        assert faults.leak_on_domain_destroy_bytes == 8 * KiB
+    def test_faults_spec_materializes_its_preset(self):
+        assert FaultSpec(preset="paper-bugs").to_aging_faults() == (
+            AgingFaults.paper_bugs()
+        )
+        assert FaultSpec().to_aging_faults() == AgingFaults.healthy()
 
 
 class TestTomlLoading:

@@ -25,13 +25,13 @@ from repro.obs.slo import SLOSpec
 from repro.scenario import ScenarioBuilder, ScenarioSpec, build_scenario, registry
 from tests.fleet.test_fleet import _fleet
 
-_SLO = SLOSpec(availability=0.9, latency_target_s=1.0).to_dict()
+_SLO = SLOSpec(availability=0.9, downtime_budget_s=60.0).to_dict()
 
 SCENARIO_BASES = [registry.get(name).to_dict() for name in registry.names()]
 SCENARIO_BASES.append({**registry.get("probed-warm-reboot").to_dict(), "slo": _SLO})
 FLEET_BASE = {
     **_fleet().to_dict(),
-    "policy": ControlConfig(strategy="aging-aware").to_dict(),
+    "policy": ControlConfig(strategy="first-fit-decreasing").to_dict(),
     "slo": _SLO,
 }
 
@@ -131,8 +131,6 @@ _VMS = st.fixed_dictionaries(
         "name": st.sampled_from(["app{i}", "{host}-web{i:02d}"]),
         "count": st.integers(min_value=1, max_value=2),
         "vcpus": st.integers(min_value=1, max_value=2),
-        "cpu_weight": st.integers(min_value=1, max_value=512),
-        "cpu_cap_cores": st.sampled_from([0.5, 1.0]),
     },
 )
 _HOSTS = st.fixed_dictionaries(
@@ -162,7 +160,7 @@ _SMALL_SPECS = st.fixed_dictionaries(
         "spare": st.booleans(),
         "force_cluster": st.booleans(),
         "faults": st.sampled_from([{"preset": "paper-bugs"}, {}]),
-        "policy": st.sampled_from([{}, {"strategy": "consolidation"}]),
+        "policy": st.sampled_from([{}, {"strategy": "first-fit-decreasing"}]),
         "slo": st.just(_SLO),
     },
 )

@@ -1,14 +1,25 @@
 """Unit tests for the event primitives."""
 
+import contextlib
+
 import pytest
 
 from repro.errors import SimulationError
 from repro.simkernel import Simulator
+from repro.simkernel.sanitizer import DeterminismWarning
 
 
 @pytest.fixture()
 def sim():
     return Simulator()
+
+
+def double_trigger_reported(sim):
+    """Under ``REPRO_SANITIZE=1`` the sanitizer also reports a double
+    trigger: expect its warning then, and none otherwise."""
+    if sim.sanitizer is None:
+        return contextlib.nullcontext()
+    return pytest.warns(DeterminismWarning, match="double-trigger")
 
 
 class TestEventLifecycle:
@@ -36,13 +47,13 @@ class TestEventLifecycle:
 
     def test_double_succeed_raises(self, sim):
         ev = sim.event().succeed()
-        with pytest.raises(SimulationError):
+        with double_trigger_reported(sim), pytest.raises(SimulationError):
             ev.succeed()
 
     def test_fail_then_succeed_raises(self, sim):
         ev = sim.event()
         ev.fail(ValueError("x"))
-        with pytest.raises(SimulationError):
+        with double_trigger_reported(sim), pytest.raises(SimulationError):
             ev.succeed()
 
     def test_fail_requires_exception(self, sim):

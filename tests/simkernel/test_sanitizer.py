@@ -128,7 +128,7 @@ class TestDoubleTrigger:
         assert sim.sanitizer.reports[0].code == "double-trigger"
 
     def test_without_sanitizer_still_raises(self):
-        sim = Simulator()
+        sim = Simulator(sanitize=False)
         event = sim.event()
         event.succeed()
         with pytest.raises(SimulationError, match="already triggered"):

@@ -1,9 +1,11 @@
 """Unit tests for the fluid processor-sharing pool."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
 from repro.simkernel import SharedPool, Simulator
+from tests.simkernel.sharing_oracle import ReferencePool
 
 
 @pytest.fixture()
@@ -84,68 +86,46 @@ class TestContention:
         assert finish[0] == pytest.approx(3.0)
         assert finish[1] == pytest.approx(3.0)
 
-    def test_weighted_shares(self, sim):
-        # Capacity 1, uncapped; weights 3:1 -> rates 0.75 / 0.25.
-        pool = SharedPool(sim, capacity=1, per_job_cap=None)
-        finish = {}
-
-        def submit(sim, index, work, weight):
-            yield pool.execute(work, weight=weight)
-            finish[index] = sim.now
-
-        sim.spawn(submit(sim, 0, 0.75, 3.0))
-        sim.spawn(submit(sim, 1, 0.25, 1.0))
-        sim.run()
-        assert finish[0] == pytest.approx(1.0)
-        assert finish[1] == pytest.approx(1.0)
-
     def test_active_jobs_counter(self, sim):
         pool = SharedPool(sim, capacity=2)
         pool.execute(10)
         pool.execute(10)
         assert pool.active_jobs == 2
-        assert pool.current_rate() == pytest.approx(1.0)
 
 
 class TestPerJobCaps:
+    """The pool's ``per_job_cap``: one job never runs faster than it,
+    however idle the pool."""
+
     def test_job_cap_limits_rate(self, sim):
-        pool = SharedPool(sim, capacity=4, per_job_cap=1.0)
-        done = pool.execute(1.0, cap=0.25)
+        pool = SharedPool(sim, capacity=4, per_job_cap=0.25)
+        done = pool.execute(1.0)
         sim.run(done)
         assert sim.now == pytest.approx(4.0)
 
     def test_cap_tighter_than_share_wins(self, sim):
-        # Two jobs on 1 unit of capacity: share 0.5 each; cap 0.1 beats it.
-        pool = SharedPool(sim, capacity=1, per_job_cap=None)
-        capped = pool.execute(0.1, cap=0.1)
-        free = pool.execute(0.5)
-        sim.run(sim.all_of([capped, free]))
-        # capped runs at 0.1 for 1 s; free at 0.5 (its share) then finishes.
+        # Two jobs on 1 unit of capacity: share 0.5 each; the cap 0.1 beats it.
+        pool = SharedPool(sim, capacity=1, per_job_cap=0.1)
+        first = pool.execute(0.1)
+        second = pool.execute(0.1)
+        sim.run(sim.all_of([first, second]))
         assert sim.now == pytest.approx(1.0)
 
     def test_share_tighter_than_cap_wins(self, sim):
-        pool = SharedPool(sim, capacity=1, per_job_cap=None)
-        finish = {}
-
-        def submit(sim, name, work, cap):
-            yield pool.execute(work, cap=cap)
-            finish[name] = sim.now
-
-        sim.spawn(submit(sim, "a", 0.5, 10.0))
-        sim.spawn(submit(sim, "b", 0.5, 10.0))
-        sim.run()
-        assert finish["a"] == pytest.approx(1.0)  # share 0.5 governed
+        pool = SharedPool(sim, capacity=1, per_job_cap=10.0)
+        finish = run_jobs(sim, pool, [(0, 0.5), (0, 0.5)])
+        assert finish[0] == pytest.approx(1.0)  # share 0.5 governed
+        assert finish[1] == pytest.approx(1.0)
 
     def test_invalid_cap_rejected(self, sim):
-        pool = SharedPool(sim, capacity=1)
         with pytest.raises(SimulationError):
-            pool.execute(1.0, cap=0)
+            SharedPool(sim, capacity=1, per_job_cap=0)
 
     def test_cap_is_not_work_conserving(self, sim):
-        """A capped job stays capped even on an idle pool — Xen credit
-        cap semantics."""
-        pool = SharedPool(sim, capacity=8, per_job_cap=None)
-        done = pool.execute(2.0, cap=0.5)
+        """A capped job stays capped even on an idle pool: a
+        single-threaded context never uses more than its core."""
+        pool = SharedPool(sim, capacity=8, per_job_cap=0.5)
+        done = pool.execute(2.0)
         sim.run(done)
         assert sim.now == pytest.approx(4.0)
 
@@ -210,3 +190,93 @@ class TestCancellation:
         assert max_stored < 500
         assert pool.active_jobs == 0
         assert sim.backend.storage_size() == 0
+
+
+# -- bit-for-bit agreement with the weighted pool it replaced ---------------------
+
+GAPS = st.sampled_from([0.0, 0.0, 0.0, 1e-3, 0.1, 0.5]) | st.floats(0.0, 2.0)
+"""Gaps between steps, short against a job's seconds of work, so that
+up to all 8 jobs are often active at once: at 117e6 and 85e6 B/s the
+rate ``capacity * (1.0 / n)`` and ``capacity / n`` differ at n = 7."""
+POOL_SHAPES = {
+    # name: (capacity, per_job_cap, work per job)
+    "cpu": (4.0, 1.0, st.floats(0.0, 8.0) | st.sampled_from([0.0, 1.0, 2.5])),
+    "nic": (117e6, None, st.integers(0, 512 * 2**20).map(float)),
+    "disk": (85e6, None, st.integers(0, 512 * 2**20).map(float)),
+}
+
+
+@st.composite
+def pool_scripts(draw, work):
+    """1 to 8 submits with cancels, drains and capacity changes mixed in,
+    each step after a gap (often zero, so steps share an instant)."""
+    steps = [("submit", draw(work)) for _ in range(draw(st.integers(1, 8)))]
+    extras = draw(
+        st.lists(
+            st.tuples(st.just("cancel"), st.integers(0, 7))
+            | st.tuples(st.just("drain"), st.none())
+            | st.tuples(st.just("set_capacity"), st.floats(0.1, 2.0)),
+            max_size=4,
+        )
+    )
+    for step in extras:
+        steps.insert(draw(st.integers(0, len(steps))), step)
+    gaps = draw(st.lists(GAPS, min_size=len(steps), max_size=len(steps)))
+    return list(zip(gaps, steps))
+
+
+def replay(pool_cls, capacity, per_job_cap, script):
+    """Run ``script`` on a fresh pool; every completion or failure as
+    ``(job, time, ok)`` in firing order, and the active-job count after
+    each step."""
+    sim = Simulator()
+    pool = pool_cls(sim, capacity=capacity, per_job_cap=per_job_cap)
+    events = []
+    log = []
+
+    def driver():
+        for gap, (op, arg) in script:
+            if gap:
+                yield sim.timeout(gap)
+            if op == "submit":
+                event = pool.execute(arg)
+                index = len(events)
+                event.callbacks.append(
+                    lambda ev, index=index: log.append((index, sim.now, ev.ok))
+                )
+                events.append(event)
+            elif op == "cancel":
+                if events:
+                    pool.cancel(events[arg % len(events)])
+            elif op == "drain":
+                pool.drain()
+            else:
+                pool.set_capacity(capacity * arg)
+            log.append(("active", pool.active_jobs))
+
+    sim.spawn(driver())
+    sim.run()
+    return log
+
+
+@pytest.mark.parametrize("shape", sorted(POOL_SHAPES))
+def test_shared_rate_matches_the_weighted_oracle_bit_for_bit(shape):
+    capacity, per_job_cap, work = POOL_SHAPES[shape]
+
+    @settings(max_examples=150, deadline=None)
+    @given(script=pool_scripts(work))
+    def check(script):
+        expected = replay(ReferencePool, capacity, per_job_cap, script)
+        assert replay(SharedPool, capacity, per_job_cap, script) == expected
+
+    check()
+
+
+@pytest.mark.parametrize("capacity", [117e6, 85e6])
+def test_seven_sharers_match_the_oracle(capacity):
+    """Pinned case of the property: seven bandwidth jobs at once, the
+    first job count at which ``capacity / n`` would round differently."""
+    script = [(0.0, ("submit", float((i + 1) * 2**20))) for i in range(7)]
+    assert replay(SharedPool, capacity, None, script) == replay(
+        ReferencePool, capacity, None, script
+    )
