@@ -44,10 +44,12 @@ bench-selftest:
 
 # The fleet tier lane: sharded-vs-serial determinism, fluid-vs-exact
 # cross-validation within the documented tolerances, epoch protocol, the
-# one-pass window queries against their oracle, and the cluster service
-# index against the scan it replaced (plus its O(1) down-host cost).
+# one-pass window queries against their oracle, quiet fluid ticks that
+# reuse the last solve against the per-tick solve they replaced, and the
+# cluster service index against the scan it replaced (plus its O(1)
+# down-host cost).
 test-fleet:
-	$(PYTHON) -m pytest -x -q tests/fleet tests/workloads/test_fluid.py tests/workloads/test_window_queries.py tests/cluster/test_service_index.py
+	$(PYTHON) -m pytest -x -q tests/fleet tests/workloads/test_fluid.py tests/workloads/test_window_queries.py tests/workloads/test_fluid_reuse.py tests/cluster/test_service_index.py
 
 # The control-plane lane: detector hysteresis/grid semantics, planner
 # edge cases (partial plans, never exceptions), executor audit, the

@@ -8,14 +8,12 @@ one verdict per objective plus a windowed **burn-rate series** in the
 SRE sense (error budget consumed per window, normalized so ``burn ==
 1.0`` means "exactly on budget").
 
-The spec is TOML-shaped and attaches to scenario and fleet specs as an
-``[slo]`` table (see :class:`repro.scenario.spec.ScenarioSpec` /
-:class:`repro.fleet.spec.FleetSpec`); attaching one implies metrics
-collection for the run, exactly like ``[policy]``.  Evaluation consumes
-only plain data, so the same engine runs over a live simulator's
-telemetry (scenario runner) and over a merged cross-shard
-:class:`~repro.obs.bundle.TelemetryBundle` (fleet runner) — the fleet
-path never needs the simulators back.
+The spec is TOML-shaped and attaches to fleet specs as an ``[slo]``
+table (see :class:`repro.fleet.spec.FleetSpec`); attaching one implies
+telemetry collection for the run.  Evaluation consumes only plain data:
+the fleet runner evaluates it over the merged cross-shard
+:class:`~repro.obs.bundle.TelemetryBundle`, and never needs the
+simulators back.
 
 Verdicts are strict: an objective whose input data is missing (an
 availability target over rows that carry no availability, say)

@@ -148,8 +148,8 @@ class ScenarioBuilder:
     ``metrics`` forces the built simulator's metrics registry on (or off)
     regardless of what the spec implies — fleet shards use it when
     telemetry collection is requested without a policy; ``None`` keeps
-    the spec-driven default (on when a ``[policy]`` or ``[slo]`` table
-    is attached, else the ``REPRO_METRICS`` environment default).
+    the spec-driven default (on when a ``[policy]`` table is attached,
+    else the ``REPRO_METRICS`` environment default).
     """
 
     def __init__(
@@ -170,9 +170,8 @@ class ScenarioBuilder:
         """The registry mode for the built simulator (see class docs)."""
         if self.metrics is not None:
             return self.metrics
-        if self.spec.policy is not None or self.spec.slo is not None:
-            # A control policy needs the metric series its detectors
-            # read, and an SLO implies metrics just as a policy does.
+        if self.spec.policy is not None:
+            # A control policy needs the metric series its detectors read.
             return True
         return None
 

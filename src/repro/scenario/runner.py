@@ -20,7 +20,6 @@ import typing
 
 from repro.aging.watchdog import CrashWatchdog, HeapExhaustionCrasher
 from repro.control import ControlLoop, PlanExecutor, periodic
-from repro.obs.slo import evaluate_slo, outage_intervals
 from repro.scenario.builder import AttachedWorkload, BuiltScenario, build_scenario
 from repro.scenario.spec import ScenarioSpec
 from repro.units import KiB
@@ -60,10 +59,6 @@ class ScenarioReport:
     """Control-loop summary (see :meth:`ControlLoop.summary`) including
     the per-decision audit log; empty when no policy was attached."""
 
-    slo: dict[str, typing.Any] = dataclasses.field(default_factory=dict)
-    """SLO report (see :func:`repro.obs.slo.evaluate_slo`) over the
-    observation window; empty when no ``[slo]`` table was attached."""
-
     def to_dict(self) -> dict:
         return {
             "name": self.name,
@@ -75,7 +70,6 @@ class ScenarioReport:
             "faults": dict(self.faults),
             "metrics": dict(self.metrics),
             "policy": dict(self.policy),
-            "slo": dict(self.slo),
         }
 
     def render(self) -> str:
@@ -110,17 +104,6 @@ class ScenarioReport:
                 "  policy {strategy}: {cycles} cycle(s), "
                 "{migrations} migration(s), {rejuvenations} "
                 "rejuvenation(s), {deferred} deferred".format(**self.policy)
-            )
-        if self.slo:
-            objectives = ", ".join(
-                "{kind} {verdict}".format(
-                    kind=o["kind"], verdict="ok" if o["passed"] else "VIOLATED"
-                )
-                for o in self.slo["objectives"]
-            )
-            lines.append(
-                f"  slo {'PASS' if self.slo['passed'] else 'FAIL'}: "
-                f"{objectives}"
             )
         return "\n".join(lines)
 
@@ -261,23 +244,6 @@ def run_scenario(
 
     built.stop_workloads()
     reports = [_measure(built, attached) for attached in built.workloads]
-    slo_report: dict[str, typing.Any] = {}
-    window_start = run_start + spec.warmup_s
-    if spec.slo is not None and sim.now > window_start:
-        slo_report = evaluate_slo(
-            spec.slo,
-            start=window_start,
-            end=sim.now,
-            rows=[report.metrics for report in reports],
-            outages=outage_intervals(
-                [
-                    {"time": r.time, "kind": r.kind, **r.fields}
-                    for r in sim.trace.select("service.")
-                ],
-                window_start,
-                sim.now,
-            ),
-        )
     return ScenarioReport(
         name=spec.name,
         hosts=len(built.hosts),
@@ -288,5 +254,4 @@ def run_scenario(
         faults=fault_report,
         metrics=sim.metrics.snapshot() if sim.metrics.enabled else {},
         policy=control_loop.summary() if control_loop is not None else {},
-        slo=slo_report,
     )

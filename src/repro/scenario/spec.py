@@ -31,7 +31,6 @@ from repro.control.actions import REBOOT_KINDS
 from repro.control.loop import ControlConfig
 from repro.errors import ScenarioError
 from repro.guest.services import SERVICE_FACTORIES
-from repro.obs.slo import SLOSpec
 from repro.units import GiB, KiB
 
 MAINTENANCE_KINDS = ("reboot", "rolling", "migration", "periodic")
@@ -387,10 +386,6 @@ class ScenarioSpec(Table):
     """The autonomic control loop (the ``[policy]`` TOML table); attaching
     one implies metrics collection for the run, because its detectors
     read the metric series."""
-    slo: SLOSpec | None = None
-    """Service-level objectives evaluated over the observation window
-    (the ``[slo]`` TOML table); attaching one implies metrics collection
-    for the run, exactly like ``[policy]``."""
     warmup_s: float = 0.0
     observe_s: float = 0.0
 

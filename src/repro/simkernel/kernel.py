@@ -172,6 +172,7 @@ class Simulator:
         self._active_process: Process | None = None
         self._timeout_pool: list[Timeout] = []
         self._timer_pool: list[TimerHandle] = []
+        self._calls = 0  # run() and step() calls, for activity()
         self.placement_version = 0
         """Bumped by the layers above on every write that can change which
         service object answers for a VM: a host's VMM replaced, a domain
@@ -344,12 +345,26 @@ class Simulator:
         """Time of the next scheduled event, or ``inf`` if none."""
         return self._backend.peek()
 
+    def activity(self) -> int:
+        """A mark that moves whenever an entry leaves the scheduler.
+
+        Each entry executed, discarded as a cancelled timer or compacted
+        away moves it by one, and so does the start of every :meth:`run`
+        and :meth:`step` call, so what a caller did between two calls
+        shows too.  Scheduling an entry leaves it unchanged.  It is the
+        sequence counter minus the entries still stored, plus the calls,
+        so the inlined run loop does no extra work per event.
+        """
+        backend = self._backend
+        return backend._seq - backend.storage_size() + self._calls
+
     def step(self) -> None:
         """Process the next scheduled event, advancing the clock.
 
         Cancelled timers encountered on the way are discarded without any
         callback bookkeeping (they count as no event at all).
         """
+        self._calls += 1
         entry = self._backend.pop_next()
         if entry is None:
             raise SimulationError("step() with an empty event queue")
@@ -375,6 +390,7 @@ class Simulator:
         * an :class:`Event` — run until that event has been processed, and
           return its value (re-raising its exception on failure).
         """
+        self._calls += 1
         # Sanitized runs and injected oracles take the hooked loop, so the
         # inlined one carries no per-event hook branch.
         if self.sanitizer is not None or type(self._backend) is not BatchedBackend:

@@ -31,6 +31,12 @@ see:
 ``undrained-waiters``
     After a run-to-exhaustion a :class:`~repro.simkernel.resources.Resource`
     still has queued requests.
+``stale-fluid-tick``
+    A fluid tick that :class:`~repro.workloads.httperf.FluidCoordinator`
+    would have served from its kept solve (a quiet tick) solves to a
+    different ``(rate, up)`` for some client: the reuse rule missed a
+    write.  Sanitized coordinators solve every tick and compare, so the
+    report names the client, the tick and both pairs.
 
 The sanitizer never perturbs the simulation: it draws no randomness,
 records nothing to the trace, and schedules nothing — a sanitized run
@@ -141,7 +147,7 @@ class DeterminismSanitizer:
     def on_double_trigger(self, event: "Event", method: str) -> None:
         """An already-triggered event was triggered again (kernel raises
         right after this hook)."""
-        self._report(
+        self.report(
             "double-trigger",
             f"{method}() on already-{event._state} event {event.name or 'event'!r}",
         )
@@ -160,13 +166,13 @@ class DeterminismSanitizer:
                 waiting = (
                     f" (waiting on {target!r})" if target is not None else ""
                 )
-                self._report(
+                self.report(
                     "unfinished-process",
                     f"process {process.name!r} never finished{waiting}",
                 )
         for resource in self._resources:
             if resource._queue:
-                self._report(
+                self.report(
                     "undrained-waiters",
                     f"Resource {resource.name!r} ended the run with "
                     f"{len(resource._queue)} blocked waiter(s)",
@@ -190,7 +196,7 @@ class DeterminismSanitizer:
                 who = " vs ".join(
                     sorted({f"{label} armed by {ctx[1]}" for ctx, label in entries})
                 )
-                self._report(
+                self.report(
                     "unpinned-order",
                     f"{len(entries)} timers fired at the same instant, armed "
                     f"at t={armed_at:.6g} by independent contexts ({who}); "
@@ -199,7 +205,13 @@ class DeterminismSanitizer:
         if batch:
             self._batch = []
 
-    def _report(self, code: str, message: str) -> None:
+    def report(self, code: str, message: str) -> None:
+        """Record a finding at the current instant and warn with it.
+
+        The kernel's hooks report through here, and so do checks that
+        layers above run only when ``sim.sanitizer`` is set
+        (``stale-fluid-tick``).
+        """
         report = SanitizerReport(code, self.sim._now, message)
         self.reports.append(report)
         warnings.warn(report.render(), DeterminismWarning, stacklevel=3)

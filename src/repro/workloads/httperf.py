@@ -28,7 +28,10 @@ Two client models live here:
   processor-sharing rate model (numpy-vectorized across clients) against
   the live hardware objects.  A million concurrent sessions is one array
   slot; cross-validated against exact mode in
-  ``tests/workloads/test_fluid.py``.
+  ``tests/workloads/test_fluid.py``.  A quiet tick (since the last
+  one, nothing but its own timeout left the scheduler; see
+  :meth:`~repro.simkernel.kernel.Simulator.activity`) reuses the last
+  solve instead of probing every client again.
 """
 
 from __future__ import annotations
@@ -178,7 +181,7 @@ class FluidHttperf:
     aggregation tick is the closed-loop asymptote ``sessions / L1``
     (``L1`` = one request's unloaded latency read off the live hardware
     objects), throttled by the owning machine's resource capacities when
-    several clients share it (see :meth:`FluidCoordinator._account`).
+    several clients share it (see :meth:`FluidCoordinator._solve`).
     Reachability is sampled once per tick through the same ``lookup``
     exact mode resolves per request, so downtime shows up as zero-rate
     ticks and retry-paced failures, quantized to the tick length.
@@ -451,12 +454,27 @@ class FluidCoordinator:
     that float rounding puts at or before ``now`` (``tick_s = 0.7`` at
     t = 2.0999999999999996), so the clock always moves.
 
-    Each tick solves a per-machine waterfill: clients demand their
-    closed-loop rate; every machine scales its residents' demands by one
-    factor so no resource (CPU, memory bus, disk, NIC) exceeds capacity —
-    the fluid analogue of :class:`~repro.simkernel.sharing.SharedPool`'s
-    proportional sharing.  The solve is numpy-vectorized across clients;
-    summation order is registration order, so results are deterministic.
+    A solve probes every client and runs a per-machine waterfill: clients
+    demand their closed-loop rate; every machine scales its residents'
+    demands by one factor so no resource (CPU, memory bus, disk, NIC)
+    exceeds capacity — the fluid analogue of
+    :class:`~repro.simkernel.sharing.SharedPool`'s proportional sharing.
+    The solve is numpy-vectorized across clients; summation order is
+    registration order, so results are deterministic.
+
+    A **quiet** tick reuses the previous solve's ``(rate, up)`` per
+    client instead.  A tick is quiet when :meth:`Simulator.activity`
+    moved by exactly one since the last tick (this tick's own timeout),
+    no client registered since, and no reachable client had a partly
+    resident corpus on the solved tick.  Every write a probe reads
+    happens inside a scheduler entry, which moves the mark, or in caller
+    code between ``run()``/``step()`` calls, whose next call moves it;
+    the only other code between two ticks is the commits, and the one
+    commit that writes probe input (:meth:`FluidHttperf._warm`) runs only
+    for a partly resident corpus.  So a reused pair equals a fresh solve
+    bit for bit.  Under ``sim.sanitizer`` every tick solves, and a quiet
+    tick whose kept pair differs is reported as ``stale-fluid-tick``.
+    :meth:`finalize` always solves.
     """
 
     def __init__(self, sim: Simulator, tick_s: float = 1.0) -> None:
@@ -468,12 +486,17 @@ class FluidCoordinator:
         self._proc: Process | None = None
         self._last = sim.now
         self._stopped = False
+        # The last solve per client, or None while the next tick must
+        # solve; and sim.activity() at the last tick.
+        self._kept: list[tuple[float, bool]] | None = None
+        self._mark = 0
 
     def register(self, client: FluidHttperf) -> None:
         """Add a client; starts the tick process on the first register."""
         if self._stopped:
             raise ReproError("fluid coordinator already finalized")
         self._clients.append(client)
+        self._kept = None
         if self._proc is None:
             self._last = self.sim.now
             self._proc = self.sim.spawn(self._run(), name="fluid.coordinator")
@@ -483,13 +506,45 @@ class FluidCoordinator:
         tick = self.tick_s
         while not self._stopped:
             yield sim.timeout(next_tick(0.0, tick, sim.now) - sim.now)
-            self._account(sim.now)
+            mark = sim.activity()
+            quiet = mark == self._mark + 1
+            self._mark = mark
+            self._account(sim.now, quiet)
 
-    def _account(self, until: float) -> None:
+    def _account(self, until: float, quiet: bool = False) -> None:
+        """Commit every client over ``[last tick, until]``.
+
+        A ``quiet`` tick reuses the kept solve; under the sanitizer it
+        solves anyway and reports each client whose kept pair differs.
+        """
         start = self._last
         if until <= start:
             return
         self._last = until
+        kept = self._kept if quiet else None
+        sanitizer = self.sim.sanitizer
+        if kept is None or sanitizer is not None:
+            solved = self._solve()
+            if kept is not None:
+                for client, old, new in zip(self._clients, kept, solved):
+                    if old != new:
+                        sanitizer.report(
+                            "stale-fluid-tick",
+                            f"fluid client {client.name!r} would reuse "
+                            f"(rate, up) = {old!r} on the tick ending at "
+                            f"t={until!r}, but a fresh solve gives {new!r}",
+                        )
+            kept = solved
+        for client, (rate, up) in zip(self._clients, kept):
+            client._commit(start, until, rate, up)
+
+    def _solve(self) -> list[tuple[float, bool]]:
+        """Probe every client and run the waterfill: ``(rate, up)`` each.
+
+        The result is kept for quiet ticks unless a reachable client's
+        corpus is partly resident: its commit re-warms the page cache,
+        which the next probe reads.
+        """
         clients = self._clients
         count = len(clients)
         up = numpy.zeros(count, dtype=bool)
@@ -498,6 +553,7 @@ class FluidCoordinator:
         machine_index = numpy.zeros(count, dtype=int)
         machine_slots: dict[int, int] = {}
         capacities: list[list[float]] = []
+        warming = False
         for i, client in enumerate(clients):
             probe = client._probe()
             if probe is None:
@@ -510,6 +566,7 @@ class FluidCoordinator:
             up[i] = True
             demand[i] = client_demand
             costs[:, i] = cost
+            warming = warming or client._probe_ctx[2] < 1.0
         if machine_slots:
             load = numpy.zeros((_RESOURCES, len(machine_slots)))
             for axis in range(_RESOURCES):
@@ -526,8 +583,9 @@ class FluidCoordinator:
             rates = demand * scale[machine_index]
         else:
             rates = demand
-        for i, client in enumerate(clients):
-            client._commit(start, until, float(rates[i]), bool(up[i]))
+        solved = list(zip(rates.tolist(), up.tolist()))
+        self._kept = None if warming else solved
+        return solved
 
     def finalize(self) -> None:
         """Account the trailing partial tick and stop; idempotent."""

@@ -162,6 +162,21 @@ class TestSpec:
                 r"fleet\.hosts: the name 'a' is given twice",
                 id="host-name-twice",
             ),
+            pytest.param(
+                {"slo": {"availability": 2.0}},
+                r"fleet\.slo\.availability: must be a ratio in \(0, 1\]",
+                id="slo-availability",
+            ),
+            pytest.param(
+                {"slo": {"availability": 0.9, "latency_target_s": 0.5}},
+                r"fleet\.slo: unknown key\(s\) 'latency_target_s';",
+                id="slo-latency_target_s",
+            ),
+            pytest.param(
+                {"slo": {"availability": 0.9, "latency_quantile": 0.99}},
+                r"fleet\.slo: unknown key\(s\) 'latency_quantile';",
+                id="slo-latency_quantile",
+            ),
         ],
     )
     def test_validation(self, overrides, needle):

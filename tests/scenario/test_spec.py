@@ -204,16 +204,6 @@ class TestTypedLoading:
                 id="policy-disk_overload",
             ),
             pytest.param(
-                {"slo": {"availability": 0.9, "latency_target_s": 0.5}},
-                "scenario.slo: unknown key(s) 'latency_target_s';",
-                id="slo-latency_target_s",
-            ),
-            pytest.param(
-                {"slo": {"availability": 0.9, "latency_quantile": 0.99}},
-                "scenario.slo: unknown key(s) 'latency_quantile';",
-                id="slo-latency_quantile",
-            ),
-            pytest.param(
                 {"hosts": [{"vms": [{"memory_gib": 1e308}]}]},
                 "scenario.hosts[0].vms[0].memory_gib: must be positive and finite",
                 id="memory_gib-overflow",
@@ -240,8 +230,10 @@ class TestTypedLoading:
                 id="policy-strategy",
             ),
             pytest.param(
-                {"slo": {"availability": 2.0}},
-                "scenario.slo.availability: must be a ratio in (0, 1]",
+                # [slo] is a fleet table: a scenario carrying one fails
+                # naming it, whatever the table holds.
+                {"slo": {"availability": 0.9}},
+                "scenario: unknown key(s) 'slo';",
                 id="slo-availability",
             ),
             pytest.param(

@@ -28,7 +28,6 @@ from tests.fleet.test_fleet import _fleet
 _SLO = SLOSpec(availability=0.9, downtime_budget_s=60.0).to_dict()
 
 SCENARIO_BASES = [registry.get(name).to_dict() for name in registry.names()]
-SCENARIO_BASES.append({**registry.get("probed-warm-reboot").to_dict(), "slo": _SLO})
 FLEET_BASE = {
     **_fleet().to_dict(),
     "policy": ControlConfig(strategy="first-fit-decreasing").to_dict(),
@@ -161,7 +160,6 @@ _SMALL_SPECS = st.fixed_dictionaries(
         "force_cluster": st.booleans(),
         "faults": st.sampled_from([{"preset": "paper-bugs"}, {}]),
         "policy": st.sampled_from([{}, {"strategy": "first-fit-decreasing"}]),
-        "slo": st.just(_SLO),
     },
 )
 

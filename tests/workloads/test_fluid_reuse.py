@@ -1,0 +1,325 @@
+"""Quiet fluid ticks reuse the last solve: a differential test.
+
+:class:`~repro.workloads.httperf.FluidCoordinator` serves a quiet tick
+(nothing but its own timeout left the scheduler since the last one) from
+the previous solve instead of probing every client again.  Each case
+below runs twice: once with the per-tick solve from ``fluid_oracle.py``
+patched in, once as shipped.  Every client's tick log, running totals
+and observation-window summary, and (metrics on) its two ``fluid.*``
+counter series must agree bit for bit.  Where a case has quiet
+stretches, the shipped coordinator must also have probed less, so the
+reuse path really ran; a sanitized coordinator solves every tick and
+must find no kept pair stale.
+"""
+
+import itertools
+import math
+import warnings
+
+import pytest
+
+from repro.errors import ReproError
+from repro.fleet import run_fleet_shard
+from repro.scenario import ScenarioBuilder
+from repro.simkernel import Simulator
+from repro.simkernel.sanitizer import DeterminismWarning
+from repro.units import kib
+from repro.workloads.httperf import FluidCoordinator, FluidHttperf
+
+from tests.conftest import build_started_host
+from tests.fleet.test_fleet import _fleet
+from tests.workloads.fluid_oracle import reference_account
+
+SERIES = ("fluid.completed_requests", "fluid.failed_requests")
+
+
+def _bits(value):
+    """``value`` with every float replaced by its exact hex spelling."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {key: _bits(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_bits(item) for item in value]
+    return value
+
+
+def _record(sim, clients, since, until):
+    record = [
+        {
+            "ticks": [
+                c._tick_t, c._tick_dt, c._tick_rate, c._tick_fail, c._tick_up,
+            ],
+            "totals": [c.total_completed, c.failures, c.downtime_s],
+            "window": c.window_summary(since, until),
+        }
+        for c in clients
+    ]
+    if sim.metrics.enabled:
+        series = sim.metrics.series_snapshot()
+        record.append({name: series[name] for name in SERIES})
+    return _bits(record)
+
+
+def _observe(case):
+    """Run ``case``; return its record, its probe count and its simulator."""
+    probes = [0]
+    probe = FluidHttperf._probe
+
+    def counted(client):
+        probes[0] += 1
+        return probe(client)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FluidHttperf, "_probe", counted)
+        sim, clients, (since, until) = case()
+    return _record(sim, clients, since, until), probes[0], sim
+
+
+def _check(case, quiet=True):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FluidCoordinator, "_account", reference_account)
+        expected, oracle_probes, _ = _observe(case)
+    got, probes, sim = _observe(case)
+    assert got == expected
+    if sim.sanitizer is not None:
+        assert probes == oracle_probes  # a sanitized coordinator always solves
+        assert not sim.sanitizer.reports
+    elif quiet:
+        assert probes < oracle_probes
+
+
+# -- rolling fleets ------------------------------------------------------------
+
+
+def _shard(strategy):
+    """One 4-host fleet shard with telemetry, rebooting two hosts an epoch."""
+    spec = _fleet(strategy=strategy, shards=1, telemetry=True)
+    (plan,) = spec.shard_plans()
+    built = []
+    build = ScenarioBuilder.build
+
+    def recording(builder):
+        built.append(build(builder))
+        return built[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ScenarioBuilder, "build", recording)
+        run_fleet_shard(plan)
+    (scenario,) = built
+    clients = [attached.client for attached in scenario.workloads]
+    return scenario.sim, clients, (spec.warmup_s, spec.warmup_s + spec.observe_s)
+
+
+@pytest.mark.parametrize("strategy", ["warm", "cold", "saved"])
+def test_rolling_fleet(strategy):
+    _check(lambda: _shard(strategy))
+
+
+def test_cold_fleet_rewarms_its_caches():
+    _, clients, _ = _shard("cold")
+    assert any(client._warm_cursor > 0 for client in clients)
+
+
+# -- one host ------------------------------------------------------------------
+
+
+def _host(sim, vms=1):
+    host = build_started_host(sim, n_vms=vms, services=("apache",))
+    paths = []
+    for i in range(vms):
+        guest = host.guest(f"vm{i}")
+        paths.append(guest.filesystem.create_many("/www", 8, kib(512)))
+        sim.run(sim.spawn(guest.warm_file_cache(paths[-1])))
+    return host, paths
+
+
+def _client(coordinator, host, vm, paths, sessions=8, lookup=None):
+    if lookup is None:
+        lookup = lambda: host.guest(vm).service("apache")  # noqa: E731
+    return FluidHttperf(
+        coordinator, lookup, paths, sessions=sessions, name=f"fluid-{vm}"
+    )
+
+
+def _after(sim, delay, action):
+    def run():
+        yield sim.timeout(delay)
+        result = action()
+        if result is not None:
+            yield from result
+
+    sim.spawn(run())
+
+
+def _slump():
+    """A warm reboot resumes two VMs, so the NIC slumps for a while."""
+    sim = Simulator(metrics=True)
+    host, paths = _host(sim, vms=2)
+    start = sim.now
+    client = _client(FluidCoordinator(sim), host, "vm0", paths[0])
+    _after(sim, 5.0, lambda: host.reboot("warm"))
+    sim.run(until=start + 90.0)
+    client.stop()
+    slumps = sim.trace.select("host.quirk.slump.start", since=start)
+    assert slumps, "the reboot should have slumped the NIC"
+    return sim, [client], (start, sim.now)
+
+
+def _shared():
+    """Two clients on one machine: the waterfill scales both down."""
+    sim = Simulator(metrics=True)
+    host, paths = _host(sim, vms=2)
+    start = sim.now
+    coordinator = FluidCoordinator(sim)
+    clients = [
+        _client(coordinator, host, f"vm{i}", paths[i], sessions=64)
+        for i in range(2)
+    ]
+    sim.run(until=start + 20.0)
+    for client in clients:
+        demand = client._probe()[1]
+        assert max(client._tick_rate) < demand  # scale below 1
+    clients[0].stop()
+    return sim, clients, (start, sim.now)
+
+
+def _raising():
+    """One lookup raises while a timer-set flag is up, one always raises."""
+    sim = Simulator(metrics=True)
+    host, paths = _host(sim)
+    start = sim.now
+    coordinator = FluidCoordinator(sim)
+    gone = [False]
+
+    def flaky():
+        if gone[0]:
+            raise ReproError("no replica")
+        return host.guest("vm0").service("apache")
+
+    def missing():
+        raise ReproError("never placed")
+
+    sim.call_at(start + 10.5, lambda: gone.__setitem__(0, True))
+    sim.call_at(start + 20.5, lambda: gone.__setitem__(0, False))
+    clients = [
+        _client(coordinator, host, "vm0", paths[0], lookup=flaky),
+        _client(coordinator, host, "vm0", paths[0], lookup=missing),
+    ]
+    sim.run(until=start + 30.0)
+    coordinator.finalize()
+    assert clients[0].downtime_s > 0 and clients[1].total_completed == 0
+    return sim, clients, (start, sim.now)
+
+
+def _late_register():
+    """A second client registers from a process, mid-run."""
+    sim = Simulator(metrics=True)
+    host, paths = _host(sim, vms=2)
+    start = sim.now
+    coordinator = FluidCoordinator(sim)
+    clients = [_client(coordinator, host, "vm0", paths[0])]
+    _after(
+        sim, 10.5,
+        lambda: clients.append(_client(coordinator, host, "vm1", paths[1])),
+    )
+    sim.run(until=start + 30.0)
+    coordinator.finalize()
+    assert clients[1]._tick_t[0] == math.ceil(start + 10.5)
+    return sim, clients, (start, sim.now)
+
+
+def _between_runs():
+    """The NIC goes down and up by direct calls between ``run`` calls."""
+    sim = Simulator(metrics=True)
+    host, paths = _host(sim)
+    start = sim.now
+    client = _client(FluidCoordinator(sim), host, "vm0", paths[0])
+    nic = host.machine.nic
+    sim.run(until=start + 10.5)
+    nic.bring_down()
+    sim.run(until=start + 20.0)
+    nic.bring_up()
+    sim.run(until=start + 30.0)
+    client.stop()
+    assert client.downtime_s > 0
+    return sim, [client], (start, sim.now)
+
+
+def _between_steps():
+    """The same direct calls, between ``step`` calls."""
+    sim = Simulator(metrics=True)
+    host, paths = _host(sim)
+    start = sim.now
+    client = _client(FluidCoordinator(sim), host, "vm0", paths[0])
+    nic = host.machine.nic
+
+    def step_to(until):
+        for _ in range(10_000):
+            if sim.peek() > until:
+                return
+            sim.step()
+        raise AssertionError("the clock stalled")
+
+    step_to(start + 10.5)
+    nic.bring_down()
+    step_to(start + 20.0)
+    nic.bring_up()
+    step_to(start + 30.0)
+    client.stop()
+    assert client.downtime_s > 0
+    return sim, [client], (start, sim.now)
+
+
+def _finalize_after_call():
+    """``finalize`` right after a direct call: the trailing tick is down."""
+    sim = Simulator(metrics=True)
+    host, paths = _host(sim)
+    start = sim.now
+    client = _client(FluidCoordinator(sim), host, "vm0", paths[0])
+    sim.run(until=start + 10.5)
+    host.machine.nic.bring_down()
+    client.stop()
+    assert client._tick_up[-1] is False
+    return sim, [client], (start, sim.now)
+
+
+@pytest.mark.parametrize(
+    "case, quiet",
+    [
+        pytest.param(_slump, True, id="nic-slump"),
+        pytest.param(_shared, True, id="shared-machine"),
+        pytest.param(_raising, True, id="lookup-raises"),
+        pytest.param(_late_register, True, id="late-register"),
+        pytest.param(_between_runs, True, id="call-between-runs"),
+        pytest.param(_between_steps, False, id="call-between-steps"),
+        pytest.param(_finalize_after_call, True, id="finalize-after-call"),
+    ],
+)
+def test_one_host(case, quiet):
+    _check(case, quiet)
+
+
+# -- the sanitizer checks every reuse ------------------------------------------
+
+
+def test_sanitizer_reports_a_stale_reuse(monkeypatch):
+    # A mark that moves by exactly one per tick calls every tick quiet,
+    # the reboots included: the sanitized solve must catch the stale pair.
+    marks = itertools.count()
+    monkeypatch.setattr(Simulator, "activity", lambda sim: next(marks))
+    monkeypatch.setenv("REPRO_SANITIZE", "1")
+    with pytest.warns(DeterminismWarning, match=r"\[stale-fluid-tick\]"):
+        sim, clients, _ = _shard("warm")
+    stale = [r for r in sim.sanitizer.reports if r.code == "stale-fluid-tick"]
+    first = stale[0]
+    assert first.time == int(first.time)  # a tick of the 1 s grid
+    assert any(repr(client.name) in first.message for client in clients)
+
+
+def test_sanitized_fleet_finds_no_stale_reuse(monkeypatch):
+    monkeypatch.setenv("REPRO_SANITIZE", "1")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeterminismWarning)
+        sim, _, _ = _shard("cold")
+    assert sim.sanitizer is not None and not sim.sanitizer.reports
