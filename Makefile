@@ -45,7 +45,9 @@ bench-selftest:
 # The fleet tier lane: sharded-vs-serial determinism, fluid-vs-exact
 # cross-validation within the documented tolerances, epoch protocol, the
 # one-pass window queries against their oracle, quiet fluid ticks that
-# reuse the last solve against the per-tick solve they replaced, and the
+# reuse the last solve against the per-tick solve they replaced, the
+# coordinator's shared tick rows against the per-client tick log they
+# replaced (fixed cases and a property over random tick scripts), and the
 # cluster service index against the scan it replaced (plus its O(1)
 # down-host cost).
 test-fleet:

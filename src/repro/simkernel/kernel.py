@@ -362,7 +362,9 @@ class Simulator:
         """Process the next scheduled event, advancing the clock.
 
         Cancelled timers encountered on the way are discarded without any
-        callback bookkeeping (they count as no event at all).
+        callback bookkeeping (they count as no event at all).  Like a
+        :meth:`run` call, it ends by handing control back to top-level
+        code in the sanitizer's view.
         """
         self._calls += 1
         entry = self._backend.pop_next()
@@ -373,11 +375,15 @@ class Simulator:
         if san is not None:
             san.on_execute(time, priority, item)
         self._now = time
-        if type(item) is TimerHandle:
-            item._popped = True
-            item.callback()
-        else:
-            item._process()
+        try:
+            if type(item) is TimerHandle:
+                item._popped = True
+                item.callback()
+            else:
+                item._process()
+        finally:
+            if san is not None:
+                san.on_run_exit()
 
     def run(self, until: float | Event | None = None) -> typing.Any:
         """Run the simulation.

@@ -153,7 +153,8 @@ class DeterminismSanitizer:
         )
 
     def on_run_exit(self) -> None:
-        """A ``run()`` call returned: close the open same-instant batch."""
+        """A ``run()`` or ``step()`` call returned: close the open
+        same-instant batch, and count what runs next as top-level code."""
         self._flush_batch()
         self._batch_key = None
         self._ctx = _TOP_CONTEXT

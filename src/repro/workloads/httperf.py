@@ -31,7 +31,9 @@ Two client models live here:
   ``tests/workloads/test_fluid.py``.  A quiet tick (since the last
   one, nothing but its own timeout left the scheduler; see
   :meth:`~repro.simkernel.kernel.Simulator.activity`) reuses the last
-  solve instead of probing every client again.
+  solve instead of probing every client again.  The tick log lives
+  once, as rows in the coordinator; each client reads its own rows from
+  there, so a quiet tick with metrics off touches no client.
 """
 
 from __future__ import annotations
@@ -189,6 +191,13 @@ class FluidHttperf:
     Everything is accounted in plain float rate * dt arithmetic from
     simulation state only — runs are bit-deterministic for a fixed seed,
     and identical no matter which process (or shard) hosts the client.
+
+    The client stores no tick log of its own.  Its rows are the
+    coordinator's from the first one accounted after it registered
+    (``_row0``), at its index (``_slot``) in each run's solve; only that
+    first row is clipped, at ``_since``.  The totals fold those rows on
+    read, and the window queries walk them; :meth:`tick_log` rebuilds
+    them as columns.
     """
 
     def __init__(
@@ -214,15 +223,6 @@ class FluidHttperf:
         if not self._paths:
             raise ReproError("fluid httperf needs at least one path")
         self._since = self.sim.now
-        # Columnar tick log: row k covers [t[k] - dt[k], t[k]].
-        self._tick_t: list[float] = []
-        self._tick_dt: list[float] = []
-        self._tick_rate: list[float] = []
-        self._tick_fail: list[float] = []
-        self._tick_up: list[bool] = []
-        self._completed = 0.0
-        self.failures = 0.0
-        self.downtime_s = 0.0
         self._warm_cursor = 0
         self._probe_ctx: tuple[typing.Any, float, float] | None = None
         self._residency: tuple | None = None
@@ -232,7 +232,13 @@ class FluidHttperf:
         self._metric_errors = self.sim.metrics.counter(
             "fluid.failed_requests", client=name
         )
-        coordinator.register(self)
+        # The index into every solve, and the first row after registering.
+        self._slot, self._row0 = coordinator.register(self)
+        # The totals over the rows before _folded (see _fold).
+        self._folded = self._row0
+        self._completed = 0.0
+        self._failures = 0.0
+        self._downtime = 0.0
 
     # -- per-tick model ---------------------------------------------------------
 
@@ -339,32 +345,43 @@ class FluidHttperf:
                     return
             self._warm_cursor += 1
 
-    def _commit(self, start: float, end: float, rate: float, up: bool) -> None:
-        """Account one tick interval [start, end] at a constant rate."""
-        start = max(start, self._since)
-        dt = end - start
+    def _length(self, row: int) -> float:
+        """The seconds of the coordinator's row ``row`` that count here.
+
+        Only the first row can start before ``_since``; it is clipped to
+        ``end - max(start, since)``, and dropped where that is not
+        positive.  Float subtraction rounds monotonically, so that is the
+        smaller of the row's own ``end - start`` and ``end - since``, and
+        no row keeps its raw start.
+        """
+        coordinator = self.coordinator
+        dt = coordinator._dts[row]
+        if row == self._row0:
+            dt = min(dt, coordinator._ends[row] - self._since)
+        return dt
+
+    def _settle(self, row: int, rate: float, up: bool, warm: bool) -> None:
+        """The per-client work of the row just accounted.
+
+        ``warm`` (a solve tick with a partly resident corpus somewhere)
+        re-warms this client's page cache, which the next probe reads; the
+        ``fluid.*`` counters get their sample.  The coordinator calls this
+        only for ``warm`` or with metrics on: everything else a tick means
+        to a client is read from the rows when asked.
+        """
+        dt = self._length(row)
         if dt <= 0:
             return
-        self._tick_t.append(end)
-        self._tick_dt.append(dt)
-        self._tick_up.append(up)
         if up:
-            self._tick_rate.append(rate)
-            self._tick_fail.append(0.0)
             done = rate * dt
-            self._completed += done
             context = self._probe_ctx
-            if context is not None:
+            if warm and context is not None:
                 guest, payload, resident = context
                 if resident < 1.0:
                     self._warm(guest, done * (1.0 - resident) * payload)
             self._metric_completed.inc(done)
         else:
             fail_rate = self.sessions / self.retry_interval_s
-            self._tick_rate.append(0.0)
-            self._tick_fail.append(fail_rate)
-            self.failures += fail_rate * dt
-            self.downtime_s += dt
             self._metric_errors.inc(fail_rate * dt)
 
     # -- control -----------------------------------------------------------------
@@ -375,45 +392,136 @@ class FluidHttperf:
 
     # -- measurement -------------------------------------------------------------
 
+    def _segments(self, row: int) -> typing.Iterator[tuple]:
+        """This client's rows from ``row`` on, one run at a time.
+
+        Yields ``(ends, dts, lo, hi, rate, fail, up)``: rows ``lo`` to
+        ``hi`` of the columns ``ends`` and ``dts`` share this client's
+        ``(rate, up)`` in their run, ``fail`` being the retry-paced
+        failure rate of a down row (rate 0.0, and fail 0.0 when up).  The
+        first row, clipped by :meth:`_length`, comes as a one-row segment
+        with columns of its own, or not at all once nothing of it is left.
+        """
+        coordinator = self.coordinator
+        ends = coordinator._ends
+        dts = coordinator._dts
+        total = len(ends)
+        run_rows = coordinator._run_rows
+        solves = coordinator._run_solves
+        fail_rate = self.sessions / self.retry_interval_s
+        run = bisect_right(run_rows, row) - 1
+        while row < total:
+            rate, up = solves[run][self._slot]
+            fail = 0.0
+            if not up:
+                rate, fail = 0.0, fail_rate
+            run += 1
+            hi = run_rows[run] if run < len(run_rows) else total
+            if row == self._row0:
+                dt = self._length(row)
+                if dt > 0:
+                    yield (ends[row],), (dt,), 0, 1, rate, fail, up
+                row += 1
+            if row < hi:
+                yield ends, dts, row, hi, rate, fail, up
+            row = hi
+
+    def tick_log(
+        self,
+    ) -> tuple[list[float], list[float], list[float], list[float], list[bool]]:
+        """Five columns ``(t, dt, rate, fail, up)``, one entry per tick.
+
+        Row k covers ``[t[k] - dt[k], t[k]]`` at ``rate[k]`` completions
+        and ``fail[k]`` failures per second; ``up[k]`` is reachability.
+        Built from the coordinator's rows on each call, for tests and
+        debugging.
+        """
+        t: list[float] = []
+        dt: list[float] = []
+        rate: list[float] = []
+        fail: list[float] = []
+        up: list[bool] = []
+        for ends, dts, lo, hi, r, f, u in self._segments(self._row0):
+            t += ends[lo:hi]
+            dt += dts[lo:hi]
+            rate += [r] * (hi - lo)
+            fail += [f] * (hi - lo)
+            up += [u] * (hi - lo)
+        return t, dt, rate, fail, up
+
+    def _fold(self) -> None:
+        """Add the rows accounted since the last read to the totals.
+
+        Left to right with ``+=`` from 0.0, as if each tick had added its
+        own, so a total has the same bits however often it is read.
+        """
+        total = len(self.coordinator._ends)
+        completed = self._completed
+        failures = self._failures
+        downtime = self._downtime
+        for _, dts, lo, hi, rate, fail, up in self._segments(self._folded):
+            if up:
+                for i in range(lo, hi):
+                    completed += rate * dts[i]
+            else:
+                for i in range(lo, hi):
+                    dt = dts[i]
+                    failures += fail * dt
+                    downtime += dt
+        self._completed = completed
+        self._failures = failures
+        self._downtime = downtime
+        self._folded = total
+
     @property
     def total_completed(self) -> float:
         """Modeled request completions over the whole run (fractional)."""
+        self._fold()
         return self._completed
+
+    @property
+    def failures(self) -> float:
+        """Retry-paced failed requests over the whole run (fractional)."""
+        self._fold()
+        return self._failures
+
+    @property
+    def downtime_s(self) -> float:
+        """Unreachable seconds over the whole run."""
+        self._fold()
+        return self._downtime
 
     def _window(
         self, since: float, until: float
     ) -> tuple[float, float, float, float]:
         """``(covered, completed, failed, down)`` over a window, one pass.
 
-        Bisects once to the first tick ending at or after ``since``, then
-        walks left to right until a tick starts at or after ``until``,
-        adding each tick's overlap with the window: ``covered`` is the
-        overlap seconds, ``down`` the unreachable ones, ``completed`` and
-        ``failed`` the rates times the overlap.  Each sum starts at the
-        integer 0 and adds with ``+=`` in tick order, so an empty window
-        reads 0 and no summation order (``sum``'s compensation, numpy's
-        pairwise tree) can move a bit.
+        Bisects once to the first row ending at or after ``since``, then
+        walks left to right, run by run, until a row starts at or after
+        ``until``, adding each row's overlap with the window: ``covered``
+        is the overlap seconds, ``down`` the unreachable ones,
+        ``completed`` and ``failed`` the rates times the overlap.  Each
+        sum starts at the integer 0 and adds with ``+=`` in row order, so
+        an empty window reads 0 and no summation order (``sum``'s
+        compensation, numpy's pairwise tree) can move a bit.
         """
-        ticks = self._tick_t
-        dts = self._tick_dt
-        rates = self._tick_rate
-        fails = self._tick_fail
-        ups = self._tick_up
         covered = completed = failed = down = 0
-        for i in range(bisect_left(ticks, since), len(ticks)):
-            end = ticks[i]
-            start = end - dts[i]
-            if start >= until:
-                break
-            overlap = (until if until < end else end) - (
-                since if since > start else start
-            )
-            if overlap > 0:
-                covered += overlap
-                completed += rates[i] * overlap
-                failed += fails[i] * overlap
-                if not ups[i]:
-                    down += overlap
+        first = bisect_left(self.coordinator._ends, since, self._row0)
+        for ends, dts, lo, hi, rate, fail, up in self._segments(first):
+            for i in range(lo, hi):
+                end = ends[i]
+                start = end - dts[i]
+                if start >= until:
+                    return covered, completed, failed, down
+                overlap = (until if until < end else end) - (
+                    since if since > start else start
+                )
+                if overlap > 0:
+                    covered += overlap
+                    completed += rate * overlap
+                    failed += fail * overlap
+                    if not up:
+                        down += overlap
         return covered, completed, failed, down
 
     def availability(
@@ -469,12 +577,22 @@ class FluidCoordinator:
     resident corpus on the solved tick.  Every write a probe reads
     happens inside a scheduler entry, which moves the mark, or in caller
     code between ``run()``/``step()`` calls, whose next call moves it;
-    the only other code between two ticks is the commits, and the one
-    commit that writes probe input (:meth:`FluidHttperf._warm`) runs only
-    for a partly resident corpus.  So a reused pair equals a fresh solve
+    the only other code between two ticks is the accounting, and the one
+    part of it that writes probe input (:meth:`FluidHttperf._warm`) runs
+    only for a partly resident corpus.  So a reused pair equals a fresh solve
     bit for bit.  Under ``sim.sanitizer`` every tick solves, and a quiet
     tick whose kept pair differs is reported as ``stale-fluid-tick``.
     :meth:`finalize` always solves.
+
+    Every accounted tick is one **row**, ``[end - dt, end]``, kept once
+    for all clients.  Consecutive rows that share one solve form a
+    **run**: a quiet tick reuses the kept list object, so its row
+    extends the current run, and a solve starts a new one.  Clients read
+    their ``(rate, up)`` for a row from its run's solve.  Two things
+    still happen per client as a tick is accounted: a solve that found a
+    partly resident corpus re-warms those page caches (the next probe
+    reads them), and with metrics on every client's ``fluid.*`` counter
+    gets its sample, which is output.
     """
 
     def __init__(self, sim: Simulator, tick_s: float = 1.0) -> None:
@@ -490,9 +608,19 @@ class FluidCoordinator:
         # solve; and sim.activity() at the last tick.
         self._kept: list[tuple[float, bool]] | None = None
         self._mark = 0
+        # The rows: one accounted tick each, [end - dt, end].  The rows
+        # of a run, from _run_rows[r] up to the next run's first row,
+        # share the solve _run_solves[r].
+        self._ends: list[float] = []
+        self._dts: list[float] = []
+        self._run_rows: list[int] = []
+        self._run_solves: list[list[tuple[float, bool]]] = []
 
-    def register(self, client: FluidHttperf) -> None:
-        """Add a client; starts the tick process on the first register."""
+    def register(self, client: FluidHttperf) -> tuple[int, int]:
+        """Add a client; starts the tick process on the first register.
+
+        Returns the client's index into every solve and its first row.
+        """
         if self._stopped:
             raise ReproError("fluid coordinator already finalized")
         self._clients.append(client)
@@ -500,6 +628,7 @@ class FluidCoordinator:
         if self._proc is None:
             self._last = self.sim.now
             self._proc = self.sim.spawn(self._run(), name="fluid.coordinator")
+        return len(self._clients) - 1, len(self._ends)
 
     def _run(self) -> typing.Generator:
         sim = self.sim
@@ -512,10 +641,14 @@ class FluidCoordinator:
             self._account(sim.now, quiet)
 
     def _account(self, until: float, quiet: bool = False) -> None:
-        """Commit every client over ``[last tick, until]``.
+        """Account ``[last tick, until]`` as one row.
 
-        A ``quiet`` tick reuses the kept solve; under the sanitizer it
-        solves anyway and reports each client whose kept pair differs.
+        A ``quiet`` tick reuses the kept solve, so its row extends the
+        current run; under the sanitizer it solves anyway and reports each
+        client whose kept pair differs.  A solve keeps its pairs for the
+        next quiet tick unless a reachable client's corpus is partly
+        resident: that client's cache is re-warmed here, and the next
+        probe reads it.
         """
         start = self._last
         if until <= start:
@@ -523,8 +656,9 @@ class FluidCoordinator:
         self._last = until
         kept = self._kept if quiet else None
         sanitizer = self.sim.sanitizer
+        warming = False
         if kept is None or sanitizer is not None:
-            solved = self._solve()
+            solved, warming = self._solve()
             if kept is not None:
                 for client, old, new in zip(self._clients, kept, solved):
                     if old != new:
@@ -534,16 +668,29 @@ class FluidCoordinator:
                             f"(rate, up) = {old!r} on the tick ending at "
                             f"t={until!r}, but a fresh solve gives {new!r}",
                         )
+            self._kept = None if warming else solved
             kept = solved
-        for client, (rate, up) in zip(self._clients, kept):
-            client._commit(start, until, rate, up)
+        self._append(start, until, kept)
+        if warming or self.sim.metrics.enabled:
+            row = len(self._ends) - 1
+            for client, (rate, up) in zip(self._clients, kept):
+                client._settle(row, rate, up, warming)
 
-    def _solve(self) -> list[tuple[float, bool]]:
+    def _append(
+        self, start: float, until: float, solve: list[tuple[float, bool]]
+    ) -> None:
+        """Add the row ``[start, until]``; a new ``solve`` starts a run."""
+        solves = self._run_solves
+        if not solves or solves[-1] is not solve:
+            self._run_rows.append(len(self._ends))
+            solves.append(solve)
+        self._ends.append(until)
+        self._dts.append(until - start)
+
+    def _solve(self) -> tuple[list[tuple[float, bool]], bool]:
         """Probe every client and run the waterfill: ``(rate, up)`` each.
 
-        The result is kept for quiet ticks unless a reachable client's
-        corpus is partly resident: its commit re-warms the page cache,
-        which the next probe reads.
+        Also says whether a reachable client's corpus is partly resident.
         """
         clients = self._clients
         count = len(clients)
@@ -583,9 +730,7 @@ class FluidCoordinator:
             rates = demand * scale[machine_index]
         else:
             rates = demand
-        solved = list(zip(rates.tolist(), up.tolist()))
-        self._kept = None if warming else solved
-        return solved
+        return list(zip(rates.tolist(), up.tolist())), warming
 
     def finalize(self) -> None:
         """Account the trailing partial tick and stop; idempotent."""

@@ -105,6 +105,26 @@ class TestUnpinnedOrder:
 
         assert build(sanitize=True) == build(sanitize=False)
 
+    @pytest.mark.parametrize("advance", ["step", "run-until-now"])
+    def test_top_level_code_after_a_step_is_top_level(self, advance):
+        # Both timers on the counter are armed at t=0 by top-level code,
+        # one before and one after the t=0 entry runs, so program order
+        # pins them.  A step() must hand control back the way run() does.
+        sim = Simulator(sanitize=True)
+        counter = _Counter()
+        sim.call_at(5.0, counter.tick)
+        sim.call_at(0.0, lambda: None)
+        if advance == "step":
+            sim.step()
+        else:
+            sim.run(until=0.0)
+        sim.call_at(5.0, counter.tick)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeterminismWarning)
+            sim.run()
+        assert sim.sanitizer.reports == []
+        assert counter.log == ["tick", "tick"]
+
 
 class TestDoubleTrigger:
     def test_double_succeed_raises_and_reports(self):

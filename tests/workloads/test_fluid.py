@@ -144,7 +144,7 @@ class TestDeterminism:
         )
         sim.run(until=sim.now + 10.0)
         client.stop()
-        times = client._tick_t
+        times = client.tick_log()[0]
         assert times == sorted(times)
         # Every tick boundary except a trailing partial is integral.
         assert all(t == int(t) for t in times[:-1])
@@ -226,7 +226,7 @@ class TestFluidModel:
         client = self._client(sim, host, paths, warm=False)
         sim.run(until=sim.now + 30.0)
         client.stop()
-        rates = client._tick_rate
+        rates = client.tick_log()[2]
         assert rates[0] < rates[-1]
         assert rates[-1] >= 190  # back in the cached, NIC-bound band
 

@@ -1,15 +1,18 @@
-"""Quiet fluid ticks reuse the last solve: a differential test.
+"""Quiet fluid ticks and shared tick rows: a differential test.
 
 :class:`~repro.workloads.httperf.FluidCoordinator` serves a quiet tick
 (nothing but its own timeout left the scheduler since the last one) from
-the previous solve instead of probing every client again.  Each case
-below runs twice: once with the per-tick solve from ``fluid_oracle.py``
-patched in, once as shipped.  Every client's tick log, running totals
-and observation-window summary, and (metrics on) its two ``fluid.*``
-counter series must agree bit for bit.  Where a case has quiet
-stretches, the shipped coordinator must also have probed less, so the
-reuse path really ran; a sanitized coordinator solves every tick and
-must find no kept pair stale.
+the previous solve instead of probing every client again, and keeps one
+set of tick rows that every client reads.  Each case below runs twice:
+once with the per-tick path from ``fluid_oracle.py`` patched in (a solve
+every tick, committed into a per-client tick log), once as shipped.
+Every client's ``tick_log()`` against the oracle's log, its totals,
+observation-window summary and (metrics on) its two ``fluid.*`` counter
+series must agree bit for bit.  Where a case has quiet stretches, the
+shipped coordinator must also have probed less, so the reuse path really
+ran; a sanitized coordinator solves every tick and must find no kept
+pair stale.  A hypothesis property does the same over random tick
+scripts.
 """
 
 import itertools
@@ -17,6 +20,7 @@ import math
 import warnings
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import ReproError
 from repro.fleet import run_fleet_shard
@@ -28,7 +32,7 @@ from repro.workloads.httperf import FluidCoordinator, FluidHttperf
 
 from tests.conftest import build_started_host
 from tests.fleet.test_fleet import _fleet
-from tests.workloads.fluid_oracle import reference_account
+from tests.workloads.fluid_oracle import reference_account, view
 
 SERIES = ("fluid.completed_requests", "fluid.failed_requests")
 
@@ -45,16 +49,14 @@ def _bits(value):
 
 
 def _record(sim, clients, since, until):
-    record = [
-        {
-            "ticks": [
-                c._tick_t, c._tick_dt, c._tick_rate, c._tick_fail, c._tick_up,
-            ],
-            "totals": [c.total_completed, c.failures, c.downtime_s],
-            "window": c.window_summary(since, until),
-        }
-        for c in clients
-    ]
+    record = []
+    for client in clients:
+        log = view(client)
+        record.append({
+            "ticks": list(log.tick_log()),
+            "totals": [log.total_completed, log.failures, log.downtime_s],
+            "window": log.window_summary(since, until),
+        })
     if sim.metrics.enabled:
         series = sim.metrics.series_snapshot()
         record.append({name: series[name] for name in SERIES})
@@ -179,7 +181,7 @@ def _shared():
     sim.run(until=start + 20.0)
     for client in clients:
         demand = client._probe()[1]
-        assert max(client._tick_rate) < demand  # scale below 1
+        assert max(view(client).tick_log()[2]) < demand  # scale below 1
     clients[0].stop()
     return sim, clients, (start, sim.now)
 
@@ -208,7 +210,10 @@ def _raising():
     ]
     sim.run(until=start + 30.0)
     coordinator.finalize()
-    assert clients[0].downtime_s > 0 and clients[1].total_completed == 0
+    assert (
+        view(clients[0]).downtime_s > 0
+        and view(clients[1]).total_completed == 0
+    )
     return sim, clients, (start, sim.now)
 
 
@@ -225,7 +230,7 @@ def _late_register():
     )
     sim.run(until=start + 30.0)
     coordinator.finalize()
-    assert clients[1]._tick_t[0] == math.ceil(start + 10.5)
+    assert view(clients[1]).tick_log()[0][0] == math.ceil(start + 10.5)
     return sim, clients, (start, sim.now)
 
 
@@ -242,7 +247,7 @@ def _between_runs():
     nic.bring_up()
     sim.run(until=start + 30.0)
     client.stop()
-    assert client.downtime_s > 0
+    assert view(client).downtime_s > 0
     return sim, [client], (start, sim.now)
 
 
@@ -267,7 +272,7 @@ def _between_steps():
     nic.bring_up()
     step_to(start + 30.0)
     client.stop()
-    assert client.downtime_s > 0
+    assert view(client).downtime_s > 0
     return sim, [client], (start, sim.now)
 
 
@@ -280,7 +285,7 @@ def _finalize_after_call():
     sim.run(until=start + 10.5)
     host.machine.nic.bring_down()
     client.stop()
-    assert client._tick_up[-1] is False
+    assert view(client).tick_log()[4][-1] is False
     return sim, [client], (start, sim.now)
 
 
@@ -298,6 +303,97 @@ def _finalize_after_call():
 )
 def test_one_host(case, quiet):
     _check(case, quiet)
+
+
+# -- tick scripts --------------------------------------------------------------
+
+_OPS = st.one_of(
+    # run(until=...) to a whole second k ahead, or half a second past it
+    st.tuples(st.just("run"), st.integers(1, 8), st.booleans()),
+    st.tuples(st.just("step"), st.integers(1, 4)),
+    st.tuples(st.just("nic"), st.booleans()),
+    # a page-cache eviction: the next solve re-warms, and keeps nothing
+    st.tuples(st.just("evict"), st.integers(0, 7)),
+    st.tuples(st.just("register"), st.integers(0, 1)),
+    st.tuples(
+        st.just("read"),
+        st.floats(min_value=0.0, max_value=40.0),
+        st.floats(min_value=0.0, max_value=40.0),
+    ),
+    st.tuples(st.just("finalize")),
+)
+
+
+def _script(ops, metrics, sanitize=None):
+    """Run ``ops`` between calls into one host's simulator.
+
+    Returns what the reads saw (each client's totals and one window
+    summary, mid-run), the final record and the simulator.
+    """
+    sim = Simulator(metrics=metrics, sanitize=sanitize)
+    host, paths = _host(sim, vms=2)
+    start = sim.now
+    coordinator = FluidCoordinator(sim)
+    clients = [_client(coordinator, host, "vm0", paths[0])]
+    nic = host.machine.nic
+    reads = []
+    for op, *args in ops:
+        if op == "run":
+            ahead, off_grid = args
+            sim.run(until=math.floor(sim.now) + ahead + (0.5 if off_grid else 0))
+        elif op == "step":
+            for _ in range(args[0]):
+                if sim.peek() == math.inf:
+                    break
+                sim.step()
+        elif op == "nic":
+            if args[0]:
+                nic.bring_up()
+            else:
+                nic.bring_down()
+        elif op == "evict":
+            host.guest("vm0").page_cache.invalidate(paths[0][args[0]])
+        elif op == "register":
+            if not coordinator._stopped:
+                vm = args[0]
+                clients.append(_client(coordinator, host, f"vm{vm}", paths[vm]))
+        elif op == "read":
+            since, length = args
+            for client in clients:
+                log = view(client)
+                reads.append([
+                    log.total_completed, log.failures, log.downtime_s,
+                    log.window_summary(start + since, start + since + length),
+                ])
+        else:
+            coordinator.finalize()
+    return _bits(reads), _record(sim, clients, start, sim.now), sim
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=st.lists(_OPS, max_size=12), metrics=st.booleans())
+@example(  # a late client's first row is clipped at its registration
+    ops=[("run", 2, True), ("register", 1), ("run", 3, False),
+         ("read", 0.0, 40.0), ("finalize",)],
+    metrics=True,
+)
+@example(
+    ops=[("step", 2), ("nic", False), ("step", 3), ("read", 0.0, 40.0),
+         ("nic", True), ("evict", 3), ("run", 4, True), ("read", 1.0, 5.0),
+         ("run", 2, False), ("finalize",), ("read", 0.0, 40.0)],
+    metrics=False,
+)
+def test_tick_scripts_match_the_oracle(ops, metrics):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FluidCoordinator, "_account", reference_account)
+        *expected, _ = _script(ops, metrics)
+    *got, _ = _script(ops, metrics)
+    assert got == expected
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeterminismWarning)
+        *sanitized, sim = _script(ops, metrics, sanitize=True)
+    assert sanitized == expected
+    assert not sim.sanitizer.reports
 
 
 # -- the sanitizer checks every reuse ------------------------------------------

@@ -1,11 +1,14 @@
 """Fluid window queries, bit for bit against the generator-based oracle.
 
 ``FluidHttperf``'s window queries (``mean_rate``, ``availability``) and
-``window_summary`` share one left-to-right pass over the tick log.  The
-property below builds random tick logs through ``_commit`` (so the
-client's ``_since`` clips them the way a real run does) and compares
+``window_summary`` share one left-to-right pass over the client's rows.
+The property below builds random rows, with gaps between them, through
+the coordinator's row-append method around the client's registration (so
+the client's ``_since`` clips them the way a real run does) and compares
 every query against ``window_oracle.py`` by type and ``float.hex``: an
 empty window must still read the integer 0 where ``sum`` returned it.
+The client's ``tick_log()`` must also equal, bit for bit, the log the
+per-client ``_commit`` kept for the same ticks (``fluid_oracle.TickLog``).
 """
 
 from hypothesis import given, settings, strategies as st
@@ -14,6 +17,7 @@ from repro.simkernel import Simulator
 from repro.workloads.httperf import FluidCoordinator, FluidHttperf
 
 from tests.workloads import window_oracle
+from tests.workloads.fluid_oracle import TickLog
 
 INF = float("inf")
 QUERIES = ("availability", "mean_rate")
@@ -34,26 +38,53 @@ def _bits(value):
     return type(value), float(value).hex()
 
 
+def _column_bits(log):
+    return [[_bits(value) for value in column] for column in log]
+
+
 def _client(since, start, rows, sessions):
-    """A client whose log holds ``rows`` of (gap, length, rate, up) from
-    ``start``, committed while its ``_since`` is ``since``."""
+    """A client registered at ``since``, over ``rows`` of (gap, length,
+    rate, up) from ``start``; and the log ``_commit`` kept for them.
+
+    Rows that end by ``since`` are appended before the client registers,
+    like ticks accounted before it, so only its first row can start
+    before ``since``.  Consecutive rows with equal ``(rate, up)`` share
+    one solve list, so they form one run.
+    """
     sim = Simulator(start_time=since)
-    client = FluidHttperf(
-        FluidCoordinator(sim), lambda: None, ["/www/0"], sessions=sessions
-    )
+    coordinator = FluidCoordinator(sim)
+    ticks = []
     for gap, length, rate, up in rows:
         start += gap
-        client._commit(start, start + length, rate, up)
+        ticks.append((start, start + length, rate, up))
         start += length
-    return client
+
+    def register():
+        return FluidHttperf(
+            coordinator, lambda: None, ["/www/0"], sessions=sessions
+        )
+
+    client = solve = None
+    for start, end, rate, up in ticks:
+        if client is None and end > since:
+            client = register()
+        if solve is None or solve[0] != (rate, up):
+            solve = [(rate, up)]
+        coordinator._append(start, end, solve)
+    if client is None:
+        client = register()
+    committed = TickLog(client)
+    for tick in ticks:
+        committed.commit(*tick)
+    return client, committed
 
 
 @st.composite
 def windows(draw, client):
     """The ``±inf`` defaults, windows inside one tick, on tick boundaries,
     empty ones, and arbitrary ones."""
-    ends = client._tick_t
-    starts = [end - dt for end, dt in zip(ends, client._tick_dt)]
+    ends, dts = client.tick_log()[:2]
+    starts = [end - dt for end, dt in zip(ends, dts)]
     kinds = ["defaults", "arbitrary", "empty"] + (
         ["inside", "boundaries"] if ends else []
     )
@@ -89,7 +120,10 @@ def windows(draw, client):
 def test_one_pass_queries_match_the_oracle_bit_for_bit(
     since, start, rows, sessions, data
 ):
-    client = _client(since, start, rows, sessions)
+    client, committed = _client(since, start, rows, sessions)
+    assert _column_bits(client.tick_log()) == _column_bits(
+        committed.tick_log()
+    )
     for _ in range(4):
         window = data.draw(windows(client))
         args = () if window is None else window
@@ -107,7 +141,7 @@ def test_one_pass_queries_match_the_oracle_bit_for_bit(
 
 
 def test_an_empty_window_reads_the_integer_zero():
-    client = _client(0.0, 0.0, [(0.0, 1.0, 5.0, True)], sessions=4)
+    client, _ = _client(0.0, 0.0, [(0.0, 1.0, 5.0, True)], sessions=4)
     empty = client.window_summary(2.0, 3.0)
     assert empty["requests"] == 0 and type(empty["requests"]) is int
     whole = client.window_summary(-INF, INF)

@@ -8,8 +8,9 @@ an ``_overlaps`` generator over the client's tick log and folds it, so
 written out as what ``sum`` computed on Python 3.10 and 3.11 (start at
 the integer 0, ``+=`` in tick order), because from 3.12 on ``sum`` adds
 floats with compensation and would give other bits on other
-interpreters.  ``test_window_queries.py`` compares the one-pass queries
-against these by ``float.hex`` on random tick logs and windows.
+interpreters.  They read the five columns of ``tick_log()``.
+``test_window_queries.py`` compares the one-pass queries against these
+by ``float.hex`` on random tick logs and windows.
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ INF = float("inf")
 
 def overlaps(client: typing.Any, since: float, until: float):
     """(row index, overlap seconds) for ticks intersecting a window."""
-    ticks = client._tick_t
+    ticks, dts, _, _, _ = client.tick_log()
     lo = bisect_left(ticks, since)
     for i in range(lo, len(ticks)):
         end = ticks[i]
-        start = end - client._tick_dt[i]
+        start = end - dts[i]
         if start >= until:
             return
         overlap = min(end, until) - max(start, since)
@@ -35,25 +36,28 @@ def overlaps(client: typing.Any, since: float, until: float):
 
 
 def requests(client: typing.Any, since: float = -INF, until: float = INF) -> float:
+    rates = client.tick_log()[2]
     total = 0
     for i, ov in overlaps(client, since, until):
-        total += client._tick_rate[i] * ov
+        total += rates[i] * ov
     return total
 
 
 def failures_in(
     client: typing.Any, since: float = -INF, until: float = INF
 ) -> float:
+    fails = client.tick_log()[3]
     total = 0
     for i, ov in overlaps(client, since, until):
-        total += client._tick_fail[i] * ov
+        total += fails[i] * ov
     return total
 
 
 def downtime(client: typing.Any, since: float = -INF, until: float = INF) -> float:
+    ups = client.tick_log()[4]
     total = 0
     for i, ov in overlaps(client, since, until):
-        if not client._tick_up[i]:
+        if not ups[i]:
             total += ov
     return total
 
@@ -61,21 +65,23 @@ def downtime(client: typing.Any, since: float = -INF, until: float = INF) -> flo
 def availability(
     client: typing.Any, since: float = -INF, until: float = INF
 ) -> float:
+    ups = client.tick_log()[4]
     total = 0.0
     down = 0.0
     for i, overlap in overlaps(client, since, until):
         total += overlap
-        if not client._tick_up[i]:
+        if not ups[i]:
             down += overlap
     return 1.0 - down / total if total > 0 else 1.0
 
 
 def mean_rate(client: typing.Any, since: float = -INF, until: float = INF) -> float:
+    rates = client.tick_log()[2]
     total = 0.0
     done = 0.0
     for i, overlap in overlaps(client, since, until):
         total += overlap
-        done += client._tick_rate[i] * overlap
+        done += rates[i] * overlap
     return done / total if total > 0 else 0.0
 
 
