@@ -19,7 +19,14 @@ For every workload and every ``end_to_end`` metric of ``BENCHMARK.json``
 it prints both medians, both quartile ranges (first to third quartile),
 the relative change of the median, and how many pairs the change won:
 strictly better by the metric's ``better`` direction, ties counting for
-neither side.  The worktree is removed afterwards.
+neither side.
+
+After a workload's ten pairs comes one traced pair on seed 0 (``--trace
+1``, the base first).  For every ``per_layer`` metric of
+``BENCHMARK.json`` it prints the base value, the change value and the
+relative change.  Those are one sample each, where per-layer deltas
+show, not a gate: they count toward neither the wins nor the exit
+status unless a traced run fails.  The worktree is removed afterwards.
 
 Exit status: 0 when every run produced a correct result with no failed
 operation, 1 otherwise (each failing run is named on stderr), 2 when
@@ -104,6 +111,40 @@ def summarize(
     }
 
 
+def traced_rows(base: dict, change: dict, metrics: typing.Sequence[dict]) -> list[dict]:
+    """One traced pair's value of every declared per-layer metric."""
+    rows = []
+    for metric in metrics:
+        name = metric["name"]
+        before = base["metrics"][name]["value"]
+        after = change["metrics"][name]["value"]
+        rows.append(
+            {
+                "metric": name,
+                "unit": metric.get("unit", ""),
+                "base": before,
+                "change": after,
+                "delta": (after - before) / before if before else float("nan"),
+            }
+        )
+    return rows
+
+
+def render_traced(workload: str, seed: int, rows: list[dict]) -> str:
+    """A fixed-width table of :func:`traced_rows` for one workload."""
+    lines = [
+        f"{workload}: traced pair, seed {seed} (one sample each, not a gate)",
+        f"  {'metric':<34} {'base value':>12} {'change value':>12} {'change':>8}",
+    ]
+    for row in rows:
+        label = f"{row['metric']} ({row['unit']})"
+        lines.append(
+            f"  {label:<34} {row['base']:>12.4g} {row['change']:>12.4g} "
+            f"{row['delta']:>+8.1%}"
+        )
+    return "\n".join(lines)
+
+
 def render(workload: str, seeds: typing.Sequence[int], rows: list[dict]) -> str:
     """A fixed-width table of :func:`summarize` rows for one workload."""
     lines = [
@@ -147,7 +188,12 @@ def checkout(base: str) -> pathlib.Path:
 
 
 def run_once(
-    command: list[str], tree: pathlib.Path, workload: str, seed: int, seconds: int
+    command: list[str],
+    tree: pathlib.Path,
+    workload: str,
+    seed: int,
+    seconds: int,
+    trace: int = 0,
 ) -> tuple[dict | None, str]:
     """One benchmark run in ``tree``: (parsed result or None, diagnosis)."""
     env = {
@@ -156,7 +202,7 @@ def run_once(
     }
     argv = [
         *command, "--workload", workload, "--seed", str(seed),
-        "--seconds", str(seconds), "--trace", "0",
+        "--seconds", str(seconds), "--trace", str(trace),
     ]
     done = subprocess.run(argv, cwd=tree, capture_output=True, text=True, env=env)
     try:
@@ -207,6 +253,25 @@ def main(argv: list[str] | None = None) -> int:
             if pairs:
                 rows = [summarize(pairs, metric) for metric in declared["end_to_end"]]
                 print(render(workload, paired, rows), flush=True)
+            traced = {}
+            for side in ("base", "change"):
+                result, trouble = run_once(
+                    declared["command"], trees[side], workload, SEEDS[0],
+                    seconds, trace=1,
+                )
+                print(
+                    f"ab: {workload} traced seed {SEEDS[0]} {side}: "
+                    + (trouble or "ok"),
+                    file=sys.stderr,
+                )
+                if trouble:
+                    status = 1
+                traced[side] = result
+            if traced["base"] is not None and traced["change"] is not None:
+                rows = traced_rows(
+                    traced["base"], traced["change"], declared["per_layer"]
+                )
+                print(render_traced(workload, SEEDS[0], rows), flush=True)
     finally:
         try:
             _git("worktree", "remove", "--force", str(base_tree))

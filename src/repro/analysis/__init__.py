@@ -25,7 +25,8 @@ from repro.analysis.obs import (
     CriticalPathEntry,
     capture_simulators,
     parse_prometheus,
-    perfetto_document,
+    perfetto_events,
+    perfetto_json,
     perfetto_trace,
     prometheus_snapshot,
     reboot_critical_path,
@@ -69,7 +70,8 @@ __all__ = [
     "mean_rate",
     "paper_model",
     "parse_prometheus",
-    "perfetto_document",
+    "perfetto_events",
+    "perfetto_json",
     "perfetto_trace",
     "prometheus_snapshot",
     "reboot_critical_path",

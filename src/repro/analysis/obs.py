@@ -4,10 +4,14 @@
   ``span.begin``/``span.end`` records joined into plain dicts, the form
   fleet shards ship in their telemetry blobs, so every query here
   answers from a live trace and from a bundle shard alike.
-* :func:`perfetto_document` — the one Chrome trace-event builder (the
+* :func:`perfetto_events` — the one Chrome trace-event builder (the
   format Perfetto and ``chrome://tracing`` load) over span records and a
-  metrics ``series_snapshot``; :func:`perfetto_trace` applies it to a
-  live simulator, :mod:`repro.obs.bundle` to fleet shards.
+  metrics ``series_snapshot``.  It yields each event's JSON text, not a
+  dict: a counter track's prefix and name are encoded once and its
+  samples formatted with ``repr``, which is where a fleet trace's bytes
+  are.  :func:`perfetto_json` joins the texts into the document;
+  :func:`perfetto_trace` (a live simulator) and :mod:`repro.obs.bundle`
+  (fleet shards) parse that text where a caller wants the dict form.
 * :func:`render_prometheus` / :func:`parse_prometheus` — Prometheus text
   exposition and its parser, so round-trip tests and downstream
   scrapers need no third-party client.
@@ -15,9 +19,11 @@
   Figure 7 phase breakdown, checked against the strategy's own
   :class:`~repro.core.strategies.RebootReport`; both are stamped by the
   same ``_PhaseClock`` instants, so any drift is an instrumentation bug.
-* :func:`write_strict_json` / :func:`write_atomic` — the one writer of
-  every telemetry artifact; :func:`write_perfetto` is its name for
-  per-simulation trace files.
+* :func:`write_strict_json` / :func:`write_trace_events` /
+  :func:`write_atomic` — the writers of every telemetry artifact: a
+  dict document or the trace-event texts is encoded whole before
+  anything is opened, then written atomically; :func:`write_perfetto` is
+  the trace writer's name for per-simulation trace files.
 
 ``python -m repro.obs check`` cross-checks them all (``make obs-check``).
 """
@@ -31,6 +37,7 @@ import os
 import pathlib
 import re
 import typing
+from json.encoder import encode_basestring_ascii
 
 from repro.errors import AnalysisError
 from repro.simkernel import kernel as _kernel
@@ -89,33 +96,57 @@ def span_records(trace: "Tracer") -> list[dict[str, typing.Any]]:
 # Perfetto / Chrome trace-event export
 # ---------------------------------------------------------------------------
 
-def perfetto_document(
+_STRICT = json.JSONEncoder(allow_nan=False).encode
+"""``json.dumps(value, allow_nan=False)``, without building an encoder
+per call."""
+
+_EXACT = frozenset({float, int})
+"""The number types whose ``repr`` is their JSON text: not ``bool``,
+whose JSON is ``true``/``false``, nor float subclasses such as
+``numpy.float64``, whose ``repr`` names the type."""
+
+_NONFINITE = frozenset({"nan", "inf", "-inf"})
+"""The ``repr`` of every float strict JSON cannot hold."""
+
+
+def perfetto_events(
     spans: typing.Sequence[dict[str, typing.Any]],
     series: typing.Mapping[str, list[dict[str, typing.Any]]],
     pid: int = 1,
     process: str = "repro-sim",
     shard: int | None = None,
-) -> dict[str, typing.Any]:
-    """Chrome trace-event JSON for one simulation's :func:`span_records`
-    and metric ``series`` (a ``MetricsRegistry.series_snapshot``).
+) -> typing.Iterator[str]:
+    """The JSON text of each Chrome trace event for one simulation's
+    :func:`span_records` and metric ``series`` (a
+    ``MetricsRegistry.series_snapshot``), in document order.
 
     Spans become ``"X"`` events on process ``pid``, one thread track per
     actor; counter/gauge series become ``"C"`` events on ``pid + 1``,
     which appears only when ``series`` holds a metric.  An open span is
     truncated at the latest span instant and flagged ``args.open``;
-    ``shard``, when given, joins every span's args.  Loads directly in
-    https://ui.perfetto.dev.
+    ``shard``, when given, joins every span's args.
+    :func:`perfetto_json` joins the texts into a document that loads
+    directly in https://ui.perfetto.dev.
+
+    Each text is what ``json.dumps(event, allow_nan=False)`` gives for
+    the event as a dict.  Span and metadata events are encoded that way,
+    one at a time.  Counter samples, nearly every event of a fleet
+    trace, are formatted per track (:func:`_counter_track`), and a
+    track's events come as one text, joined by ``", "`` as the document
+    joins events.  The generator is lazy: a NaN or an infinity raises
+    ``ValueError``, and a value JSON cannot hold (``numpy.int64``)
+    ``TypeError``, when the track that holds it is reached.
     """
-    events: list[dict[str, typing.Any]] = [
+    yield _STRICT(
         {
             "ph": "M", "pid": pid, "name": "process_name",
             "args": {"name": f"{process} spans"},
-        },
-    ]
+        }
+    )
     actors = sorted({span["actor"] for span in spans})
     tids = {actor: tid for tid, actor in enumerate(actors, start=1)}
     for actor, tid in tids.items():
-        events.append(
+        yield _STRICT(
             {
                 "ph": "M", "pid": pid, "tid": tid, "name": "thread_name",
                 "args": {"name": actor},
@@ -139,7 +170,7 @@ def perfetto_document(
             args["shard"] = shard
         if span["end"] is None:
             args["open"] = True
-        events.append(
+        yield _STRICT(
             {
                 "ph": "X",
                 "pid": pid,
@@ -154,56 +185,103 @@ def perfetto_document(
                 "args": args,
             }
         )
-    if series:
-        metric_pid = pid + 1
-        events.append(
-            {
-                "ph": "M", "pid": metric_pid, "name": "process_name",
-                "args": {"name": f"{process} metrics"},
-            }
+    if not series:
+        return
+    metric_pid = pid + 1
+    yield _STRICT(
+        {
+            "ph": "M", "pid": metric_pid, "name": "process_name",
+            "args": {"name": f"{process} metrics"},
+        }
+    )
+    for metric_name in sorted(series):
+        for entry in series[metric_name]:
+            if "times" not in entry:
+                continue  # histograms keep no series
+            label_text = ",".join(
+                f"{k}={v}" for k, v in sorted(entry["labels"].items())
+            )
+            track = (
+                f"{metric_name}{{{label_text}}}" if label_text else metric_name
+            )
+            text = _counter_track(
+                metric_pid, track, entry["times"], entry["values"]
+            )
+            if text:
+                yield text
+
+
+def _counter_track(
+    pid: int,
+    track: str,
+    times: typing.Sequence[typing.Any],
+    values: typing.Sequence[typing.Any],
+) -> str:
+    """One counter track's ``"C"`` events, one per ``(time, value)``, as
+    one text joined by ``", "`` (empty for a track with no samples).
+
+    The text around the two numbers is encoded once per track.  When
+    every time and value is exactly a ``float`` or an ``int``, and every
+    float (each time ×1e6 included) is finite, ``repr`` is each number's
+    JSON text.  Otherwise every sample goes through the strict encoder,
+    one number at a time and in document order: ``True`` writes
+    ``true``, ``numpy.float64(1.0)`` writes ``1.0``, and a NaN raises.
+    """
+    head = f'{{"ph": "C", "pid": {_STRICT(pid)}, "ts": '
+    middle = f', "name": {encode_basestring_ascii(track)}, "args": {{"value": '
+    samples: typing.Iterable[str] | None = None
+    if _EXACT.issuperset(map(type, times)) and _EXACT.issuperset(
+        map(type, values)
+    ):
+        stamps = list(map(repr, map(_US.__mul__, times)))
+        texts = list(map(repr, values))
+        if _NONFINITE.isdisjoint(stamps) and _NONFINITE.isdisjoint(texts):
+            samples = map(middle.join, zip(stamps, texts))
+    if samples is None:
+        samples = (
+            f"{_STRICT(t * _US)}{middle}{_STRICT(v)}"
+            for t, v in zip(times, values)
         )
-        for metric_name in sorted(series):
-            for entry in series[metric_name]:
-                if "times" not in entry:
-                    continue  # histograms keep no series
-                label_text = ",".join(
-                    f"{k}={v}" for k, v in sorted(entry["labels"].items())
-                )
-                track = (
-                    f"{metric_name}{{{label_text}}}"
-                    if label_text
-                    else metric_name
-                )
-                for t, v in zip(entry["times"], entry["values"]):
-                    events.append(
-                        {
-                            "ph": "C", "pid": metric_pid, "ts": t * _US,
-                            "name": track, "args": {"value": v},
-                        }
-                    )
-    return {"displayTimeUnit": "ms", "traceEvents": events}
+    text = ("}}, " + head).join(samples)
+    return f"{head}{text}}}}}" if text else ""
+
+
+def perfetto_json(events: typing.Iterable[str]) -> str:
+    """The trace document around :func:`perfetto_events` texts: what
+    ``json.dumps(..., allow_nan=False)`` gives for the document as a
+    dict, ``{"displayTimeUnit": "ms", "traceEvents": [...]}``."""
+    return (
+        '{"displayTimeUnit": "ms", "traceEvents": ['
+        + ", ".join(events)
+        + "]}"
+    )
 
 
 def perfetto_trace(
     trace: "Tracer", metrics: MetricsRegistry | None = None
 ) -> dict[str, typing.Any]:
-    """:func:`perfetto_document` for a live simulator's trace and (when
-    given and enabled) metrics registry."""
+    """A live simulator's trace and (when given and enabled) metrics
+    registry as a Perfetto document: the parse of the text that
+    :func:`perfetto_events` gives for them."""
     series = (
         metrics.series_snapshot()
         if metrics is not None and metrics.enabled
         else {}
     )
-    return perfetto_document(span_records(trace), series)
+    return json.loads(
+        perfetto_json(perfetto_events(span_records(trace), series))
+    )
 
 
 def write_perfetto(
-    path: "str | pathlib.Path", document: dict[str, typing.Any]
+    path: "str | pathlib.Path", events: typing.Iterable[str]
 ) -> pathlib.Path:
-    """Write one simulation's Perfetto document to ``path`` (strict JSON):
-    every ``--trace-out`` file, per-shard ones included, and the
-    self-check's ``trace.json``."""
-    return write_strict_json(path, document)
+    """Write one simulation's :func:`perfetto_events` to ``path``: every
+    ``--trace-out`` file, per-shard ones included, and the self-check's
+    ``trace.json``.  The merged fleet document goes through
+    :func:`write_trace_events` directly, so the bytes written under this
+    name are per-simulation traces only."""
+    return write_trace_events(path, events)
 
 
 # ---------------------------------------------------------------------------
@@ -232,18 +310,43 @@ def write_atomic(path: "str | pathlib.Path", text: str) -> pathlib.Path:
 def write_strict_json(
     path: "str | pathlib.Path", document: typing.Any
 ) -> pathlib.Path:
-    """The one writer of every strict-JSON telemetry artifact.
+    """The one writer of every strict-JSON telemetry artifact except the
+    Perfetto traces (:func:`write_trace_events`).
 
-    The whole document is encoded in one ``json.dumps`` call, which runs
-    CPython's C encoder; ``json.dump`` to a handle always takes the
-    pure-Python ``iterencode`` path instead (same bytes, about 3x
-    slower on a fleet-sized Perfetto trace).  Encoding happens before
-    anything is opened, so a value strict JSON cannot hold (NaN,
-    infinities) raises :class:`AnalysisError` naming ``path`` and leaves
-    any existing file untouched; the write itself is :func:`write_atomic`.
+    The whole document is encoded in one call of CPython's C encoder;
+    ``json.dump`` to a handle always takes the pure-Python
+    ``iterencode`` path instead (same bytes, 2.6x slower on
+    fleet-observed's seed-0 bundle).  Encoding happens before anything is opened, so
+    a value strict JSON cannot hold (NaN, infinities) raises
+    :class:`AnalysisError` naming ``path`` and leaves any existing file
+    untouched; the write itself is :func:`write_atomic`.
     """
+    return _write_encoded(path, _STRICT, document)
+
+
+def write_trace_events(
+    path: "str | pathlib.Path", events: typing.Iterable[str]
+) -> pathlib.Path:
+    """The one writer of Perfetto trace files: :func:`perfetto_json` of
+    ``events`` to ``path``, under :func:`write_strict_json`'s contract.
+
+    The events are joined (and, being lazy, built) before anything is
+    opened, so a NaN or an infinity raises :class:`AnalysisError` naming
+    ``path`` and leaves any existing file untouched.
+    """
+    return _write_encoded(path, perfetto_json, events)
+
+
+def _write_encoded(
+    path: "str | pathlib.Path",
+    encode: typing.Callable[[typing.Any], str],
+    data: typing.Any,
+) -> pathlib.Path:
+    """:func:`write_atomic` of ``encode(data)``; the ``ValueError`` that
+    strict encoding raises on NaN or an infinity becomes an
+    :class:`AnalysisError` naming ``path``."""
     try:
-        text = json.dumps(document, allow_nan=False)
+        text = encode(data)
     except ValueError as exc:
         raise AnalysisError(f"{path}: not strict JSON: {exc}") from exc
     return write_atomic(path, text)

@@ -142,7 +142,11 @@ def main(argv: typing.Sequence[str] | None = None) -> int:
     elapsed = time.perf_counter() - started
 
     if args.trace_out:
-        from repro.analysis.obs import perfetto_trace, write_perfetto
+        from repro.analysis.obs import (
+            perfetto_events,
+            span_records,
+            write_perfetto,
+        )
 
         target = pathlib.Path(args.trace_out)
         for index, sim in enumerate(captured):
@@ -153,8 +157,10 @@ def main(argv: typing.Sequence[str] | None = None) -> int:
                     f"{target.stem}-{index:02d}{target.suffix or '.json'}"
                 )
             )
-            document = perfetto_trace(sim.trace, sim.metrics)
-            print(f"  wrote {write_perfetto(path, document)}")
+            events = perfetto_events(
+                span_records(sim.trace), sim.metrics.series_snapshot()
+            )
+            print(f"  wrote {write_perfetto(path, events)}")
 
     failures = 0
     for key in targets:

@@ -68,7 +68,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if args.trace_out:
             for shard in bundle.shards:
                 out = _trace_suffixed(args.trace_out, shard.shard)
-                print(f"wrote {write_perfetto(out, shard.to_perfetto())}")
+                print(f"wrote {write_perfetto(out, shard.perfetto_events())}")
         if args.obs_out:
             print(f"wrote {bundle.write(args.obs_out)}")
     print(report.render())

@@ -11,15 +11,19 @@ fleet-wide bundle with host→shard provenance.
 
 The bundle is the *single source* for every fleet-scale export:
 
-* :meth:`ShardTelemetry.to_perfetto` — one shard's own trace, the
-  document its live simulator would export (``fleet run --trace-out``);
-* :meth:`TelemetryBundle.to_perfetto` — one merged Chrome trace-event
-  document, one process group per shard, loadable directly in
-  https://ui.perfetto.dev;
+* :meth:`ShardTelemetry.perfetto_events` — one shard's own trace, the
+  events its live simulator would export (``fleet run --trace-out``);
+* :meth:`TelemetryBundle.perfetto_events` — one merged Chrome
+  trace-event document, one process group per shard, loadable directly
+  in https://ui.perfetto.dev;
 * :meth:`TelemetryBundle.to_prometheus` — one text exposition page whose
   samples carry a ``shard`` label on top of the instrument labels;
 * :func:`repro.obs.timeline.decision_timelines` — causal chains per
   control-plane decision, reconstructed from the bundle alone.
+
+Both Perfetto builders yield each trace event's JSON text, which
+:meth:`TelemetryBundle.write_perfetto` and the fleet CLI write as it is;
+``to_perfetto()`` parses the same text for readers that want dicts.
 
 Everything is strict-JSON plain data and built in deterministic order,
 so serial, sharded-parallel and cache-replayed fleet runs produce
@@ -35,11 +39,13 @@ import pathlib
 import typing
 
 from repro.analysis.obs import (
-    perfetto_document,
+    perfetto_events,
+    perfetto_json,
     render_prometheus,
     span_records,
     write_atomic,
     write_strict_json,
+    write_trace_events,
 )
 from repro.errors import AnalysisError
 
@@ -102,11 +108,16 @@ class ShardTelemetry:
         except TypeError as exc:
             raise AnalysisError(f"malformed shard telemetry: {exc}") from None
 
-    def to_perfetto(self) -> dict:
-        """This shard's own Perfetto document: byte for byte what
-        :func:`~repro.analysis.obs.perfetto_trace` gives on the shard's
+    def perfetto_events(self) -> typing.Iterator[str]:
+        """This shard's own trace-event texts: byte for byte what
+        :func:`~repro.analysis.obs.perfetto_events` gives for the shard's
         live simulator, rebuilt from the blob."""
-        return perfetto_document(self.spans, self.metrics)
+        return perfetto_events(self.spans, self.metrics)
+
+    def to_perfetto(self) -> dict:
+        """This shard's own Perfetto document, parsed from the text of
+        :meth:`perfetto_events`."""
+        return json.loads(perfetto_json(self.perfetto_events()))
 
 
 def _plain_copy(value: typing.Any) -> typing.Any:
@@ -256,8 +267,9 @@ class TelemetryBundle:
 
     # -- merged Perfetto document -------------------------------------------------
 
-    def to_perfetto(self) -> dict:
-        """One merged Chrome trace-event document for the whole fleet.
+    def perfetto_events(self) -> typing.Iterator[str]:
+        """The trace-event texts of one merged Chrome trace-event
+        document for the whole fleet.
 
         Each shard contributes two process groups: ``shardN spans``
         (pid ``2N+1``; one thread track per span actor) and ``shardN
@@ -267,20 +279,24 @@ class TelemetryBundle:
         pure provenance — sorting by pid in the Perfetto UI groups every
         host's activity under its owning shard.
         """
-        events: list[dict] = []
         for shard in self.shards:
-            events += perfetto_document(
+            yield from perfetto_events(
                 shard.spans,
                 shard.metrics,
                 pid=2 * shard.shard + 1,
                 process=f"shard{shard.shard}",
                 shard=shard.shard,
-            )["traceEvents"]
-        return {"displayTimeUnit": "ms", "traceEvents": events}
+            )
+
+    def to_perfetto(self) -> dict:
+        """The merged Perfetto document, parsed from the text of
+        :meth:`perfetto_events`."""
+        return json.loads(perfetto_json(self.perfetto_events()))
 
     def write_perfetto(self, path: "str | pathlib.Path") -> pathlib.Path:
-        """Serialize :meth:`to_perfetto` to ``path`` (strict JSON)."""
-        return write_strict_json(path, self.to_perfetto())
+        """Write the merged document's text to ``path`` (strict JSON,
+        atomically; :func:`~repro.analysis.obs.write_trace_events`)."""
+        return write_trace_events(path, self.perfetto_events())
 
     # -- merged Prometheus page ---------------------------------------------------
 

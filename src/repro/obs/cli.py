@@ -36,7 +36,8 @@ import typing
 
 from repro.analysis.obs import (
     parse_prometheus,
-    perfetto_document,
+    perfetto_events,
+    perfetto_json,
     reboot_critical_path,
     reconcile,
     render_prometheus,
@@ -117,14 +118,14 @@ def _check_single_host(out: pathlib.Path | None) -> None:
     )
 
     # 3. The Perfetto export must be strict JSON with both track types.
-    document = perfetto_document(spans, sim.metrics.series_snapshot())
     try:
-        encoded = json.dumps(document, allow_nan=False)
+        events = list(perfetto_events(spans, sim.metrics.series_snapshot()))
     except ValueError as exc:
         raise AnalysisError(
             f"obs self-check failed: Perfetto export is not strict JSON: {exc}"
         ) from exc
-    phases = [event["ph"] for event in document["traceEvents"]]
+    encoded = perfetto_json(events)
+    phases = [event["ph"] for event in json.loads(encoded)["traceEvents"]]
     print(
         f"perfetto: {phases.count('X')} span events, "
         f"{phases.count('C')} counter events, {len(encoded)} bytes"
@@ -158,7 +159,7 @@ def _check_single_host(out: pathlib.Path | None) -> None:
         f"{len(plain)} counter/gauge values verified"
     )
     if out is not None:
-        print(f"wrote {write_perfetto(out / 'trace.json', document)}")
+        print(f"wrote {write_perfetto(out / 'trace.json', events)}")
         print(f"wrote {write_atomic(out / 'metrics.prom', text)}")
 
 

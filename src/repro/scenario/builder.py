@@ -256,7 +256,7 @@ class ScenarioBuilder:
         ]
 
     def _service_name(
-        self, built: BuiltScenario, vm_name: str, kind: str
+        self, guest: GuestKernel, vm_name: str, kind: str
     ) -> str:
         """The concrete service *name* for a spec's service *kind*.
 
@@ -266,7 +266,7 @@ class ScenarioBuilder:
         Names are deterministic per kind, so resolving once at attach
         time stays valid across reboots.
         """
-        for candidate in built.guest(vm_name).services:
+        for candidate in guest.services:
             if candidate.kind == kind or candidate.name == kind:
                 return candidate.name
         raise ScenarioError(f"VM {vm_name!r} runs no {kind!r} service")
@@ -300,7 +300,7 @@ class ScenarioBuilder:
     def _attach(self, built: BuiltScenario, workload: WorkloadSpec) -> None:
         sim = built.sim
         for host, vm_name in self._targets(built, workload):
-            guest = built.guest(vm_name)
+            guest = host.guest(vm_name)
             directory = workload.directory.format(host=host.name, vm=vm_name)
             if workload.kind == "fileread":
                 path = workload.path.format(host=host.name, vm=vm_name)
@@ -310,7 +310,7 @@ class ScenarioBuilder:
                     AttachedWorkload(workload, host, vm_name, [path], None)
                 )
                 continue
-            service_name = self._service_name(built, vm_name, workload.service)
+            service_name = self._service_name(guest, vm_name, workload.service)
             lookup = self._lookup(built, host, vm_name, service_name)
             if workload.kind == "prober":
                 prober = PingProber(

@@ -59,15 +59,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.trace_out:
         from repro.analysis.obs import (
             capture_simulators,
-            perfetto_trace,
+            perfetto_events,
+            span_records,
             write_perfetto,
         )
 
         with capture_simulators() as sims:
             report = run_scenario(spec)
         for sim in sims:
-            document = perfetto_trace(sim.trace, sim.metrics)
-            print(f"wrote {write_perfetto(args.trace_out, document)}")
+            events = perfetto_events(
+                span_records(sim.trace), sim.metrics.series_snapshot()
+            )
+            print(f"wrote {write_perfetto(args.trace_out, events)}")
     else:
         report = run_scenario(spec)
     print(report.render())

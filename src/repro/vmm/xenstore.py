@@ -50,6 +50,9 @@ class Xenstore:
         self.budget_bytes = budget_bytes
         self.faults = faults if faults is not None else AgingFaults.healthy()
         self._tree: dict[str, str] = {}
+        # The entries' bytes, kept by write() and remove() as a running
+        # total; integer sums are exact, so it always equals a re-sum.
+        self._live_bytes = 0
         self._leaked_bytes = 0
         self.transactions = 0
         self._metric_used = (
@@ -65,9 +68,7 @@ class Xenstore:
 
     @property
     def live_bytes(self) -> int:
-        return sum(
-            _ENTRY_OVERHEAD_BYTES + len(k) + len(v) for k, v in self._tree.items()
-        )
+        return self._live_bytes
 
     @property
     def leaked_bytes(self) -> int:
@@ -75,7 +76,7 @@ class Xenstore:
 
     @property
     def used_bytes(self) -> int:
-        return self.live_bytes + self._leaked_bytes
+        return self._live_bytes + self._leaked_bytes
 
     @property
     def exhausted(self) -> bool:
@@ -89,10 +90,11 @@ class Xenstore:
                 self._leaked_bytes + leak, self.budget_bytes
             )
             self._metric_leaked.set(self._leaked_bytes)
-        self._metric_used.set(self.used_bytes)
-        if self.exhausted:
+        used = self.used_bytes
+        self._metric_used.set(used)
+        if used >= self.budget_bytes:
             raise XenstoreError(
-                f"xenstored out of memory ({self.used_bytes}/{self.budget_bytes} B,"
+                f"xenstored out of memory ({used}/{self.budget_bytes} B,"
                 f" {self._leaked_bytes} B leaked)"
             )
 
@@ -108,6 +110,11 @@ class Xenstore:
         """Create or update one entry."""
         self._validate(path)
         self._charge_transaction()
+        previous = self._tree.get(path)
+        if previous is None:
+            self._live_bytes += _ENTRY_OVERHEAD_BYTES + len(path) + len(value)
+        else:
+            self._live_bytes += len(value) - len(previous)
         self._tree[path] = value
 
     def remove(self, path: str) -> int:
@@ -117,7 +124,9 @@ class Xenstore:
         prefix = path.rstrip("/") + "/"
         victims = [p for p in self._tree if p == path or p.startswith(prefix)]
         for victim in victims:
-            del self._tree[victim]
+            self._live_bytes -= (
+                _ENTRY_OVERHEAD_BYTES + len(victim) + len(self._tree.pop(victim))
+            )
         return len(victims)
 
     # -- toolstack helpers ------------------------------------------------------------------

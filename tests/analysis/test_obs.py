@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from repro.analysis.obs import (
     capture_simulators,
     parse_prometheus,
+    perfetto_events,
     perfetto_trace,
     prometheus_snapshot,
     reboot_critical_path,
@@ -21,6 +22,8 @@ from repro.analysis.obs import (
 from repro.errors import AnalysisError
 from repro.experiments.common import build_testbed
 from repro.simkernel import Simulator
+
+from tests.analysis import perfetto_oracle
 
 
 @pytest.fixture()
@@ -73,6 +76,11 @@ class TestSpanTree:
         sim.trace.record("span.end", span=1)
         with pytest.raises(AnalysisError, match="ended twice"):
             span_records(sim.trace)
+
+
+def _live_events(sim):
+    """A live simulator's trace-event texts, as the CLIs write them."""
+    return perfetto_events(span_records(sim.trace), sim.metrics.series_snapshot())
 
 
 def _small_scenario(sim):
@@ -145,9 +153,9 @@ class TestPerfettoExport:
     def test_write_perfetto_matches_the_pure_python_encoding(
         self, sim, tmp_path
     ):
-        """The one-shot writer must reproduce ``json.dump``'s bytes for
-        values whose encoding is easy to get wrong, a non-ASCII actor and
-        an open span."""
+        """The text writer must reproduce ``json.dump``'s bytes for the
+        dict builder's document (the oracle), for values whose encoding
+        is easy to get wrong, a non-ASCII actor and an open span."""
         gauge = sim.metrics.gauge("cpu.runnable", cpu="cœur-0")
         sim.run(until=1e-07)
         sim.spans.span("reboot", actor="hôte-0", detail="warm").__enter__()
@@ -155,28 +163,28 @@ class TestPerfettoExport:
             gauge.set(value)
         with sim.spans.span("reboot.phase", actor="hôte-0"):
             sim.run(until=0.1)
-        document = perfetto_trace(sim.trace, sim.metrics)
-        path = write_perfetto(tmp_path / "trace.json", document)
+        document = perfetto_oracle.perfetto_document(
+            span_records(sim.trace), sim.metrics.series_snapshot()
+        )
+        path = write_perfetto(tmp_path / "trace.json", _live_events(sim))
         assert path.read_text(encoding="utf-8") == "".join(
             json.JSONEncoder(allow_nan=False).iterencode(document)
         )
+        assert perfetto_trace(sim.trace, sim.metrics) == document
 
     def test_failed_write_keeps_the_previous_file(self, sim, tmp_path):
         path = tmp_path / "trace.json"
         path.write_bytes(b'{"previous": true}')
         sim.metrics.gauge("cpu.runnable", cpu="c0").set(float("nan"))
         with pytest.raises(AnalysisError, match="trace.json") as info:
-            write_perfetto(path, perfetto_trace(sim.trace, sim.metrics))
+            write_perfetto(path, _live_events(sim))
         assert isinstance(info.value.__cause__, ValueError)
         assert path.read_bytes() == b'{"previous": true}'
         assert [p.name for p in tmp_path.iterdir()] == ["trace.json"]
 
     def test_write_perfetto_creates_parents_and_strict_json(self, sim, tmp_path):
         _small_scenario(sim)
-        path = write_perfetto(
-            tmp_path / "deep" / "trace.json",
-            perfetto_trace(sim.trace, sim.metrics),
-        )
+        path = write_perfetto(tmp_path / "deep" / "trace.json", _live_events(sim))
         assert path.exists()
         document = json.loads(path.read_text(encoding="utf-8"))
         assert document["displayTimeUnit"] == "ms"

@@ -430,7 +430,8 @@ file_kib = 512.0
         serial in-process run of the same spec with telemetry on."""
         from repro.analysis.obs import (
             capture_simulators,
-            perfetto_trace,
+            perfetto_events,
+            span_records,
             write_perfetto,
         )
 
@@ -443,7 +444,9 @@ file_kib = 512.0
         return [
             write_perfetto(
                 tmp_path / f"live{shard}.json",
-                perfetto_trace(sim.trace, sim.metrics),
+                perfetto_events(
+                    span_records(sim.trace), sim.metrics.series_snapshot()
+                ),
             ).read_bytes()
             for shard, sim in enumerate(sims)
         ]

@@ -19,6 +19,8 @@ from repro.fleet import FleetReport
 from repro.obs import ShardTelemetry, TelemetryBundle, capture_shard
 from repro.simkernel import Simulator
 
+from tests.analysis import perfetto_oracle
+
 _US = 1e6
 
 
@@ -370,11 +372,14 @@ class TestWriters:
         )
 
     def test_perfetto_file_matches_the_pure_python_encoding(self, tmp_path):
+        """The merged text writer reproduces ``json.dump``'s bytes for
+        the dict builder's document (the oracle), not only for a parse
+        of its own text."""
         bundle = _awkward_bundle()
         path = bundle.write_perfetto(tmp_path / "fleet.perfetto.json")
-        assert path.read_text(encoding="utf-8") == _python_encoding(
-            bundle.to_perfetto()
-        )
+        document = perfetto_oracle.bundle_document(bundle)
+        assert path.read_text(encoding="utf-8") == _python_encoding(document)
+        assert bundle.to_perfetto() == document
 
     @pytest.mark.parametrize("writer", ["write", "write_perfetto"])
     def test_failed_write_keeps_the_previous_file(self, tmp_path, writer):

@@ -13,6 +13,7 @@ from repro.scenario import (
     WorkloadSpec,
     build_scenario,
 )
+from repro.scenario.builder import BuiltScenario
 from repro.units import GiB
 
 
@@ -123,6 +124,35 @@ class TestWorkloads:
         )
         assert [w.vm_name for w in built.workloads] == ["vm00", "vm01"]
         assert all(len(w.paths) == 2 for w in built.workloads)
+        built.stop_workloads()
+
+    def test_service_match_attaches_without_scanning_hosts(self, monkeypatch):
+        """Attaching reads each guest from the host its target came with,
+        so a cluster's attach is linear in its hosts: ``host_of`` (a scan
+        of every host) is left to pinned VMs and runtime callers."""
+        calls = []
+        host_of = BuiltScenario.host_of
+        monkeypatch.setattr(
+            BuiltScenario,
+            "host_of",
+            lambda self, vm: calls.append(vm) or host_of(self, vm),
+        )
+        built = build_scenario(
+            _spec(
+                hosts=(
+                    HostSpec(count=3, vms=(VMSpec(services=("ssh", "apache")),)),
+                ),
+                workloads=(
+                    WorkloadSpec(kind="httperf", files=1),
+                    WorkloadSpec(kind="prober", service="ssh"),
+                ),
+            )
+        )
+        assert calls == []
+        assert [(w.host.name, w.vm_name) for w in built.workloads] == [
+            (f"host{i}", f"host{i}-vm0") for i in range(3)
+        ] * 2
+        assert all(built.host_of(w.vm_name) is w.host for w in built.workloads)
         built.stop_workloads()
 
     def test_prober_resolves_service_kind_to_instance_name(self):

@@ -5,7 +5,15 @@ import math
 
 import pytest
 
-from benchmarks.ab import last_json, problems, quartiles, render, summarize
+from benchmarks.ab import (
+    last_json,
+    problems,
+    quartiles,
+    render,
+    render_traced,
+    summarize,
+    traced_rows,
+)
 
 WALL = {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}
 HIGHER = {"name": "hits", "unit": "count", "better": "higher"}
@@ -102,3 +110,58 @@ class TestStatistics:
         assert "wall_s (s)" in text and "3/3" in text
         assert "1.100-1.300" in text and "0.550-0.650" in text
         assert "-50.0%" in text
+
+
+PER_LAYER = [
+    {"name": "analysis.export_s", "unit": "s", "better": "lower"},
+    {"name": "analysis.trace_mb", "unit": "MiB", "better": "lower"},
+    {"name": "jobs.hit_ratio", "unit": "ratio", "better": "higher"},
+]
+
+
+def _traced_line(export_s, trace_mb, hits):
+    """A ``--trace 1`` result line: every per-layer metric, one sample."""
+    return json.dumps(
+        {
+            "correct": True,
+            "attempted": 130,
+            "failed": 0,
+            "metrics": {
+                "analysis.export_s": {"value": export_s, "unit": "s"},
+                "analysis.trace_mb": {"value": trace_mb, "unit": "MiB"},
+                "jobs.hit_ratio": {"value": hits, "unit": "ratio"},
+                "trace.overhead": {"value": 1.5, "unit": "ratio"},
+            },
+        }
+    )
+
+
+class TestTracedPair:
+    def _rows(self):
+        base = last_json(f"table\n{_traced_line(0.4, 11.25, 0.0)}\n")
+        change = last_json(f"table\n{_traced_line(0.1, 11.25, 0.0)}\n")
+        return traced_rows(base, change, PER_LAYER)
+
+    def test_rows_follow_the_declared_per_layer_metrics(self):
+        rows = self._rows()
+        assert [row["metric"] for row in rows] == [
+            "analysis.export_s", "analysis.trace_mb", "jobs.hit_ratio",
+        ]
+        export, trace, hits = rows
+        assert (export["base"], export["change"]) == (0.4, 0.1)
+        assert export["delta"] == pytest.approx(-0.75)
+        assert trace["delta"] == 0.0 and trace["unit"] == "MiB"
+        assert math.isnan(hits["delta"])  # a zero base has no relative change
+
+    def test_render_labels_one_sample_each_not_a_gate(self):
+        text = render_traced("fleet-observed", 0, self._rows())
+        lines = text.splitlines()
+        assert lines[0] == (
+            "fleet-observed: traced pair, seed 0 (one sample each, not a gate)"
+        )
+        assert len(lines) == 2 + len(PER_LAYER)
+        (export,) = [line for line in lines if "analysis.export_s (s)" in line]
+        assert export.split()[-3:] == ["0.4", "0.1", "-75.0%"]
+        (trace,) = [line for line in lines if "analysis.trace_mb (MiB)" in line]
+        assert trace.split()[-3:] == ["11.25", "11.25", "+0.0%"]
+        assert "trace.overhead" not in text  # only declared metrics

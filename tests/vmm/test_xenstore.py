@@ -1,9 +1,11 @@
 """Unit tests for the xenstore daemon, including its aging defect."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import AgingFaults
 from repro.errors import XenstoreError
+from repro.simkernel import Simulator
 from repro.vmm import Xenstore
 
 
@@ -69,6 +71,56 @@ class TestAging:
         store = Xenstore()
         store.write("/ab", "xyz")
         assert store.live_bytes == 64 + 3 + 3
+
+
+def _full_sum(store):
+    """The store's live bytes re-summed over every entry."""
+    return sum(64 + len(path) + len(value) for path, value in store._tree.items())
+
+
+_PATHS = st.sampled_from(
+    ["/", "/a", "/a/b", "/a/bc", "/ab", "/local/domain/1",
+     "/local/domain/1/name", "/local/domain/10/name"]
+)
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("write"), _PATHS, st.text(max_size=8)),
+        st.tuples(st.just("remove"), _PATHS, st.just("")),
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ops=_OPS,
+    leak=st.sampled_from([0, 100]),
+    budget=st.sampled_from([600, 4 * 1024 * 1024]),
+)
+def test_running_total_equals_the_full_sum(ops, leak, budget):
+    """After every write, overwrite and subtree remove, the running live
+    total is the full sum; the used-bytes gauge samples it before the
+    operation changes the tree, as the re-summing store did."""
+    sim = Simulator(metrics=True)
+    store = Xenstore(
+        budget_bytes=budget,
+        faults=AgingFaults(xenstore_leak_per_txn_bytes=leak),
+        metrics=sim.metrics,
+    )
+    gauge = sim.metrics.gauge("vmm.xenstore_used_bytes")
+    for op, path, value in ops:
+        before = _full_sum(store)
+        try:
+            if op == "write":
+                store.write(path, value)
+            else:
+                store.remove(path)
+        except XenstoreError:
+            assert _full_sum(store) == before  # refused: the tree is as it was
+        assert gauge.value == before + store.leaked_bytes
+        assert store.live_bytes == _full_sum(store)
+        assert store.used_bytes == store.live_bytes + store.leaked_bytes
+        assert store.exhausted == (store.used_bytes >= budget)
 
 
 class TestAgingFaults:

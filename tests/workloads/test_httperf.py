@@ -1,9 +1,12 @@
 """Unit tests for the httperf-like workload generator."""
 
+import collections
+
 import pytest
 
 from repro.analysis.timeline import bucketize
 from repro.errors import ReproError
+from repro.experiments.common import build_testbed
 from repro.units import kib
 from repro.workloads import Httperf
 
@@ -115,3 +118,36 @@ class TestServing:
         assert sum(rate for _, rate in timeline) == len(client.completion_times)
         times = [t for t, _ in timeline]
         assert times == sorted(times)
+
+
+class TestLockstep:
+    """The exact client's workers start at one instant on requests of
+    equal size, and a processor-sharing stage finishes equal jobs that
+    arrived together at one instant: so the workers move through CPU,
+    membus and NIC as one batch for the whole run.  Pinned so that any
+    change to it (a model change, which moves FIG7's and FIG8's rows)
+    shows here first."""
+
+    @pytest.mark.parametrize(
+        ("concurrency", "instants", "rate"),
+        [(1, 1918, 191.8), (2, 997, 199.4), (4, 509, 203.6)],
+    )
+    def test_every_completion_instant_holds_one_batch(
+        self, concurrency, instants, rate
+    ):
+        controller = build_testbed(1, services=("apache",))
+        guest = controller.guest("vm00")
+        paths = guest.filesystem.create_many("/www", 8, kib(512))
+        controller.run_process(guest.warm_file_cache(paths))
+        client = Httperf(
+            controller.sim,
+            lambda: controller.host.guest("vm00").service("apache"),
+            paths,
+            concurrency=concurrency,
+        ).start()
+        controller.run_for(10.0)
+        client.stop()
+        batches = collections.Counter(client.completion_times)
+        assert set(batches.values()) == {concurrency}
+        assert len(batches) == instants
+        assert len(client.completion_times) / 10.0 == pytest.approx(rate)
