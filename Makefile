@@ -115,8 +115,10 @@ perf-write:
 
 # The end-to-end benchmark, this checkout against BASE (a git revision)
 # in alternating pairs over seeds 0-9: per workload and end-to-end
-# metric, both medians and IQRs and the win count.  BASE is checked out
-# as a worktree under .bench_build/ab/ and removed afterwards.
+# metric, both medians and IQRs and the win count.  Both sides run from
+# sibling copies with paths of one length, .bench_build/ab/base (BASE)
+# and .bench_build/ab/work (this checkout with its uncommitted and
+# untracked files), removed afterwards.
 perf-ab:
 	$(PYTHON) benchmarks/ab.py $(BASE)
 

@@ -5,15 +5,20 @@
     python benchmarks/ab.py BASE
     make perf-ab BASE=REV
 
-``BASE`` is the only argument.  It is checked out as a detached ``git
-worktree`` under ``.bench_build/ab/``.  Then, for every workload
+``BASE`` is the only argument.  Both sides run from sibling copies
+whose paths have the same length, ``.bench_build/ab/base`` and
+``.bench_build/ab/work``, because a run's ``peak_rss_mb`` depends on its
+tree's path: the same code read up to half a MiB apart from two
+directories whose names differ in length.  The base copy is ``git
+archive BASE``; the change copy is this checkout as it stands: every
+tracked file with its uncommitted edits, and every untracked file that
+``.gitignore`` does not exclude.  Then, for every workload
 ``BENCHMARK.json`` declares and each of the seeds 0-9, it runs the
 command ``BENCHMARK.json`` declares (``perfbench/run.py --workload W
 --seed N --seconds S --trace 0``, ``S`` being its ``run_seconds``) once
-in each tree, alternating which tree goes first: the base on even pair
-numbers, this checkout on odd ones.  The change side is this checkout
-as it stands, uncommitted edits included.  Each run's last stdout line
-is its JSON result.
+in each copy, alternating which goes first: the base on even pair
+numbers, the change on odd ones.  Each run's last stdout line is its
+JSON result.
 
 For every workload and every ``end_to_end`` metric of ``BENCHMARK.json``
 it prints both medians, both quartile ranges (first to third quartile),
@@ -26,12 +31,12 @@ After a workload's ten pairs comes one traced pair on seed 0 (``--trace
 ``BENCHMARK.json`` it prints the base value, the change value and the
 relative change.  Those are one sample each, where per-layer deltas
 show, not a gate: they count toward neither the wins nor the exit
-status unless a traced run fails.  The worktree is removed afterwards.
+status unless a traced run fails.  Both copies are removed afterwards.
 
 Exit status: 0 when every run produced a correct result with no failed
 operation, 1 otherwise (each failing run is named on stderr), 2 when
-``BASE`` is not a commit or the worktree cannot be made.  perfbench is
-only called here, never edited, and nothing is written to
+``BASE`` is not a commit or a copy cannot be made.  perfbench is only
+called here, never edited, and nothing is written to
 ``BENCH_PERF.json``.
 """
 
@@ -41,6 +46,7 @@ import argparse
 import json
 import os
 import pathlib
+import shutil
 import statistics
 import subprocess
 import sys
@@ -48,7 +54,10 @@ import typing
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 BENCHMARK = REPO_ROOT / "BENCHMARK.json"
-WORKTREES = REPO_ROOT / ".bench_build" / "ab"
+TREES = pathlib.Path(".bench_build", "ab")
+"""Where the two copies go, relative to the repository root."""
+TREE_NAMES = {"base": "base", "change": "work"}
+"""Each side's copy: names of one length, so the paths have one length."""
 SEEDS = tuple(range(10))
 """One alternating pair per seed."""
 
@@ -167,24 +176,53 @@ def render(workload: str, seeds: typing.Sequence[int], rows: list[dict]) -> str:
 # -- running ------------------------------------------------------------------------
 
 
-def _git(*args: str) -> str:
-    done = subprocess.run(
-        ["git", *args], cwd=REPO_ROOT, capture_output=True, text=True
-    )
+def _git(root: pathlib.Path, *args: str) -> str:
+    done = subprocess.run(["git", *args], cwd=root, capture_output=True, text=True)
     if done.returncode != 0:
         raise ABError(f"git {' '.join(args)}: {done.stderr.strip()}")
-    return done.stdout.strip()
+    return done.stdout
 
 
-def checkout(base: str) -> pathlib.Path:
-    """A fresh detached worktree of ``base`` under ``.bench_build/ab/``."""
-    commit = _git("rev-parse", "--verify", f"{base}^{{commit}}")
-    tree = WORKTREES / commit[:12]
-    if tree.exists():
-        _git("worktree", "remove", "--force", str(tree))
-    WORKTREES.mkdir(parents=True, exist_ok=True)
-    _git("worktree", "add", "--detach", str(tree), commit)
-    return tree
+def tree_paths(root: pathlib.Path = REPO_ROOT) -> dict[str, pathlib.Path]:
+    """Each side's copy under ``root``: siblings, paths of one length."""
+    return {side: root / TREES / name for side, name in TREE_NAMES.items()}
+
+
+def remove_trees(trees: dict[str, pathlib.Path]) -> None:
+    for tree in trees.values():
+        shutil.rmtree(tree, ignore_errors=True)
+
+
+def make_trees(base: str, root: pathlib.Path = REPO_ROOT) -> dict[str, pathlib.Path]:
+    """Fresh copies of ``base`` and of ``root``'s checkout as it stands.
+
+    The change copy is made first, so it cannot pick up the base copy
+    even where ``.gitignore`` does not exclude ``.bench_build``.
+    """
+    commit = _git(root, "rev-parse", "--verify", f"{base}^{{commit}}").strip()
+    trees = tree_paths(root)
+    remove_trees(trees)
+    listed = _git(root, "ls-files", "-z", "--cached", "--others", "--exclude-standard")
+    for name in sorted(set(listed.split("\0")) - {""}):
+        source = root / name
+        if not os.path.lexists(source):
+            continue  # a tracked file deleted in the checkout
+        target = trees["change"] / name
+        target.parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy2(source, target, follow_symlinks=False)
+    trees["base"].mkdir(parents=True)
+    archive = subprocess.run(
+        ["git", "archive", "--format=tar", commit], cwd=root, capture_output=True
+    )
+    if archive.returncode != 0:
+        raise ABError(f"git archive {commit}: {archive.stderr.decode().strip()}")
+    untar = subprocess.run(
+        ["tar", "-x", "-C", str(trees["base"])], input=archive.stdout,
+        capture_output=True,
+    )
+    if untar.returncode != 0:
+        raise ABError(f"tar: {untar.stderr.decode().strip()}")
+    return trees
 
 
 def run_once(
@@ -223,11 +261,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("base", metavar="BASE", help="the base revision")
     args = parser.parse_args(argv)
     try:
-        base_tree = checkout(args.base)
-    except ABError as error:
+        trees = make_trees(args.base)
+    except (ABError, OSError) as error:
+        remove_trees(tree_paths())
         print(f"error: {error}", file=sys.stderr)
         return 2
-    trees = {"base": base_tree, "change": REPO_ROOT}
     status = 0
     try:
         for workload in names:
@@ -273,11 +311,7 @@ def main(argv: list[str] | None = None) -> int:
                 )
                 print(render_traced(workload, SEEDS[0], rows), flush=True)
     finally:
-        try:
-            _git("worktree", "remove", "--force", str(base_tree))
-        except ABError as error:
-            print(f"error: {error}", file=sys.stderr)
-            status = status or 2
+        remove_trees(trees)
     return status
 
 

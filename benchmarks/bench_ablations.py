@@ -14,7 +14,7 @@ that choice buys, using the same downtime measurement as Figure 6:
   reboots inside a warm reboot.
 """
 
-from repro.analysis import reboot_downtime_summary
+from repro.analysis.downtime import reboot_downtime_summary
 from repro.core import RootHammer, VMSpec
 from repro.units import gib
 

@@ -7,7 +7,8 @@ neither such a special device nor extra memory copy".  This bench
 measures all five at 4×1 GiB VMs and asserts exactly that ordering.
 """
 
-from repro.analysis import reboot_downtime_summary, render_table
+from repro.analysis.downtime import reboot_downtime_summary
+from repro.analysis.report import render_table
 from repro.core import (
     COMPRESSED,
     INCREMENTAL,

@@ -8,7 +8,7 @@ script reports what the cluster's clients saw under each scheme.
 Run:  python examples/cluster_rolling_rejuvenation.py
 """
 
-from repro.analysis import render_table
+from repro.analysis.report import render_table
 from repro.cluster import Cluster, LoadBalancer, MigrationSpec, live_migrate
 from repro.control import PlanExecutor, campaign
 from repro.simkernel import Simulator

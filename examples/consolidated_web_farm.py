@@ -10,7 +10,7 @@ TCP session fate, and the post-reboot cache behaviour.
 Run:  python examples/consolidated_web_farm.py
 """
 
-from repro.analysis import AnnotatedTimeline, bucketize
+from repro.analysis.timeline import AnnotatedTimeline, bucketize
 from repro.core import RootHammer, VMSpec
 from repro.guest.tcp import TcpSession
 from repro.units import fmt_duration, gib, kib

@@ -9,7 +9,8 @@ process checkpointing), the privileged VM, and the hypervisor itself
 Run:  python examples/rejuvenation_granularity.py
 """
 
-from repro.analysis import extract_downtimes, render_table
+from repro.analysis.downtime import extract_downtimes
+from repro.analysis.report import render_table
 from repro.core import RootHammer, VMSpec
 from repro.units import gib
 

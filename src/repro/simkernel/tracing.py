@@ -16,10 +16,12 @@ Storage is *columnar* (struct-of-arrays), not a list of record objects:
   always ``seq_base + i + 1`` (see :meth:`Tracer.clear` for the invariant).
 
 Queries (:meth:`Tracer.select`, :meth:`Tracer.times`, prefix matching)
-are mask operations over an ``int32`` view of the kind-id column plus
-``searchsorted`` over a ``float64`` view of the (non-decreasing) time
-column — both views rebuilt only after new records arrive — and
-materialize a :class:`TraceRecord` view only for matching rows.
+find the time window with :func:`bisect.bisect_left` and
+:func:`~bisect.bisect_right` on the (non-decreasing) time column, take
+each matching kind's rows in that window from per-kind row-index lists
+(extended only after new records arrive), and materialize a
+:class:`TraceRecord` view only for matching rows, its time as a
+``float``.
 
 The trace is an append-only log: nothing runs when a record is made,
 and code that must react to an occurrence waits on an event its owner
@@ -33,8 +35,7 @@ deterministic event order of the kernel.
 from __future__ import annotations
 
 import typing
-
-import numpy as np
+from bisect import bisect_left, bisect_right
 
 from repro.errors import SimulationError
 
@@ -201,7 +202,8 @@ class Tracer:
         "_tappend",
         "_kappend",
         "_pappend",
-        "_array_cache",
+        "_kind_rows",
+        "_indexed",
         "_schema",
     )
 
@@ -212,19 +214,24 @@ class Tracer:
         self._seq_base = 0
         self._kind_ids: dict[str, int] = {}
         self._kind_names: list[str] = []
-        self._prefix_cache: dict[str, np.ndarray | None] = {}
+        self._prefix_cache: dict[str, list[int] | None] = {}
         self._new_columns()
 
     def _new_columns(self) -> None:
         """Fresh list-backed columns; the bound ``append`` methods are
-        cached so ``record()`` pays no attribute lookups on them."""
+        cached so ``record()`` pays no attribute lookups on them.
+
+        ``_kind_rows[kid]`` holds the rows of kind ``kid`` among the
+        first ``_indexed`` rows, in row order (see :meth:`_index`).
+        """
         self._times: list[float] = []
         self._kids: list[int] = []
         self._payloads: list[dict[str, typing.Any]] = []
         self._tappend = self._times.append
         self._kappend = self._kids.append
         self._pappend = self._payloads.append
-        self._array_cache: tuple[np.ndarray, np.ndarray, int] | None = None
+        self._kind_rows: list[list[int]] = [[] for _ in self._kind_names]
+        self._indexed = 0
 
     # -- recording -------------------------------------------------------------
 
@@ -280,12 +287,13 @@ class Tracer:
     def _intern(self, kind: str) -> int:
         kid = self._kind_ids[kind] = len(self._kind_names)
         self._kind_names.append(kind)
+        self._kind_rows.append([])
         self._prefix_cache.clear()  # a new kind may extend any prefix set
         return kid
 
     # -- columnar internals ----------------------------------------------------
 
-    def _prefix_kids(self, prefix: str) -> np.ndarray | None:
+    def _prefix_kids(self, prefix: str) -> list[int] | None:
         """Kind-ids whose names start with ``prefix`` (``None`` = all)."""
         try:
             return self._prefix_cache[prefix]
@@ -295,28 +303,24 @@ class Tracer:
         if not prefix:
             kids = None
         else:
-            matched = [
-                kid for kid, name in enumerate(names) if name.startswith(prefix)
-            ]
-            kids = None if len(matched) == len(names) else np.asarray(
-                matched, dtype=np.int32
-            )
+            kids = [kid for kid, name in enumerate(names) if name.startswith(prefix)]
+            if len(kids) == len(names):
+                kids = None
         self._prefix_cache[prefix] = kids
         return kids
 
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Array views of the time and kind-id columns, rebuilt only
-        after appends."""
-        n = len(self._kids)
-        cache = self._array_cache
-        if cache is None or cache[2] != n:
-            cache = (
-                np.asarray(self._times, dtype=np.float64),
-                np.asarray(self._kids, dtype=np.int32),
-                n,
-            )
-            self._array_cache = cache
-        return cache[0], cache[1]
+    def _index(self) -> list[list[int]]:
+        """The per-kind row-index lists, extended over the rows recorded
+        since the last query."""
+        rows = self._kind_rows
+        start = self._indexed
+        kids = self._kids
+        if start < len(kids):
+            appends = [kind_rows.append for kind_rows in rows]
+            for i in range(start, len(kids)):
+                appends[kids[i]](i)
+            self._indexed = len(kids)
+        return rows
 
     def _matches(
         self,
@@ -326,26 +330,27 @@ class Tracer:
         filters: list[tuple[str, typing.Any]],
     ) -> typing.Sequence[int]:
         """Row indices matching kind prefix, time window and fields."""
-        times, kids = self._arrays()
+        times = self._times
         lo, hi = 0, len(times)
         if since != _NEG_INF:
-            lo = int(np.searchsorted(times, since, side="left"))
+            lo = bisect_left(times, since)
         if until != _POS_INF:
-            hi = int(np.searchsorted(times, until, side="right"))
+            hi = bisect_right(times, until)
         if lo >= hi:
             return []
         wanted = self._prefix_kids(prefix)
         if wanted is None:
-            idx = np.arange(lo, hi)
-        elif len(wanted) == 0:
-            return []
+            idx: typing.Sequence[int] = range(lo, hi)
         else:
-            window = kids[lo:hi]
-            if len(wanted) == 1:
-                mask = window == wanted[0]
-            else:
-                mask = np.isin(window, wanted)
-            idx = np.flatnonzero(mask) + lo
+            rows = self._index()
+            matched: list[int] = []
+            for kid in wanted:
+                kind_rows = rows[kid]
+                first = bisect_left(kind_rows, lo)
+                matched += kind_rows[first:bisect_left(kind_rows, hi, first)]
+            if len(wanted) > 1:
+                matched.sort()  # each kind's rows are one sorted run
+            idx = matched
         if not filters:
             return idx
         payloads = self._payloads
@@ -357,18 +362,15 @@ class Tracer:
                 if got is _MISSING or got != value:
                     break
             else:
-                out.append(int(i))
+                out.append(i)
         return out
 
-    def _materialize(
-        self, times: np.ndarray, kids: np.ndarray, i: int
-    ) -> TraceRecord:
-        return TraceRecord(
-            times[i].item(),
-            self._seq_base + i + 1,
-            self._kind_names[kids[i]],
-            self._payloads[i],
-        )
+    def _records(self, idx: typing.Iterable[int]) -> typing.Iterator[TraceRecord]:
+        """Record views of rows ``idx``, times as ``float``."""
+        times, kids, names = self._times, self._kids, self._kind_names
+        payloads, base = self._payloads, self._seq_base + 1
+        for i in idx:
+            yield TraceRecord(float(times[i]), base + i, names[kids[i]], payloads[i])
 
     # -- querying -------------------------------------------------------------
 
@@ -376,9 +378,7 @@ class Tracer:
         return len(self._kids)
 
     def __iter__(self) -> typing.Iterator[TraceRecord]:
-        times, kids = self._arrays()
-        for i in range(len(kids)):
-            yield self._materialize(times, kids, i)
+        return self._records(range(len(self._kids)))
 
     def select(
         self,
@@ -390,14 +390,13 @@ class Tracer:
         """Return records matching a kind prefix, time window and fields.
 
         ``field_filters`` keep only records where each named field equals
-        the given value (missing fields never match).  The kind and time
-        predicates are evaluated as vector operations over the columns;
-        a :class:`TraceRecord` is materialized per *matching* row only.
+        the given value (missing fields never match).  The time window is
+        two bisections and the kind prefix a slice of each matching
+        kind's row list; a :class:`TraceRecord` is materialized per
+        *matching* row only.
         """
         idx = self._matches(prefix, since, until, list(field_filters.items()))
-        times, kids = self._arrays()
-        materialize = self._materialize
-        return [materialize(times, kids, i) for i in idx]
+        return list(self._records(idx))
 
     def first(
         self,
@@ -408,9 +407,7 @@ class Tracer:
     ) -> TraceRecord | None:
         """The earliest record matching prefix, window and fields, or None."""
         idx = self._matches(prefix, since, until, list(field_filters.items()))
-        if len(idx) == 0:
-            return None
-        return self._materialize(*self._arrays(), idx[0])
+        return next(self._records(idx[:1]), None)
 
     def last(
         self,
@@ -421,9 +418,7 @@ class Tracer:
     ) -> TraceRecord | None:
         """The latest record matching prefix, window and fields, or None."""
         idx = self._matches(prefix, since, until, list(field_filters.items()))
-        if len(idx) == 0:
-            return None
-        return self._materialize(*self._arrays(), idx[-1])
+        return next(self._records(idx[-1:]), None)
 
     def times(
         self,
@@ -432,10 +427,10 @@ class Tracer:
         until: float = _POS_INF,
         **field_filters: typing.Any,
     ) -> list[float]:
-        """Times of all matching records (vectorized; no record views)."""
+        """Times of all matching records, as floats (no record views)."""
         idx = self._matches(prefix, since, until, list(field_filters.items()))
-        times, _ = self._arrays()
-        return times[idx].tolist()
+        times = self._times
+        return [float(times[i]) for i in idx]
 
     def clear(self) -> None:
         """Drop all records.

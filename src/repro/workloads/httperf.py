@@ -25,9 +25,9 @@ Two client models live here:
 * :class:`FluidHttperf` + :class:`FluidCoordinator` — **fluid** mode:
   ``sessions`` closed-loop clients are a single number, advanced at
   aggregation ticks by a per-simulator coordinator that solves a
-  processor-sharing rate model (numpy-vectorized across clients) against
-  the live hardware objects.  A million concurrent sessions is one array
-  slot; cross-validated against exact mode in
+  processor-sharing rate model (:func:`waterfill`, plain floats) against
+  the live hardware objects.  A million concurrent sessions is one
+  entry of the solve; cross-validated against exact mode in
   ``tests/workloads/test_fluid.py``.  A quiet tick (since the last
   one, nothing but its own timeout left the scheduler; see
   :meth:`~repro.simkernel.kernel.Simulator.activity`) reuses the last
@@ -40,8 +40,6 @@ from __future__ import annotations
 
 import typing
 from bisect import bisect_left, bisect_right
-
-import numpy
 
 from repro.control.detectors import next_tick
 from repro.errors import ReproError, ServiceError
@@ -174,6 +172,44 @@ class Httperf:
 _RESOURCES = 4
 """Waterfill resource axes: CPU (core-seconds), memory bus (bytes), disk
 (bytes), NIC (bytes) — the four pools one Apache request touches."""
+
+
+def waterfill(
+    probes: typing.Sequence[tuple[int, float, typing.Sequence[float]] | None],
+    capacities: typing.Sequence[typing.Sequence[float]],
+) -> list[float]:
+    """Every client's rate under its machine's proportional waterfill.
+
+    ``probes[i]`` is client ``i``'s ``(machine slot, demand, per-request
+    costs)``, or ``None`` when it is down (rate ``0.0``);
+    ``capacities[slot]`` is that machine's capacity.  Costs and
+    capacities are per :data:`_RESOURCES` axis.  A machine's load on an
+    axis adds ``demand * cost`` in client order; its scale is the least
+    ``capacity / max(load, 1e-300)`` over the axes with a positive load,
+    capped at 1.0; a client's rate is ``demand * scale``.  These are the
+    float operations of the numpy solve this replaced, in its order, so
+    every rate keeps its bits; ``tests/workloads/fluid_oracle.py`` keeps
+    that solve as the oracle.
+    """
+    loads = [[0.0] * _RESOURCES for _ in capacities]
+    for probe in probes:
+        if probe is not None:
+            slot, demand, costs = probe
+            load = loads[slot]
+            for axis in range(_RESOURCES):
+                load[axis] += demand * costs[axis]
+    scales = []
+    for capacity, load in zip(capacities, loads):
+        scale = 1.0
+        for axis in range(_RESOURCES):
+            if load[axis] > 0.0:
+                ratio = capacity[axis] / max(load[axis], 1e-300)
+                if ratio < scale:
+                    scale = ratio
+        scales.append(scale)
+    return [
+        0.0 if probe is None else probe[1] * scales[probe[0]] for probe in probes
+    ]
 
 
 class FluidHttperf:
@@ -566,9 +602,9 @@ class FluidCoordinator:
     demand their closed-loop rate; every machine scales its residents'
     demands by one factor so no resource (CPU, memory bus, disk, NIC)
     exceeds capacity — the fluid analogue of
-    :class:`~repro.simkernel.sharing.SharedPool`'s proportional sharing.
-    The solve is numpy-vectorized across clients; summation order is
-    registration order, so results are deterministic.
+    :class:`~repro.simkernel.sharing.SharedPool`'s proportional sharing
+    (:func:`waterfill`).  Summation order is registration order, so
+    results are deterministic.
 
     A **quiet** tick reuses the previous solve's ``(rate, up)`` per
     client instead.  A tick is quiet when :meth:`Simulator.activity`
@@ -692,45 +728,25 @@ class FluidCoordinator:
 
         Also says whether a reachable client's corpus is partly resident.
         """
-        clients = self._clients
-        count = len(clients)
-        up = numpy.zeros(count, dtype=bool)
-        demand = numpy.zeros(count)
-        costs = numpy.zeros((_RESOURCES, count))
-        machine_index = numpy.zeros(count, dtype=int)
+        probes: list[tuple[int, float, list[float]] | None] = []
         machine_slots: dict[int, int] = {}
         capacities: list[list[float]] = []
         warming = False
-        for i, client in enumerate(clients):
+        for client in self._clients:
             probe = client._probe()
             if probe is None:
+                probes.append(None)
                 continue
-            machine, client_demand, cost, capacity = probe
+            machine, demand, costs, capacity = probe
             slot = machine_slots.setdefault(id(machine), len(machine_slots))
             if slot == len(capacities):
                 capacities.append(capacity)
-            machine_index[i] = slot
-            up[i] = True
-            demand[i] = client_demand
-            costs[:, i] = cost
+            probes.append((slot, demand, costs))
             warming = warming or client._probe_ctx[2] < 1.0
-        if machine_slots:
-            load = numpy.zeros((_RESOURCES, len(machine_slots)))
-            for axis in range(_RESOURCES):
-                numpy.add.at(load[axis], machine_index, demand * costs[axis])
-            capacity = numpy.array(capacities).T
-            # An axis nobody stresses (fully-resident corpus: zero disk
-            # bytes) has load 0; the discarded division overflows, so
-            # silence it rather than special-case the mask.
-            with numpy.errstate(over="ignore", divide="ignore"):
-                ratio = numpy.where(
-                    load > 0.0, capacity / numpy.maximum(load, 1e-300), numpy.inf
-                )
-            scale = numpy.minimum(ratio.min(axis=0), 1.0)
-            rates = demand * scale[machine_index]
-        else:
-            rates = demand
-        return list(zip(rates.tolist(), up.tolist())), warming
+        rates = waterfill(probes, capacities)
+        return [
+            (rate, probe is not None) for rate, probe in zip(rates, probes)
+        ], warming
 
     def finalize(self) -> None:
         """Account the trailing partial tick and stop; idempotent."""

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.aging.watchdog import CrashWatchdog, HeapExhaustionCrasher
-from repro.analysis import extract_downtimes
+from repro.analysis.downtime import extract_downtimes
 from repro.errors import ConfigError, RejuvenationError
 from repro.units import HOUR, MiB, mib
 from repro.vmm.hypervisor import VmmState

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import bar_chart, line_plot
+from repro.analysis.charts import bar_chart, line_plot
 from repro.errors import AnalysisError
 
 

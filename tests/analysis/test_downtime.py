@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import (
+from repro.analysis.downtime import (
     DowntimeSummary,
     downtime_by_domain,
     extract_downtimes,

@@ -2,12 +2,8 @@
 
 import json
 
-from repro.analysis import (
-    ComparisonRow,
-    result_to_json,
-    rows_to_csv,
-    write_result,
-)
+from repro.analysis.export import result_to_json, rows_to_csv, write_result
+from repro.analysis.report import ComparisonRow
 from repro.experiments.common import ExperimentResult
 
 
@@ -43,7 +39,7 @@ class TestJson:
         assert isinstance(payload["data"]["note"], str)  # repr fallback
 
     def test_dataclass_conversion(self):
-        from repro.analysis import LinearFit
+        from repro.analysis.fitting import LinearFit
 
         result = make_result()
         result.data = {"fit": LinearFit(1.0, 2.0, 0.99)}

@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis import DowntimeModel, LinearFit, fit_constant, fit_line, paper_model
+from repro.analysis.downtime_model import DowntimeModel, paper_model
+from repro.analysis.fitting import LinearFit, fit_constant, fit_line
 from repro.errors import AnalysisError
 
 

@@ -2,14 +2,16 @@
 
 import pytest
 
-from repro.analysis import (
-    AnnotatedTimeline,
+from repro.analysis.report import (
     ComparisonRow,
     all_within_tolerance,
-    bucketize,
-    mean_rate,
     render_comparison,
     render_table,
+)
+from repro.analysis.timeline import (
+    AnnotatedTimeline,
+    bucketize,
+    mean_rate,
     sum_series,
     zero_intervals,
 )

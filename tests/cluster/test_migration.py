@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import extract_downtimes
+from repro.analysis.downtime import extract_downtimes
 from repro.cluster import MigrationSpec, live_migrate
 from repro.config import small_testbed
 from repro.core import Host, VMSpec

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import extract_downtimes
+from repro.analysis.downtime import extract_downtimes
 from repro.errors import ServiceError
 from repro.guest.services import ServiceState
 

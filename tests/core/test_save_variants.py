@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import reboot_downtime_summary
+from repro.analysis.downtime import reboot_downtime_summary
 from repro.core import (
     ALL_VARIANTS,
     COMPRESSED,

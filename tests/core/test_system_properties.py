@@ -15,7 +15,7 @@ rejuvenations a host goes through, afterwards
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.analysis import extract_downtimes
+from repro.analysis.downtime import extract_downtimes
 from repro.config import small_testbed
 from repro.core import COMPRESSED, Host, INCREMENTAL, RAMDISK, VMSpec
 from repro.guest import GuestState

@@ -255,11 +255,20 @@ def _check(trace, model, prefix, since, until, filters):
     ]
     args = (prefix, since, until)
     assert _view(trace.select(*args, **filters)) == want
-    assert trace.times(*args, **filters) == [rec[0] for rec in want]
+    times = trace.times(*args, **filters)
+    assert [(t, type(t)) for t in times] == [rec[:2] for rec in want]
     first = trace.first(*args, **filters)
     last = trace.last(*args, **filters)
     assert _view([first] if first else []) == want[:1]
     assert _view([last] if last else []) == want[-1:]
+
+
+def _record(dt, kind, **payload):
+    return ("record", dt, kind, payload)
+
+
+def _query(prefix, since=float("-inf"), until=float("inf"), **filters):
+    return ("query", (prefix, since, until, filters))
 
 
 class TestSingleStore:
@@ -267,6 +276,28 @@ class TestSingleStore:
 
     @given(ops=_OPS)
     @example(ops=_big_stream())
+    @example(  # prefixes over several kinds, each queried between appends
+        ops=[
+            _record(0, "a.x", i=1), _record(0.5, "ab.w"), _query("a"),
+            _record(0, "a.y", i=1), _record(0.5, "a.x"), _query("a.", 0.5),
+            _record(0, "ab.w", i=1), _query("a", until=1.0, i=1),
+            _record(1, "a.y"), _query("a"), _query("a.", 0.5, 2.0),
+        ]
+    )
+    @example(  # kinds interned before clear(), queried after it
+        ops=[
+            _record(0, "a.x"), _record(0.5, "b.z"), _query("a."),
+            ("clear",), _query("a."), _query("b."), _query("a.x", 0.0),
+            _record(0.5, "b.z"), _query("a."), _query("b."),
+            _record(0, "a.x", i=2), _query("a.x"), _query("a", i=2),
+        ]
+    )
+    @example(  # an int clock reads back as float everywhere
+        ops=[
+            _record(0, "a.x"), _record(1, "b.z"), _record(1, "a.y"),
+            _query(""), _query("a."), _query("b.", 1, 2),
+        ]
+    )
     @settings(max_examples=150, deadline=None)
     def test_queries_match_list_model(self, ops):
         sim = Simulator()

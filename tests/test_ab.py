@@ -1,18 +1,26 @@
-"""Unit tests for the A/B driver's statistics (canned result lines, no runs)."""
+"""Unit tests for ``benchmarks/ab.py``: its statistics (canned result
+lines, no runs) and the two trees it runs from (a throwaway git
+repository)."""
 
 import json
 import math
+import subprocess
 
 import pytest
 
+from benchmarks import ab
 from benchmarks.ab import (
+    ABError,
     last_json,
+    make_trees,
     problems,
     quartiles,
+    remove_trees,
     render,
     render_traced,
     summarize,
     traced_rows,
+    tree_paths,
 )
 
 WALL = {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}
@@ -165,3 +173,95 @@ class TestTracedPair:
         (trace,) = [line for line in lines if "analysis.trace_mb (MiB)" in line]
         assert trace.split()[-3:] == ["11.25", "11.25", "+0.0%"]
         assert "trace.overhead" not in text  # only declared metrics
+
+
+class TestTrees:
+    """Both sides run from sibling copies whose paths have one length (a
+    run's peak RSS depends on its tree's path); the change copy is the
+    checkout as it stands."""
+
+    def _git(self, root, *args):
+        subprocess.run(
+            ["git", "-c", "user.name=ab", "-c", "user.email=ab@example.com",
+             *args],
+            cwd=root, check=True, capture_output=True,
+        )
+
+    @pytest.fixture()
+    def repo(self, tmp_path):
+        root = tmp_path / "repo"
+        (root / "src").mkdir(parents=True)
+        (root / ".gitignore").write_text(".bench_build/\n*.log\n")
+        (root / "src" / "kept.py").write_text("base = 1\n")
+        (root / "src" / "edited.py").write_text("value = 'committed'\n")
+        (root / "gone.py").write_text("deleted in the checkout\n")
+        self._git(root, "init", "-q")
+        self._git(root, "add", "-A")
+        self._git(root, "commit", "-q", "-m", "base")
+        (root / "src" / "edited.py").write_text("value = 'uncommitted'\n")
+        (root / "src" / "new.py").write_text("untracked = True\n")
+        (root / "run.log").write_text("ignored\n")
+        (root / "gone.py").unlink()
+        return root
+
+    def test_paths_are_siblings_of_one_length(self, repo):
+        trees = tree_paths(repo)
+        base, change = trees["base"], trees["change"]
+        assert base.parent == change.parent == repo / ".bench_build" / "ab"
+        assert base != change and len(str(base)) == len(str(change))
+
+    def test_copies_hold_the_base_and_the_checkout_as_it_stands(self, repo):
+        trees = make_trees("HEAD", root=repo)
+        assert trees == tree_paths(repo)
+        base, change = trees["base"], trees["change"]
+        assert (base / "src" / "edited.py").read_text() == "value = 'committed'\n"
+        assert (base / "gone.py").exists()
+        assert not (base / "src" / "new.py").exists()
+        assert (change / "src" / "edited.py").read_text() == (
+            "value = 'uncommitted'\n"
+        )
+        assert (change / "src" / "new.py").read_text() == "untracked = True\n"
+        assert (change / "src" / "kept.py").read_text() == "base = 1\n"
+        assert not (change / "gone.py").exists()
+        assert not (change / "run.log").exists()
+        assert not (change / ".bench_build").exists()
+        assert not (base / ".git").exists() and not (change / ".git").exists()
+        # A second A/B starts from fresh copies.
+        (change / "stale.py").write_text("left over\n")
+        assert not (make_trees("HEAD", root=repo)["change"] / "stale.py").exists()
+        remove_trees(trees)
+        assert not base.exists() and not change.exists()
+
+    def test_a_bad_base_names_the_revision(self, repo):
+        with pytest.raises(ABError, match="no-such-rev"):
+            make_trees("no-such-rev", root=repo)
+
+    def test_main_runs_each_side_from_its_copy_then_removes_both(
+        self, repo, tmp_path, monkeypatch
+    ):
+        declared = {
+            "command": ["bench"], "run_seconds": 1,
+            "workloads": [{"name": "w"}], "end_to_end": [WALL], "per_layer": [],
+        }
+        (tmp_path / "BENCHMARK.json").write_text(json.dumps(declared))
+        monkeypatch.setattr(ab, "BENCHMARK", tmp_path / "BENCHMARK.json")
+        monkeypatch.setattr(ab, "SEEDS", (0, 1))
+        monkeypatch.setattr(ab, "tree_paths", lambda root=repo: tree_paths(root))
+        monkeypatch.setattr(ab, "make_trees", lambda base: make_trees(base, repo))
+        used = []
+
+        def run_once(command, tree, workload, seed, seconds, trace=0):
+            assert (tree / "src" / "kept.py").exists()  # the copy is there
+            used.append(tree)
+            return last_json(_stdout(1.0)), ""
+
+        monkeypatch.setattr(ab, "run_once", run_once)
+        assert ab.main(["HEAD"]) == 0
+        trees = tree_paths(repo)
+        # Two plain pairs and one traced pair, base first on even pairs.
+        assert used == [trees[side] for side in (
+            "base", "change", "change", "base", "base", "change",
+        )]
+        assert not trees["base"].exists() and not trees["change"].exists()
+        assert ab.main(["no-such-rev"]) == 2
+        assert not trees["base"].exists() and not trees["change"].exists()

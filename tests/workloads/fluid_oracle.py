@@ -8,6 +8,11 @@ rate into a per-client tick log (:class:`TickLog`, which is
 ``FluidHttperf._commit`` with the five columns and three running totals
 it kept, its page-cache re-warm and its two counter increments).
 
+The waterfill itself is :func:`numpy_waterfill`, the numpy solve that
+:func:`repro.workloads.httperf.waterfill` replaced with plain floats;
+``test_fluid_reuse.py`` compares the two by ``float.hex`` with a
+hypothesis property.
+
 ``test_fluid_reuse.py`` patches :func:`reference_account` in for
 ``FluidCoordinator._account`` and diffs whole runs (tick logs, running
 totals, window summaries and metric series) against the shipped
@@ -91,6 +96,40 @@ def view(client: typing.Any) -> typing.Any:
     return client
 
 
+def numpy_waterfill(
+    probes: typing.Sequence[tuple[int, float, typing.Sequence[float]] | None],
+    capacities: typing.Sequence[typing.Sequence[float]],
+) -> list[float]:
+    """:func:`~repro.workloads.httperf.waterfill`'s rates, solved in numpy.
+
+    Same arguments: each client's ``(machine slot, demand, costs)`` or
+    ``None`` when it is down, and each slot's capacities.  A down
+    client has demand 0, costs 0 and slot 0.
+    """
+    count = len(probes)
+    demand = numpy.zeros(count)
+    costs = numpy.zeros((_RESOURCES, count))
+    machine_index = numpy.zeros(count, dtype=int)
+    for i, probe in enumerate(probes):
+        if probe is not None:
+            machine_index[i], demand[i], costs[:, i] = probe
+    if not capacities:
+        return demand.tolist()
+    load = numpy.zeros((_RESOURCES, len(capacities)))
+    for axis in range(_RESOURCES):
+        numpy.add.at(load[axis], machine_index, demand * costs[axis])
+    capacity = numpy.array(capacities).T
+    # An axis nobody stresses (fully-resident corpus: zero disk
+    # bytes) has load 0; the discarded division overflows, so
+    # silence it rather than special-case the mask.
+    with numpy.errstate(over="ignore", divide="ignore"):
+        ratio = numpy.where(
+            load > 0.0, capacity / numpy.maximum(load, 1e-300), numpy.inf
+        )
+    scale = numpy.minimum(ratio.min(axis=0), 1.0)
+    return (demand * scale[machine_index]).tolist()
+
+
 def reference_account(
     coordinator: typing.Any, until: float, quiet: bool = False
 ) -> None:
@@ -100,37 +139,19 @@ def reference_account(
         return
     coordinator._last = until
     clients = coordinator._clients
-    count = len(clients)
-    up = numpy.zeros(count, dtype=bool)
-    demand = numpy.zeros(count)
-    costs = numpy.zeros((_RESOURCES, count))
-    machine_index = numpy.zeros(count, dtype=int)
+    probes = []
     machine_slots: dict[int, int] = {}
     capacities: list[list[float]] = []
-    for i, client in enumerate(clients):
+    for client in clients:
         probe = client._probe()
         if probe is None:
+            probes.append(None)
             continue
         machine, client_demand, cost, capacity = probe
         slot = machine_slots.setdefault(id(machine), len(machine_slots))
         if slot == len(capacities):
             capacities.append(capacity)
-        machine_index[i] = slot
-        up[i] = True
-        demand[i] = client_demand
-        costs[:, i] = cost
-    if machine_slots:
-        load = numpy.zeros((_RESOURCES, len(machine_slots)))
-        for axis in range(_RESOURCES):
-            numpy.add.at(load[axis], machine_index, demand * costs[axis])
-        capacity = numpy.array(capacities).T
-        with numpy.errstate(over="ignore", divide="ignore"):
-            ratio = numpy.where(
-                load > 0.0, capacity / numpy.maximum(load, 1e-300), numpy.inf
-            )
-        scale = numpy.minimum(ratio.min(axis=0), 1.0)
-        rates = demand * scale[machine_index]
-    else:
-        rates = demand
-    for i, client in enumerate(clients):
-        _log(client).commit(start, until, float(rates[i]), bool(up[i]))
+        probes.append((slot, client_demand, cost))
+    rates = numpy_waterfill(probes, capacities)
+    for client, rate, probe in zip(clients, rates, probes):
+        _log(client).commit(start, until, rate, probe is not None)

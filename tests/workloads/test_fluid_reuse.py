@@ -12,7 +12,8 @@ series must agree bit for bit.  Where a case has quiet stretches, the
 shipped coordinator must also have probed less, so the reuse path really
 ran; a sanitized coordinator solves every tick and must find no kept
 pair stale.  A hypothesis property does the same over random tick
-scripts.
+scripts, and another compares the plain-float waterfill with the numpy
+solve it replaced.
 """
 
 import itertools
@@ -28,11 +29,11 @@ from repro.scenario import ScenarioBuilder
 from repro.simkernel import Simulator
 from repro.simkernel.sanitizer import DeterminismWarning
 from repro.units import kib
-from repro.workloads.httperf import FluidCoordinator, FluidHttperf
+from repro.workloads.httperf import FluidCoordinator, FluidHttperf, waterfill
 
 from tests.conftest import build_started_host
 from tests.fleet.test_fleet import _fleet
-from tests.workloads.fluid_oracle import reference_account, view
+from tests.workloads.fluid_oracle import numpy_waterfill, reference_account, view
 
 SERIES = ("fluid.completed_requests", "fluid.failed_requests")
 
@@ -394,6 +395,80 @@ def test_tick_scripts_match_the_oracle(ops, metrics):
         *sanitized, sim = _script(ops, metrics, sanitize=True)
     assert sanitized == expected
     assert not sim.sanitizer.reports
+
+
+# -- the waterfill against the numpy solve ---------------------------------------
+
+# A cost of 5e-324 or 1e-301 makes a load below 1e-300; 0.0 leaves an
+# axis unloaded.
+_COST = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-301]),
+    st.floats(min_value=0.0, max_value=1e9),
+)
+_CAPACITY = st.one_of(
+    st.integers(min_value=0, max_value=2**40),
+    st.floats(min_value=0.0, max_value=1e12),
+)
+_PROBE = st.one_of(
+    st.none(),  # a down client
+    st.tuples(
+        st.sampled_from("abcd"),  # its machine
+        st.floats(min_value=1e-3, max_value=1e6),  # its demand
+        st.lists(_COST, min_size=4, max_size=4),
+    ),
+)
+
+
+def _solve_inputs(clients, machines):
+    """``waterfill``'s arguments, machine slots in first-seen order as
+    ``FluidCoordinator._solve`` numbers them."""
+    slots: dict[str, int] = {}
+    probes = []
+    for probe in clients:
+        if probe is None:
+            probes.append(None)
+            continue
+        machine, demand, costs = probe
+        slot = slots.setdefault(machine, len(slots))
+        probes.append((slot, demand, costs))
+    return probes, [machines[machine] for machine in slots]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    clients=st.lists(_PROBE, max_size=8),
+    machines=st.fixed_dictionaries(
+        {m: st.lists(_CAPACITY, min_size=4, max_size=4) for m in "abcd"}
+    ),
+)
+@example(  # no reachable machine
+    clients=[None, None], machines={m: [1.0] * 4 for m in "abcd"}
+)
+@example(  # down clients between clients that share machines, seen b, a
+    clients=[None, ("b", 300.0, [2e-4, 1e6, 0.0, 5e5]),
+             ("a", 50.0, [1e-3, 0.0, 0.0, 5e5]), None,
+             ("b", 700.0, [2e-4, 1e6, 0.0, 5e5])],
+    machines={"a": [2, 4e9, 8e7, 1.25e8], "b": [2.0, 4e9, 8e7, 1.25e8],
+              "c": [0] * 4, "d": [0] * 4},
+)
+@example(  # a machine's load adds in client order (reversed, it differs)
+    clients=[("a", 1.0, [1.0, 0.0, 0.0, 0.0]), ("a", 1.0, [1e-16, 0.0, 0.0, 0.0]),
+             ("a", 1.0, [1e-16, 0.0, 0.0, 0.0])],
+    machines={m: [0.5, 1, 1, 1] for m in "abcd"},
+)
+@example(  # loads below 1e-300 (on c's third axis, the least ratio),
+    # integer capacities, and zero capacities on d's unloaded axes
+    clients=[("c", 1.0, [5e-324, 1e-301, 1e-301, 0.0]),
+             ("d", 2.0, [0.0, 1e-3, 0.0, 1.0]),
+             ("c", 2.0, [5e-324, 0.0, 0.0, 1e-301])],
+    machines={"a": [1] * 4, "b": [1] * 4, "c": [3, 2, 1e-305, 2**40],
+              "d": [0, 5, 0, 2**40]},
+)
+def test_waterfill_matches_the_numpy_solve(clients, machines):
+    probes, capacities = _solve_inputs(clients, machines)
+    got = waterfill(probes, capacities)
+    expected = numpy_waterfill(probes, capacities)
+    assert [rate.hex() for rate in got] == [rate.hex() for rate in expected]
 
 
 # -- the sanitizer checks every reuse ------------------------------------------

@@ -49,7 +49,7 @@ class TestPingProber:
     def test_prober_agrees_with_trace_measurement(self, sim, started_host):
         """The client-side measurement (paper's method) and the exact
         trace-based one must agree to within probe quantization."""
-        from repro.analysis import extract_downtimes
+        from repro.analysis.downtime import extract_downtimes
 
         guest = started_host.guest("vm0")
         prober = PingProber(
